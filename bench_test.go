@@ -14,6 +14,7 @@ import (
 	"captive"
 	"captive/ga64asm"
 	"captive/internal/bench"
+	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 )
@@ -27,7 +28,7 @@ func BenchmarkFig17_SPECint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ratios []float64
 		for _, w := range bench.Integer() {
-			c, q, err := bench.Compare(w, bench.Options{})
+			c, q, err := bench.Compare(w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -45,7 +46,7 @@ func BenchmarkFig18_SPECfp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ratios []float64
 		for _, w := range bench.Float() {
-			c, q, err := bench.Compare(w, bench.Options{})
+			c, q, err := bench.Compare(w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -64,11 +65,11 @@ func BenchmarkFig19_SimBench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var hot float64
 		for _, m := range bench.SimBench() {
-			c, err := bench.RunMicro(bench.EngineCaptive, m, bench.Options{})
+			c, err := bench.RunMicro(machine.Captive, m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			q, err := bench.RunMicro(bench.EngineQEMU, m, bench.Options{})
+			q, err := bench.RunMicro(machine.QEMU, m)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func BenchmarkFig20_JITPhases(b *testing.B) {
 		b.Skip("full-evaluation benchmark; skipped in -short runs")
 	}
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig20(bench.Options{})
+		t, err := bench.Fig20()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkFig22_Native(b *testing.B) {
 		b.Skip("full-evaluation benchmark; skipped in -short runs")
 	}
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig22(bench.Options{})
+		t, err := bench.Fig22()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkTable2_Sqrt(b *testing.B) {
 // RV64 kernels through the same Captive/QEMU engines via the guest port.
 func BenchmarkTable5_Retarget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Table5(bench.Options{})
+		t, err := bench.Table5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,11 +234,11 @@ func BenchmarkTranslationThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunImage(bench.EngineCaptive, img, "small-blocks", bench.Options{})
+		res, err := bench.RunImage(machine.Captive, img, "small-blocks")
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.JIT.Blocks), "blocks")
+		b.ReportMetric(float64(res.Metrics.JITBlocks), "blocks")
 	}
 }
 

@@ -26,30 +26,28 @@
 package captive
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"captive/internal/bench"
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 )
 
 // EngineKind selects the execution engine.
-type EngineKind int
+type EngineKind = machine.Kind
 
 // Engine kinds.
 const (
 	// EngineCaptive is the paper's system: DBT inside a bare-metal host VM.
-	EngineCaptive EngineKind = iota
+	EngineCaptive = machine.Captive
 	// EngineQEMU is the baseline: softmmu + helper-call FP + VA-indexed cache.
-	EngineQEMU
+	EngineQEMU = machine.QEMU
 	// EngineInterp is the reference interpreter (golden model).
-	EngineInterp
+	EngineInterp = machine.Interp
 )
 
 // Config configures a Guest. The zero value is a usable Captive engine with
@@ -82,9 +80,7 @@ type Stats struct {
 
 // Guest is a full-system GA64 virtual machine.
 type Guest struct {
-	cfg    Config
-	engine *core.Engine    // nil for the interpreter
-	interp *interp.Machine // nil for the DBT engines
+	m machine.Machine
 }
 
 // New creates a guest machine.
@@ -99,141 +95,74 @@ func New(cfg Config) (*Guest, error) {
 	if cfg.OptLevel >= 1 && cfg.OptLevel <= 4 {
 		level = ssa.OptLevel(cfg.OptLevel)
 	}
-	module, err := ga64.NewModule(level)
-	if err != nil {
-		return nil, err
-	}
-	g := &Guest{cfg: cfg}
-	if cfg.Engine == EngineInterp {
-		g.interp = interp.New(ga64.Port{}, module, cfg.GuestRAMBytes)
-		return g, nil
-	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  cfg.GuestRAMBytes,
+	m, err := machine.New(machine.Spec{
+		Kind:           cfg.Engine,
+		Guest:          ga64.Port{},
+		Level:          level,
+		RAMBytes:       cfg.GuestRAMBytes,
 		CodeCacheBytes: cfg.CodeCacheBytes,
 		PTPoolBytes:    4 << 20,
+		SoftFP:         cfg.SoftFloat,
+		ChainingOff:    cfg.DisableChain,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var e *core.Engine
-	if cfg.Engine == EngineQEMU {
-		e, err = core.NewQEMU(vm, ga64.Port{}, module)
-	} else {
-		e, err = core.New(vm, ga64.Port{}, module)
-		e.SoftFP = cfg.SoftFloat
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.ChainingOff = cfg.DisableChain
-	g.engine = e
-	return g, nil
+	return &Guest{m: m}, nil
 }
 
 // LoadImage copies a guest image to guest physical memory and sets the PC.
 func (g *Guest) LoadImage(data []byte, gpa, entry uint64) error {
-	if g.interp != nil {
-		return g.interp.LoadImage(data, gpa, entry)
-	}
-	return g.engine.LoadImage(data, gpa, entry)
+	return g.m.LoadImage(data, gpa, entry)
 }
 
 // LoadData copies raw bytes into guest physical memory.
-func (g *Guest) LoadData(data []byte, gpa uint64) error {
-	if g.interp != nil {
-		if gpa+uint64(len(data)) > uint64(len(g.interp.Mem)) {
-			return fmt.Errorf("captive: data exceeds guest RAM")
-		}
-		copy(g.interp.Mem[gpa:], data)
-		return nil
-	}
-	return g.engine.LoadUser(data, gpa)
-}
+func (g *Guest) LoadData(data []byte, gpa uint64) error { return g.m.LoadData(data, gpa) }
 
-// Run executes the guest until it halts or the budget expires. budget is in
-// simulated host cycles; 0 means a generous default (~100 simulated
-// seconds). For the interpreter the budget is an instruction count.
+// Run executes the guest until it halts or the budget expires; an expired
+// budget is not an error (the Status reports Halted false). budget counts
+// steps, the unit of every engine: the interpreter executes at most that
+// many instructions, the DBT engines spend at most 200 simulated host cycles
+// per step. 0 means a generous default (4e9 steps).
 func (g *Guest) Run(budget uint64) (Status, error) {
-	if g.interp != nil {
-		if budget == 0 {
-			budget = 4_000_000_000
-		}
-		if _, err := g.interp.Run(budget); err != nil {
-			return Status{}, err
-		}
-		return Status{Halted: g.interp.Halted, ExitCode: g.interp.ExitCode}, nil
-	}
 	if budget == 0 {
-		budget = 3_500_000_000_0 * 100 // deci-cycles for ~100 simulated s
-	} else {
-		budget *= perf.DeciCyclesPerCycle
+		budget = 4_000_000_000
 	}
-	err := g.engine.Run(budget)
-	halted, code := g.engine.Halted()
-	st := Status{Halted: halted, ExitCode: code}
-	if err != nil && err != core.ErrBudget {
-		return st, err
+	err := g.m.Run(budget)
+	if errors.Is(err, machine.ErrBudget) {
+		err = nil
 	}
-	return st, nil
+	halted, code := g.m.Exit()
+	return Status{Halted: halted, ExitCode: code}, err
 }
 
 // Reg reads guest register Xn (0..31; 31 is SP).
-func (g *Guest) Reg(n int) uint64 {
-	if g.interp != nil {
-		return g.interp.Reg(n)
-	}
-	return g.engine.Reg(n)
-}
+func (g *Guest) Reg(n int) uint64 { return g.m.Reg(0, n) }
 
 // SetReg writes guest register Xn.
-func (g *Guest) SetReg(n int, v uint64) {
-	if g.interp != nil {
-		g.interp.SetReg(n, v)
-		return
-	}
-	g.engine.SetReg(n, v)
-}
+func (g *Guest) SetReg(n int, v uint64) { g.m.SetReg(0, n, v) }
 
 // FReg reads the low 64 bits of vector register Vn.
-func (g *Guest) FReg(n int) uint64 {
-	if g.interp != nil {
-		return g.interp.FReg(n)
-	}
-	return g.engine.FReg(n)
-}
+func (g *Guest) FReg(n int) uint64 { return g.m.FReg(0, n) }
 
 // PC returns the guest program counter.
-func (g *Guest) PC() uint64 {
-	if g.interp != nil {
-		return g.interp.PC()
-	}
-	return g.engine.PC()
-}
+func (g *Guest) PC() uint64 { return g.m.PC(0) }
 
 // Console returns everything the guest wrote to its UART.
-func (g *Guest) Console() string {
-	if g.interp != nil {
-		return g.interp.Console()
-	}
-	return g.engine.Console()
-}
+func (g *Guest) Console() string { return g.m.Console() }
 
-// Stats returns run statistics.
+// Stats returns run statistics. The interpreter has no simulated host
+// clock and no JIT, so it reports guest instructions only.
 func (g *Guest) Stats() Stats {
-	if g.interp != nil {
-		return Stats{GuestInstructions: g.interp.Instrs}
-	}
-	cycles := float64(g.engine.Cycles()) / perf.DeciCyclesPerCycle
-	secs := perf.Seconds(g.engine.Cycles())
+	ms := g.m.Metrics()
+	secs := perf.Seconds(ms.SimDeciCycles)
 	st := Stats{
-		GuestInstructions: g.engine.GuestInstrs(),
-		HostCycles:        cycles,
+		GuestInstructions: ms.GuestInstrs,
+		HostCycles:        float64(ms.SimDeciCycles) / perf.DeciCyclesPerCycle,
 		SimSeconds:        secs,
-		BlocksTranslated:  g.engine.JIT.Blocks,
-		CodeBytes:         g.engine.JIT.CodeBytes,
-		JITTime: g.engine.JIT.DecodeTime + g.engine.JIT.TranslateT +
-			g.engine.JIT.RegallocT + g.engine.JIT.EncodeT,
+		BlocksTranslated:  ms.JITBlocks,
+		CodeBytes:         ms.JITCodeBytes,
+		JITTime:           time.Duration(ms.DecodeNS + ms.TranslateNS + ms.RegallocNS + ms.EncodeNS),
 	}
 	if secs > 0 {
 		st.MIPS = float64(st.GuestInstructions) / secs / 1e6

@@ -47,7 +47,6 @@ func main() {
 	mipsShort := flag.Bool("mips-short", false, "guest-MIPS harness: short workload subset (CI smoke)")
 	flag.Parse()
 
-	opt := bench.Options{}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
@@ -86,7 +85,7 @@ func main() {
 	}
 
 	if all || *fig == 17 {
-		abs, spd, err := bench.Fig17(opt)
+		abs, spd, err := bench.Fig17()
 		if err != nil {
 			fail(err)
 		}
@@ -94,13 +93,13 @@ func main() {
 		fmt.Println(spd.String())
 	}
 	if all || *fig == 18 {
-		show(bench.Fig18(opt))
+		show(bench.Fig18())
 	}
 	if all || *fig == 19 {
-		show(bench.Fig19(opt))
+		show(bench.Fig19())
 	}
 	if all || *fig == 20 {
-		show(bench.Fig20(opt))
+		show(bench.Fig20())
 	}
 	if all || *fig == 21 {
 		r, err := bench.Fig21()
@@ -110,13 +109,13 @@ func main() {
 		fmt.Println(r.Table.String())
 	}
 	if all || *fig == 22 {
-		show(bench.Fig22(opt))
+		show(bench.Fig22())
 	}
 	if all || *table == 2 {
 		show(bench.Table2())
 	}
 	if all || *table == 5 {
-		show(bench.Table5(opt))
+		show(bench.Table5())
 	}
 	if all || *sec == "3.4" {
 		show(bench.Sec34())

@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,8 +33,7 @@ import (
 	"captive/internal/guest/port"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 	"captive/internal/trace"
@@ -81,6 +81,10 @@ func main() {
 	metricsOut := flag.Bool("metrics", false, "print the unified metrics snapshot as JSON after the run")
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "captive:", err)
+		os.Exit(1)
+	}
 	var gp port.Port
 	switch *guest {
 	case "ga64":
@@ -88,22 +92,28 @@ func main() {
 	case "rv64":
 		gp = rv64.Port{}
 	default:
-		fmt.Fprintf(os.Stderr, "captive: unknown guest %q\n", *guest)
-		os.Exit(1)
+		fail(fmt.Errorf("unknown guest %q", *guest))
 	}
-	switch *engine {
-	case "captive", "qemu", "interp":
-	default:
-		fmt.Fprintf(os.Stderr, "captive: unknown engine %q\n", *engine)
-		os.Exit(1)
+	kind, err := machine.ParseKind(*engine)
+	if err != nil {
+		fail(err)
 	}
-	level := ssa.O4
+	spec := machine.Spec{
+		Kind:           kind,
+		Guest:          gp,
+		RAMBytes:       *ram << 20,
+		CodeCacheBytes: 16 << 20,
+		PTPoolBytes:    4 << 20,
+		Harts:          *smp,
+	}
 	if *opt >= 1 && *opt <= 4 {
-		level = ssa.OptLevel(*opt)
+		spec.Level = ssa.OptLevel(*opt)
+	}
+	if kind != machine.Captive {
+		spec.Quantum = 512 // only Captive runs its harts truly parallel
 	}
 
 	var image []byte
-	var err error
 	switch {
 	case *demo:
 		image, err = demoImage(*guest)
@@ -114,32 +124,21 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "captive:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	obs := observeOpts{tracePath: *tracePath, profile: *profile, metrics: *metricsOut}
-	var runErr error
-	if *smp > 1 {
-		runErr = runSMP(gp, level, *engine, image, *load, *entry, *ram<<20, *smp, obs)
-	} else {
-		runErr = run(gp, level, *engine, image, *load, *entry, *ram<<20, obs)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "captive:", runErr)
-		os.Exit(1)
+	if err := run(*guest, spec, image, *load, *entry, obs); err != nil {
+		fail(err)
 	}
 }
 
-// runSMP executes the image on n vCPUs sharing one guest RAM and device
-// bus. Every hart enters the image at the same entry point and dispatches
-// on its hart ID (mhartid / MPIDR). The Captive engine runs the harts truly
-// parallel (one goroutine each, stop-the-world for shared translation
-// state); the QEMU baseline and the interpreter cluster run under the
-// deterministic round-robin scheduler. The trace recorder, profile and
-// metrics flags observe vCPU 0.
-func runSMP(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, entry uint64, ramBytes, n int, obs observeOpts) error {
-	module, err := gp.Module(level)
+// run executes the image on the machine spec describes and prints the
+// report for the named guest. Every hart enters the image at the same entry point and, on a
+// multi-hart machine, dispatches on its hart ID (mhartid / MPIDR). The trace
+// recorder and profile observe hart 0; the metrics sum every hart.
+func run(guest string, spec machine.Spec, image []byte, load, entry uint64, obs observeOpts) error {
+	m, err := machine.New(spec)
 	if err != nil {
 		return err
 	}
@@ -147,219 +146,62 @@ func runSMP(gp port.Port, level ssa.OptLevel, engine string, image []byte, load,
 	if err != nil {
 		return err
 	}
-	closeTrace := func() error {
-		if rec == nil {
-			return nil
-		}
+	m.SetTrace(0, rec)
+	if err := m.LoadImage(image, load, entry); err != nil {
+		return err
+	}
+	if err := m.Run(4_000_000_000); err != nil && !errors.Is(err, machine.ErrBudget) {
+		return err
+	}
+	if rec != nil {
 		err := rec.Close()
 		if cerr := traceFile.Close(); err == nil {
 			err = cerr
 		}
-		return err
-	}
-	const quantum = 512
-
-	if engine == "interp" {
-		cl := interp.NewCluster(gp, module, ramBytes, n)
-		cl.Machines[0].SetTrace(rec)
-		if err := cl.Machines[0].LoadImage(image, load, entry); err != nil {
+		if err != nil {
 			return err
 		}
-		for _, m := range cl.Machines[1:] {
-			m.SetPC(entry)
-		}
-		if err := cl.RunDet(uint64(n)*4_000_000_000, quantum); err != nil {
-			return err
-		}
-		if err := closeTrace(); err != nil {
-			return err
-		}
-		if out := cl.Console(); out != "" {
-			fmt.Print(out)
-		}
-		fmt.Printf("\n--- %s/interp x%d halted=%v ---\n", module.Arch, n, cl.Halted())
-		for i, m := range cl.Machines {
-			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, m.Instrs, m.ExitCode)
-		}
-		if obs.metrics {
-			return printMetricsJSON(cl.Machines[0].Metrics())
-		}
-		return nil
 	}
-
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  ramBytes,
-		CodeCacheBytes: 16 << 20,
-		PTPoolBytes:    4 << 20,
-		VCPUs:          n,
-	})
-	if err != nil {
-		return err
-	}
-	var s *core.SMP
-	switch engine {
-	case "captive":
-		s, err = core.NewSMP(vm, gp, module)
-	case "qemu":
-		s, err = core.NewSMPQEMU(vm, gp, module)
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
-		return err
-	}
-	s.VCPU(0).SetTrace(rec)
-	if err := s.VCPU(0).LoadImage(image, load, entry); err != nil {
-		return err
-	}
-	for i := 1; i < n; i++ {
-		s.VCPU(i).SetPC(entry)
-	}
-	budget := uint64(3_500_000_000_0) * 100
-	if engine == "captive" {
-		err = s.RunParallel(budget)
-	} else {
-		err = s.RunDet(budget, quantum)
-	}
-	if err != nil && err != core.ErrBudget {
-		return err
-	}
-	if err := closeTrace(); err != nil {
-		return err
-	}
-	if out := s.Console(); out != "" {
+	if out := m.Console(); out != "" {
 		fmt.Print(out)
 	}
-	halted, _ := s.Halted()
-	fmt.Printf("\n--- %s/%s x%d halted=%v ---\n", module.Arch, engine, n, halted)
-	var total uint64
-	for i := 0; i < n; i++ {
-		e := s.VCPU(i)
-		_, code := e.Halted()
-		fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, e.GuestInstrs(), code)
-		total += e.GuestInstrs()
+	halted, code := m.Exit()
+	title := fmt.Sprintf("%s/%s", guest, spec.Kind)
+	if m.N() > 1 {
+		title += fmt.Sprintf(" x%d", m.N())
 	}
-	fmt.Printf("total:  %12d guest instructions\n", total)
-	if obs.profile > 0 {
-		prof := s.VCPU(0).ProfileSnapshot()
-		fmt.Printf("hot blocks of hart 0 (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
-		for i, bp := range prof {
-			if i >= obs.profile {
-				break
-			}
-			fmt.Printf("  %#10x  %12d cycles  %10d runs\n", bp.PC, bp.Cycles, bp.Runs)
+	fmt.Printf("\n--- %s halted=%v exit=%d ---\n", title, halted, code)
+	if m.N() > 1 {
+		for i := 0; i < m.N(); i++ {
+			_, code := m.HartExit(i)
+			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, m.GuestInstrs(i), code)
 		}
 	}
-	if obs.metrics {
-		return printMetricsJSON(s.VCPU(0).Metrics())
-	}
-	return nil
-}
-
-// run executes the image on the selected engine and prints the report.
-func run(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, entry uint64, ramBytes int, obs observeOpts) error {
-	module, err := gp.Module(level)
-	if err != nil {
-		return err
-	}
-	rec, traceFile, err := obs.openTrace()
-	if err != nil {
-		return err
-	}
-	closeTrace := func() error {
-		if rec == nil {
-			return nil
-		}
-		err := rec.Close()
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-
-	if engine == "interp" {
-		m := interp.New(gp, module, ramBytes)
-		m.SetTrace(rec)
-		if err := m.LoadImage(image, load, entry); err != nil {
-			return err
-		}
-		if _, err := m.Run(4_000_000_000); err != nil {
-			return err
-		}
-		if err := closeTrace(); err != nil {
-			return err
-		}
-		if out := m.Console(); out != "" {
-			fmt.Print(out)
-		}
-		fmt.Printf("\n--- %s/interp halted=%v exit=%d ---\n", module.Arch, m.Halted, m.ExitCode)
-		fmt.Printf("guest instructions: %d\n", m.Instrs)
-		fmt.Printf("guest exceptions:   %d\n", m.Exceptions)
-		if obs.profile > 0 {
-			fmt.Println("hot-block profile: only the DBT engines collect one (-engine captive/qemu)")
-		}
-		if obs.metrics {
-			return printMetricsJSON(m.Metrics())
-		}
-		return nil
-	}
-
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  ramBytes,
-		CodeCacheBytes: 16 << 20,
-		PTPoolBytes:    4 << 20,
-	})
-	if err != nil {
-		return err
-	}
-	var e *core.Engine
-	switch engine {
-	case "captive":
-		e, err = core.New(vm, gp, module)
-	case "qemu":
-		e, err = core.NewQEMU(vm, gp, module)
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
-		return err
-	}
-	e.SetTrace(rec)
-	if err := e.LoadImage(image, load, entry); err != nil {
-		return err
-	}
-	budget := uint64(3_500_000_000_0) * 100 // deci-cycles for ~100 simulated s
-	if err := e.Run(budget); err != nil && err != core.ErrBudget {
-		return err
-	}
-	if err := closeTrace(); err != nil {
-		return err
-	}
-	if out := e.Console(); out != "" {
-		fmt.Print(out)
-	}
-	halted, code := e.Halted()
-	fmt.Printf("\n--- %s/%s halted=%v exit=%d ---\n", module.Arch, engine, halted, code)
-	fmt.Printf("guest instructions: %d\n", e.GuestInstrs())
-	secs := perf.Seconds(e.Cycles())
-	if secs > 0 {
+	ms := m.Metrics()
+	fmt.Printf("guest instructions: %d\n", ms.GuestInstrs)
+	fmt.Printf("guest exceptions:   %d\n", ms.GuestFaults)
+	if secs := perf.Seconds(ms.SimDeciCycles); secs > 0 {
 		fmt.Printf("simulated time:     %.6f s (%.1f guest MIPS @ 3.5 GHz host)\n",
-			secs, float64(e.GuestInstrs())/secs/1e6)
-		fmt.Printf("blocks translated:  %d (%d bytes of host code)\n",
-			e.JIT.Blocks, e.JIT.CodeBytes)
+			secs, float64(ms.GuestInstrs)/secs/1e6)
+		fmt.Printf("blocks translated:  %d (%d bytes of host code)\n", ms.JITBlocks, ms.JITCodeBytes)
 	}
 	if obs.profile > 0 {
-		prof := e.ProfileSnapshot()
-		fmt.Printf("hot blocks (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
-		for i, bp := range prof {
-			if i >= obs.profile {
-				break
+		dbt, ok := m.(*core.SMP)
+		if !ok {
+			fmt.Println("hot-block profile: only the DBT engines collect one (-engine captive/qemu)")
+		} else {
+			prof := dbt.VCPU(0).ProfileSnapshot()
+			fmt.Printf("hot blocks of hart 0 (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
+			for i, bp := range prof {
+				if i >= obs.profile {
+					break
+				}
+				fmt.Printf("  %#10x  %12d cycles  %10d runs\n", bp.PC, bp.Cycles, bp.Runs)
 			}
-			fmt.Printf("  %#10x  %12d cycles  %10d runs\n", bp.PC, bp.Cycles, bp.Runs)
 		}
 	}
 	if obs.metrics {
-		return printMetricsJSON(e.Metrics())
+		return printMetricsJSON(ms)
 	}
 	return nil
 }

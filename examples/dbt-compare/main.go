@@ -23,7 +23,7 @@ func main() {
 		log.Fatalf("unknown workload %q; try 429.mcf, 456.hmmer, 470.lbm, ...", name)
 	}
 
-	captiveRes, qemuRes, err := bench.Compare(w, bench.Options{})
+	captiveRes, qemuRes, err := bench.Compare(w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("  %-16s %12s %12s %10s\n", "engine", "sim-seconds", "guest-MIPS", "blocks")
 	for _, r := range []bench.Result{captiveRes, qemuRes} {
 		fmt.Printf("  %-16s %12.4f %12.1f %10d\n",
-			r.Engine, r.Seconds, float64(r.GuestInstrs)/r.Seconds/1e6, r.JIT.Blocks)
+			r.Engine, r.Seconds, float64(r.GuestInstrs)/r.Seconds/1e6, r.Metrics.JITBlocks)
 	}
 	fmt.Printf("\n  speed-up of Captive over the baseline: %.2fx\n",
 		qemuRes.Seconds/captiveRes.Seconds)

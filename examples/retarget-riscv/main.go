@@ -15,13 +15,10 @@ import (
 	"fmt"
 	"log"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
-	"captive/internal/ssa"
 )
 
 // Hand-encoded RV64: iterative factorial of x10 into x11, then ecall.
@@ -109,34 +106,29 @@ func pagedBootProgram() *rvasm.Program {
 	return p
 }
 
-// runDBT executes an image on a Captive or QEMU-baseline engine via the
-// RV64 guest port and returns the engine for state inspection.
-func runDBT(qemu bool, img []byte) (*core.Engine, error) {
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: ramBytes, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20})
+// run executes an image on one engine via the RV64 guest port and returns
+// the machine for state inspection.
+func run(kind machine.Kind, img []byte) (machine.Machine, error) {
+	m, err := machine.New(machine.Spec{Kind: kind, Guest: rv64.Port{},
+		RAMBytes: ramBytes, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20})
 	if err != nil {
 		return nil, err
 	}
-	module := rv64.MustModule()
-	var e *core.Engine
-	if qemu {
-		e, err = core.NewQEMU(vm, rv64.Port{}, module)
-	} else {
-		e, err = core.New(vm, rv64.Port{}, module)
-	}
-	if err != nil {
+	if err := m.LoadImage(img, org, org); err != nil {
 		return nil, err
 	}
-	if err := e.LoadImage(img, org, org); err != nil {
+	if err := m.Run(1_000_000); err != nil {
 		return nil, err
 	}
-	if err := e.Run(1_000_000_000); err != nil {
-		return nil, err
-	}
-	if halted, code := e.Halted(); !halted || code != 0 {
+	if halted, code := m.Exit(); !halted || code != 0 {
 		return nil, fmt.Errorf("engine did not exit cleanly (halted=%v code=%d)", halted, code)
 	}
-	return e, nil
+	return m, nil
 }
+
+// engines runs the golden interpreter first: every later engine is checked
+// against it.
+var engines = []machine.Kind{machine.Interp, machine.Captive, machine.QEMU}
 
 func main() {
 	module := rv64.MustModule()
@@ -144,36 +136,26 @@ func main() {
 	fmt.Printf("RV64 model built from the ADL: %d instructions, decoder with %d nodes (depth %d)\n\n",
 		len(module.Instrs), st.Nodes, st.MaxDepth)
 
-	// The unified reference interpreter (the golden model) — the same
-	// engine that golden-runs GA64, consuming RISC-V through rv64.Port.
-	m, err := interp.NewAt(rv64.Port{}, ssa.O4, ramBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.LoadImage(factorialProgram(), org, org); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := m.Run(1_000_000); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-10s 12! = %-12d %8d guest instructions\n", "interp:", m.Reg(11), m.Instrs)
-
-	// The same Captive online pipeline and QEMU-style baseline that run
-	// GA64, now executing RISC-V through rv64.Port.
-	for _, eng := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
-		e, err := runDBT(eng.qemu, factorialProgram())
+	// The unified reference interpreter (the golden model, the same engine
+	// that golden-runs GA64), the Captive online pipeline and the QEMU-style
+	// baseline, all executing RISC-V through rv64.Port.
+	var golden machine.Machine
+	for _, kind := range engines {
+		m, err := run(kind, factorialProgram())
 		if err != nil {
-			log.Fatalf("%s: %v", eng.name, err)
+			log.Fatalf("%s: %v", kind, err)
 		}
-		result, instrs, cycles := e.Reg(11), e.GuestInstrs(), e.Cycles()
-		fmt.Printf("%-10s 12! = %-12d %8d guest instructions, %10.0f cycles (%.2f µs simulated)\n",
-			eng.name+":", result, instrs,
-			float64(cycles)/perf.DeciCyclesPerCycle, perf.Seconds(cycles)*1e6)
-		if result != m.Reg(11) || instrs != m.Instrs {
-			log.Fatalf("%s diverges from the interpreter", eng.name)
+		result, instrs := m.Reg(0, 11), m.GuestInstrs(0)
+		fmt.Printf("%-10s 12! = %-12d %8d guest instructions", kind.String()+":", result, instrs)
+		if cycles := m.Metrics().SimDeciCycles; cycles > 0 {
+			fmt.Printf(", %10.0f cycles (%.2f µs simulated)",
+				float64(cycles)/perf.DeciCyclesPerCycle, perf.Seconds(cycles)*1e6)
+		}
+		fmt.Println()
+		if golden == nil {
+			golden = m
+		} else if result != golden.Reg(0, 11) || instrs != golden.GuestInstrs(0) {
+			log.Fatalf("%s diverges from the interpreter", kind)
 		}
 	}
 	fmt.Println("\nall three engines agree bit-for-bit (result and instruction count)")
@@ -186,31 +168,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gm, err := interp.NewAt(rv64.Port{}, ssa.O4, ramBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := gm.LoadImage(img, org, org); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := gm.Run(1_000_000); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-10s fault cause=%d tval=%#x resumed=%#x %8d guest instructions\n",
-		"interp:", gm.Reg(20), gm.Reg(21), gm.Reg(12), gm.Instrs)
-	for _, eng := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
-		e, err := runDBT(eng.qemu, img)
+	golden = nil
+	for _, kind := range engines {
+		m, err := run(kind, img)
 		if err != nil {
-			log.Fatalf("%s: %v", eng.name, err)
+			log.Fatalf("%s: %v", kind, err)
 		}
-		sys := rv64.RawSys(e.Sys())
 		fmt.Printf("%-10s fault cause=%d tval=%#x resumed=%#x %8d guest instructions (satp=%#x, %d host faults)\n",
-			eng.name+":", e.Reg(20), e.Reg(21), e.Reg(12), e.GuestInstrs(), sys.Satp, e.Stats.HostFaults)
-		if e.Reg(21) != gm.Reg(21) || e.GuestInstrs() != gm.Instrs || e.Reg(12) != gm.Reg(12) {
-			log.Fatalf("%s diverges from the interpreter on the paged boot", eng.name)
+			kind.String()+":", m.Reg(0, 20), m.Reg(0, 21), m.Reg(0, 12), m.GuestInstrs(0),
+			rv64.RawSys(m.Sys(0)).Satp, m.Metrics().HostFaults)
+		if golden == nil {
+			golden = m
+		} else if m.Reg(0, 21) != golden.Reg(0, 21) || m.GuestInstrs(0) != golden.GuestInstrs(0) || m.Reg(0, 12) != golden.Reg(0, 12) {
+			log.Fatalf("%s diverges from the interpreter on the paged boot", kind)
 		}
 	}
 	fmt.Println("\nsupervisor-mode RISC-V runs through every engine with zero core changes")

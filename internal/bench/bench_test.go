@@ -6,6 +6,7 @@ import (
 
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/machine"
 )
 
 // TestMiniOSBoot boots the mini-OS with a trivial user program that prints
@@ -24,8 +25,8 @@ func TestMiniOSBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []EngineKind{EngineCaptive, EngineQEMU, EngineInterp} {
-		res, err := RunImage(kind, img, "boot", Options{})
+	for _, kind := range []machine.Kind{machine.Captive, machine.QEMU, machine.Interp} {
+		res, err := RunImage(kind, img, "boot")
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -35,7 +36,7 @@ func TestMiniOSBoot(t *testing.T) {
 		if res.Checksum != 0xC0FFEE {
 			t.Errorf("%v: checksum = %#x", kind, res.Checksum)
 		}
-		if kind != EngineInterp && res.ExitCode != 42 {
+		if kind != machine.Interp && res.ExitCode != 42 {
 			// Exit code 42 arrives via X0; the kernel halts with hlt #1 but
 			// X0 is preserved — the harness records the hlt immediate.
 			// Accept either convention as long as X0 was 42 at exit.
@@ -79,8 +80,8 @@ func TestPreemptiveScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	for i, kind := range []EngineKind{EngineInterp, EngineCaptive, EngineQEMU} {
-		res, err := RunImage(kind, img, "preempt", Options{})
+	for i, kind := range []machine.Kind{machine.Interp, machine.Captive, machine.QEMU} {
+		res, err := RunImage(kind, img, "preempt")
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -108,7 +109,7 @@ func TestPreemptiveScheduler(t *testing.T) {
 // on both DBT engines through rv64.Port with identical checksums and
 // instruction counts, and Captive comes out ahead of the baseline overall.
 func TestTable5Retarget(t *testing.T) {
-	tab, err := Table5(Options{})
+	tab, err := Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestWorkloadsAgreeAcrossEngines(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			c, q, err := Compare(w, Options{})
+			c, q, err := Compare(w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,11 +156,11 @@ func TestSimBenchRuns(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			c, err := RunMicro(EngineCaptive, m, Options{})
+			c, err := RunMicro(machine.Captive, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, err := RunMicro(EngineQEMU, m, Options{})
+			q, err := RunMicro(machine.QEMU, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +184,11 @@ func TestWorkloadInterpSpotCheck(t *testing.T) {
 		if !ok {
 			t.Fatal("missing workload")
 		}
-		ci, err := RunWorkload(EngineCaptive, w, Options{})
+		ci, err := RunWorkload(machine.Captive, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ii, err := RunWorkload(EngineInterp, w, Options{})
+		ii, err := RunWorkload(machine.Interp, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"captive/internal/adl"
+	"captive/internal/core"
 	"captive/internal/gen"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/perf"
 	"captive/internal/softfloat"
 	"captive/internal/ssa"
@@ -21,7 +23,7 @@ import (
 // Fig17 reproduces Fig. 17: SPEC CPU2006 integer runtimes for Captive and
 // the QEMU baseline (a), and the per-benchmark speedup with geometric mean
 // (b).
-func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
+func Fig17() (absolute, speedup perf.Table, err error) {
 	absolute = perf.Table{
 		Title:   "Fig 17a: SPECint absolute runtime (simulated seconds; lower is better)",
 		Columns: []string{"qemu(s)", "captive(s)"},
@@ -32,7 +34,7 @@ func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
 	}
 	var ratios []float64
 	for _, w := range Integer() {
-		c, q, cerr := Compare(w, opt)
+		c, q, cerr := Compare(w)
 		if cerr != nil {
 			return absolute, speedup, cerr
 		}
@@ -48,14 +50,14 @@ func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
 }
 
 // Fig18 reproduces Fig. 18: SPECfp speedups.
-func Fig18(opt Options) (perf.Table, error) {
+func Fig18() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 18: SPECfp speed-up of Captive over QEMU (higher is better)",
 		Columns: []string{"speedup"},
 	}
 	var ratios []float64
 	for _, w := range Float() {
-		c, q, err := Compare(w, opt)
+		c, q, err := Compare(w)
 		if err != nil {
 			return t, err
 		}
@@ -69,17 +71,17 @@ func Fig18(opt Options) (perf.Table, error) {
 }
 
 // Fig19 reproduces Fig. 19: SimBench micro-benchmark speedups.
-func Fig19(opt Options) (perf.Table, error) {
+func Fig19() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 19: SimBench speed-up of Captive over QEMU",
 		Columns: []string{"speedup"},
 	}
 	for _, m := range SimBench() {
-		c, err := RunMicro(EngineCaptive, m, opt)
+		c, err := RunMicro(machine.Captive, m)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", m.Name, err)
 		}
-		q, err := RunMicro(EngineQEMU, m, opt)
+		q, err := RunMicro(machine.QEMU, m)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", m.Name, err)
 		}
@@ -92,27 +94,27 @@ func Fig19(opt Options) (perf.Table, error) {
 
 // Fig20 reproduces Fig. 20: the share of JIT compilation time per phase,
 // measured over the translation work of the full SPECint suite.
-func Fig20(opt Options) (perf.Table, error) {
+func Fig20() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 20: % of JIT compilation time per phase (Captive)",
 		Columns: []string{"percent"},
 	}
-	var dec, tra, reg, enc time.Duration
+	var dec, tra, reg, enc int64 // host ns
 	for _, w := range Integer() {
-		r, err := RunWorkload(EngineCaptive, w, opt)
+		r, err := RunWorkload(machine.Captive, w)
 		if err != nil {
 			return t, err
 		}
-		dec += r.JIT.DecodeTime
-		tra += r.JIT.TranslateT
-		reg += r.JIT.RegallocT
-		enc += r.JIT.EncodeT
+		dec += r.Metrics.DecodeNS
+		tra += r.Metrics.TranslateNS
+		reg += r.Metrics.RegallocNS
+		enc += r.Metrics.EncodeNS
 	}
 	total := dec + tra + reg + enc
 	if total == 0 {
 		return t, fmt.Errorf("fig20: no compilation time recorded")
 	}
-	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(total) }
+	pct := func(ns int64) float64 { return 100 * float64(ns) / float64(total) }
 	t.Add("Decode", pct(dec))
 	t.Add("Translate", pct(tra))
 	t.Add("Register-Allocation", pct(reg))
@@ -156,7 +158,6 @@ func Fig21() (Fig21Result, error) {
 }
 
 func fig21Points(name string) (xs, ys []float64, err error) {
-	opt := Options{ChainingOff: true}
 	w, _ := ByName(name)
 	img, err := BuildSystemImage(w.Build())
 	if err != nil {
@@ -166,33 +167,26 @@ func fig21Points(name string) (xs, ys []float64, err error) {
 	// The hot-block profile is always on (PROFCNT arena counters), so no
 	// profiling switch is needed; the chaining-off methodology is kept only
 	// because it is what the paper's Fig. 21 scatter measures.
-	run := func(kind EngineKind) (map[uint64]uint64, map[uint64]uint64, error) {
-		e, err := newEngine(kind, opt)
+	profile := func(kind machine.Kind) (map[uint64]uint64, map[uint64]uint64, error) {
+		s := spec(kind, ga64.Port{})
+		s.ChainingOff = true
+		m, _, err := run(s, img)
 		if err != nil {
-			return nil, nil, err
-		}
-		if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return nil, nil, err
-		}
-		if err := e.LoadUser(img.User, img.UserPA); err != nil {
-			return nil, nil, err
-		}
-		if err := e.Run(opt.budget()); err != nil {
 			return nil, nil, err
 		}
 		cycles := make(map[uint64]uint64)
 		runs := make(map[uint64]uint64)
-		for _, bp := range e.ProfileSnapshot() {
+		for _, bp := range m.(*core.SMP).VCPU(0).ProfileSnapshot() {
 			cycles[bp.PC] = bp.Cycles
 			runs[bp.PC] = bp.Runs
 		}
 		return cycles, runs, nil
 	}
-	cap, capRuns, err := run(EngineCaptive)
+	cap, capRuns, err := profile(machine.Captive)
 	if err != nil {
 		return nil, nil, err
 	}
-	qemu, _, err := run(EngineQEMU)
+	qemu, _, err := profile(machine.QEMU)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,14 +217,14 @@ const (
 
 // Fig22 reproduces Fig. 22: Captive and QEMU against native ARMv8 platforms,
 // as speedups relative to QEMU across the SPECint suite.
-func Fig22(opt Options) (perf.Table, error) {
+func Fig22() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 22: speed-up relative to QEMU (SPECint aggregate)",
 		Columns: []string{"speedup"},
 	}
 	var qemuS, capS, instrs float64
 	for _, w := range Integer() {
-		c, q, err := Compare(w, opt)
+		c, q, err := Compare(w)
 		if err != nil {
 			return t, err
 		}
@@ -282,25 +276,14 @@ func Table2() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	res, err := RunImage(EngineCaptive, img, "table2", Options{})
+	m, _, err := run(spec(machine.Captive, ga64.Port{}), img)
 	if err != nil {
-		return t, err
-	}
-	_ = res
-	e, err := newEngine(EngineCaptive, Options{})
-	if err != nil {
-		return t, err
-	}
-	if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-		return t, err
-	}
-	if err := e.Run(1_000_000_000); err != nil {
-		return t, err
+		return t, fmt.Errorf("table2: %w", err)
 	}
 	for i, in := range inputs {
 		x86 := softfloat.Sqrt64(in.bits, softfloat.SemX86)
 		arm := softfloat.Sqrt64(in.bits, softfloat.SemARM)
-		got := e.FReg(i + 8)
+		got := m.FReg(0, i+8)
 		if got != arm {
 			return t, fmt.Errorf("table2: captive fsqrt(%s) = %#x, want ARM %#x", in.name, got, arm)
 		}
@@ -321,24 +304,23 @@ func Sec34() (perf.Table, error) {
 		Columns: []string{"captive", "qemu"},
 	}
 	w, _ := ByName("429.mcf")
-	c, err := RunWorkload(EngineCaptive, w, Options{})
+	c, err := RunWorkload(machine.Captive, w)
 	if err != nil {
 		return t, err
 	}
-	q, err := RunWorkload(EngineQEMU, w, Options{})
+	q, err := RunWorkload(machine.QEMU, w)
 	if err != nil {
 		return t, err
 	}
-	cPerBlock := float64(c.JIT.TranslateT.Nanoseconds()+c.JIT.RegallocT.Nanoseconds()+
-		c.JIT.EncodeT.Nanoseconds()+c.JIT.DecodeTime.Nanoseconds()) / float64(max(1, c.JIT.Blocks))
-	qPerBlock := float64(q.JIT.TranslateT.Nanoseconds()+q.JIT.RegallocT.Nanoseconds()+
-		q.JIT.EncodeT.Nanoseconds()+q.JIT.DecodeTime.Nanoseconds()) / float64(max(1, q.JIT.Blocks))
-	t.Add("blocks-translated", float64(c.JIT.Blocks), float64(q.JIT.Blocks))
-	t.Add("bytes-per-guest-inst", float64(c.JIT.CodeBytes)/float64(max(1, c.JIT.GuestInstrs)),
-		float64(q.JIT.CodeBytes)/float64(max(1, q.JIT.GuestInstrs)))
-	t.Add("host-ns-per-block(jit)", cPerBlock, qPerBlock)
-	t.Add("lir-per-guest-inst", float64(c.JIT.LIRInsts)/float64(max(1, c.JIT.GuestInstrs)),
-		float64(q.JIT.LIRInsts)/float64(max(1, q.JIT.GuestInstrs)))
+	cm, qm := c.Metrics, q.Metrics
+	perBlock := func(m metrics.Snapshot) float64 {
+		return float64(m.DecodeNS+m.TranslateNS+m.RegallocNS+m.EncodeNS) / float64(max(1, m.JITBlocks))
+	}
+	perInstr := func(n int, m metrics.Snapshot) float64 { return float64(n) / float64(max(1, m.JITGuestInstrs)) }
+	t.Add("blocks-translated", float64(cm.JITBlocks), float64(qm.JITBlocks))
+	t.Add("bytes-per-guest-inst", perInstr(cm.JITCodeBytes, cm), perInstr(qm.JITCodeBytes, qm))
+	t.Add("host-ns-per-block(jit)", perBlock(cm), perBlock(qm))
+	t.Add("lir-per-guest-inst", perInstr(cm.JITLIRInsts, cm), perInstr(qm.JITLIRInsts, qm))
 	t.Notes = append(t.Notes,
 		"paper: Captive 2.6x slower per translated block; 67.53 vs 40.26 bytes/guest instruction",
 		"paper: ~10 executed host instructions per guest instruction")
@@ -428,15 +410,17 @@ func Sec362() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	hw, err := RunImage(EngineCaptive, img, "fpmicro", Options{})
+	hw, err := RunImage(machine.Captive, img, "fpmicro")
 	if err != nil {
 		return t, err
 	}
-	sw, err := RunImage(EngineCaptiveSoftFP, img, "fpmicro", Options{})
+	soft := spec(machine.Captive, ga64.Port{})
+	soft.SoftFP = true
+	sw, err := runImage(soft, img, "fpmicro", 1)
 	if err != nil {
 		return t, err
 	}
-	qm, err := RunImage(EngineQEMU, img, "fpmicro", Options{})
+	qm, err := RunImage(machine.QEMU, img, "fpmicro")
 	if err != nil {
 		return t, err
 	}

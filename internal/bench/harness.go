@@ -4,191 +4,119 @@ import (
 	"fmt"
 	"time"
 
-	"captive/internal/core"
-	"captive/internal/gen"
 	"captive/internal/guest/ga64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/guest/port"
+	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/perf"
 )
-
-// EngineKind selects an execution engine for a harness run.
-type EngineKind int
-
-// Engine kinds.
-const (
-	EngineCaptive EngineKind = iota
-	EngineQEMU
-	EngineCaptiveSoftFP // §3.6.2 ablation
-	EngineInterp
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineCaptive:
-		return "captive"
-	case EngineQEMU:
-		return "qemu"
-	case EngineCaptiveSoftFP:
-		return "captive-softfp"
-	default:
-		return "interp"
-	}
-}
 
 // Result is the outcome of one workload run.
 type Result struct {
 	Workload    string
-	Engine      EngineKind
-	Cycles      uint64 // deci-cycles of simulated host time
-	GuestInstrs uint64
-	Seconds     float64 // simulated wall-clock (cycles @ 3.5 GHz)
-	Checksum    uint64  // guest X1 at exit (cross-engine validation)
+	Engine      machine.Kind
+	Seconds     float64 // simulated wall-clock (deci-cycles @ 3.5 GHz)
+	GuestInstrs uint64  // retired, summed over harts
+	Checksum    uint64  // the checksum register at exit, XORed over harts
 	ExitCode    uint64
-	Wall        time.Duration // real time spent simulating
-	JIT         core.JITStats
-	Engine2     core.Stats
 	Console     string
+	Wall        time.Duration    // host time of the Run call alone
+	Metrics     metrics.Snapshot // summed over harts
 }
 
-// Options tunes a harness run.
-type Options struct {
-	ChainingOff bool
-	RAMBytes    int
-	Budget      uint64 // deci-cycles; 0 = default
+// budget bounds every harness run, in machine steps (the interpreter's step
+// limit; the DBT engines get the equivalent simulated-time bound).
+const budget = 2_000_000_000
+
+// spec is the machine every harness run uses: 64 MiB of guest RAM, a
+// 32 MiB code cache and a 4 MiB page-table pool.
+func spec(kind machine.Kind, g port.Port) machine.Spec {
+	return machine.Spec{Kind: kind, Guest: g, RAMBytes: 64 << 20, CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20}
 }
 
-func (o Options) ram() int {
-	if o.RAMBytes == 0 {
-		return 64 << 20
-	}
-	return o.RAMBytes
-}
-
-func (o Options) budget() uint64 {
-	if o.Budget == 0 {
-		return 600_000_000_000 // 60 simulated seconds
-	}
-	return o.Budget
-}
-
-// module returns the shared O4 GA64 module.
-func module() *gen.Module { return ga64.MustModule() }
-
-// newEngine builds an engine of the requested kind.
-func newEngine(kind EngineKind, opt Options) (*core.Engine, error) {
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-	})
+// run builds the machine s describes, loads img (the kernel at KernelBase,
+// then any user segments) and runs it to a halt, timing the Run call alone.
+func run(s machine.Spec, img Image) (machine.Machine, time.Duration, error) {
+	m, err := machine.New(s)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var e *core.Engine
-	switch kind {
-	case EngineQEMU:
-		e, err = core.NewQEMU(vm, ga64.Port{}, module())
-	default:
-		e, err = core.New(vm, ga64.Port{}, module())
-		if kind == EngineCaptiveSoftFP {
-			e.SoftFP = true
+	if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
+		return nil, 0, err
+	}
+	for _, seg := range []struct {
+		data []byte
+		pa   uint64
+	}{{img.User, img.UserPA}, {img.User2, img.User2PA}} {
+		if seg.data == nil {
+			continue
+		}
+		if err := m.LoadData(seg.data, seg.pa); err != nil {
+			return nil, 0, err
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	e.ChainingOff = opt.ChainingOff
-	return e, nil
-}
-
-// RunImage executes a guest image on the chosen engine.
-func RunImage(kind EngineKind, img Image, name string, opt Options) (Result, error) {
-	res := Result{Workload: name, Engine: kind}
 	start := time.Now()
-	if kind == EngineInterp {
-		m := interp.New(ga64.Port{}, module(), opt.ram())
-		if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return res, err
-		}
-		if img.User != nil {
-			copy(m.Mem[img.UserPA:], img.User)
-		}
-		if img.User2 != nil {
-			copy(m.Mem[img.User2PA:], img.User2)
-		}
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return res, fmt.Errorf("bench %s/interp: %w", name, err)
-		}
-		res.GuestInstrs = m.Instrs
-		res.Checksum = m.Reg(1)
-		res.ExitCode = m.ExitCode
-		res.Console = m.Console()
-		res.Wall = time.Since(start)
-		return res, nil
+	if err := m.Run(budget); err != nil {
+		return nil, 0, fmt.Errorf("%w (pc=%#x)", err, m.PC(0))
 	}
-	e, err := newEngine(kind, opt)
+	wall := time.Since(start)
+	if halted, _ := m.Exit(); !halted {
+		return nil, 0, fmt.Errorf("did not halt")
+	}
+	return m, wall, nil
+}
+
+// runImage runs img on the machine s describes and reports it; sumReg is the
+// guest's checksum register.
+func runImage(s machine.Spec, img Image, name string, sumReg int) (Result, error) {
+	res := Result{Workload: name, Engine: s.Kind}
+	m, wall, err := run(s, img)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("bench %s/%s: %w", name, s.Kind, err)
 	}
-	if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-		return res, err
+	res.Metrics = m.Metrics()
+	res.Seconds = perf.Seconds(res.Metrics.SimDeciCycles)
+	res.GuestInstrs = res.Metrics.GuestInstrs
+	for i := 0; i < m.N(); i++ {
+		res.Checksum ^= m.Reg(i, sumReg)
 	}
-	if img.User != nil {
-		if err := e.LoadUser(img.User, img.UserPA); err != nil {
-			return res, err
-		}
-	}
-	if img.User2 != nil {
-		if err := e.LoadUser(img.User2, img.User2PA); err != nil {
-			return res, err
-		}
-	}
-	if err := e.Run(opt.budget()); err != nil {
-		return res, fmt.Errorf("bench %s/%s: %w (pc=%#x)", name, kind, err, e.PC())
-	}
-	halted, code := e.Halted()
-	if !halted {
-		return res, fmt.Errorf("bench %s/%s: did not halt", name, kind)
-	}
-	res.Cycles = e.Cycles()
-	res.Seconds = perf.Seconds(res.Cycles)
-	res.GuestInstrs = e.GuestInstrs()
-	res.Checksum = e.Reg(1)
-	res.ExitCode = code
-	res.Wall = time.Since(start)
-	res.JIT = e.JIT
-	res.Engine2 = e.Stats
-	res.Console = e.Console()
+	_, res.ExitCode = m.Exit()
+	res.Console = m.Console()
+	res.Wall = wall
 	return res, nil
 }
 
+// RunImage executes a GA64 guest image on the chosen engine.
+func RunImage(kind machine.Kind, img Image, name string) (Result, error) {
+	return runImage(spec(kind, ga64.Port{}), img, name, 1)
+}
+
 // RunWorkload builds and executes a SPEC-shaped workload under the mini-OS.
-func RunWorkload(kind EngineKind, w Workload, opt Options) (Result, error) {
+func RunWorkload(kind machine.Kind, w Workload) (Result, error) {
 	img, err := BuildSystemImage(w.Build())
 	if err != nil {
 		return Result{}, err
 	}
-	return RunImage(kind, img, w.Name, opt)
+	return RunImage(kind, img, w.Name)
 }
 
 // RunMicro builds and executes a SimBench micro-benchmark (bare metal).
-func RunMicro(kind EngineKind, m Micro, opt Options) (Result, error) {
+func RunMicro(kind machine.Kind, m Micro) (Result, error) {
 	img, err := BareMetal(m.Build())
 	if err != nil {
 		return Result{}, err
 	}
-	return RunImage(kind, img, m.Name, opt)
+	return RunImage(kind, img, m.Name)
 }
 
 // Compare runs a workload on Captive and the QEMU baseline, validates the
 // checksums agree, and returns both results.
-func Compare(w Workload, opt Options) (captive, qemu Result, err error) {
-	captive, err = RunWorkload(EngineCaptive, w, opt)
+func Compare(w Workload) (captive, qemu Result, err error) {
+	captive, err = RunWorkload(machine.Captive, w)
 	if err != nil {
 		return
 	}
-	qemu, err = RunWorkload(EngineQEMU, w, opt)
+	qemu, err = RunWorkload(machine.QEMU, w)
 	if err != nil {
 		return
 	}

@@ -18,13 +18,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/rv64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/metrics"
 )
 
@@ -41,6 +38,9 @@ type MIPSRow struct {
 	// interpreter, which has no host-cycle model).
 	SimDeciCycles uint64 `json:"sim_deci_cycles"`
 	Checksum      uint64 `json:"checksum"`
+	// RunMode is "deterministic" or "parallel"; MergeBaseline holds the
+	// simulated cycles of deterministic rows only.
+	RunMode string `json:"run_mode,omitempty"`
 	// Metrics is the engine's unified metrics snapshot for the run (JIT
 	// phase times, code bytes, chain counts, …). Its wall-clock-derived
 	// fields vary run to run; MergeBaseline never reads this section.
@@ -98,127 +98,29 @@ func mipsRV64Workloads(short bool) []RVWorkload {
 }
 
 // mipsEngines is the engine set measured per workload.
-func mipsEngines() []EngineKind {
-	return []EngineKind{EngineCaptive, EngineQEMU, EngineInterp}
-}
+var mipsEngines = []machine.Kind{machine.Captive, machine.QEMU, machine.Interp}
 
-// runGA64MIPS executes one GA64 workload on one engine, timing only the
-// execution itself (image build and engine construction excluded).
-func runGA64MIPS(kind EngineKind, w Workload, opt Options) (MIPSRow, error) {
-	row := MIPSRow{Guest: "ga64", Workload: w.Name, Engine: kind.String()}
-	img, err := BuildSystemImage(w.Build())
-	if err != nil {
-		return row, err
+// Run modes recorded per row. Deterministic runs (every uniprocessor row,
+// and N > 1 under the deterministic scheduler) reproduce their simulated
+// cycles bit-for-bit; parallel runs charge a dispatcher trip per
+// stop-the-world kick that lands, which depends on the host schedule.
+const (
+	modeDeterministic = "deterministic"
+	modeParallel      = "parallel"
+)
+
+// mipsRow is the report row of one timed run on the machine s describes.
+func mipsRow(s machine.Spec, guest string, res Result) MIPSRow {
+	row := MIPSRow{
+		Guest: guest, Workload: res.Workload, Engine: s.Kind.String(), RunMode: modeDeterministic,
+		GuestInstrs: res.GuestInstrs, WallSeconds: res.Wall.Seconds(),
+		SimDeciCycles: res.Metrics.SimDeciCycles, Checksum: res.Checksum, Metrics: &res.Metrics,
 	}
-	if kind == EngineInterp {
-		m := interp.New(ga64.Port{}, module(), opt.ram())
-		if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return row, err
-		}
-		if img.User != nil {
-			copy(m.Mem[img.UserPA:], img.User)
-		}
-		start := time.Now()
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return row, fmt.Errorf("mips %s/interp: %w", w.Name, err)
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		row.GuestInstrs = m.Instrs
-		row.Checksum = m.Reg(1)
-		ms := m.Metrics()
-		row.Metrics = &ms
-	} else {
-		e, err := newEngine(kind, opt)
-		if err != nil {
-			return row, err
-		}
-		if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return row, err
-		}
-		if img.User != nil {
-			if err := e.LoadUser(img.User, img.UserPA); err != nil {
-				return row, err
-			}
-		}
-		start := time.Now()
-		if err := e.Run(opt.budget()); err != nil {
-			return row, fmt.Errorf("mips %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if halted, _ := e.Halted(); !halted {
-			return row, fmt.Errorf("mips %s/%s: did not halt", w.Name, kind)
-		}
-		row.GuestInstrs = e.GuestInstrs()
-		row.SimDeciCycles = e.Cycles()
-		row.Checksum = e.Reg(1)
-		ms := e.Metrics()
-		row.Metrics = &ms
+	if s.Harts > 1 && s.Quantum == 0 {
+		row.RunMode = modeParallel
 	}
 	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
-	return row, nil
-}
-
-// runRV64MIPS executes one RV64 kernel on one engine, timing only the run.
-func runRV64MIPS(kind EngineKind, w RVWorkload, opt Options) (MIPSRow, error) {
-	row := MIPSRow{Guest: "rv64", Workload: w.Name, Engine: kind.String()}
-	img, err := w.Build().Assemble()
-	if err != nil {
-		return row, err
-	}
-	if kind == EngineInterp {
-		m := interp.New(rv64.Port{}, rv64.MustModule(), opt.ram())
-		if err := m.LoadImage(img, 0x1000, 0x1000); err != nil {
-			return row, err
-		}
-		start := time.Now()
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return row, fmt.Errorf("mips %s/interp: %w", w.Name, err)
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if !m.Halted || m.ExitCode != 0 {
-			return row, fmt.Errorf("mips %s/interp: no clean exit (code %#x)", w.Name, m.ExitCode)
-		}
-		row.GuestInstrs = m.Instrs
-		row.Checksum = m.Reg(11)
-		ms := m.Metrics()
-		row.Metrics = &ms
-	} else {
-		vm, err := hvm.New(hvm.Config{
-			GuestRAMBytes:  opt.ram(),
-			CodeCacheBytes: 32 << 20,
-			PTPoolBytes:    4 << 20,
-		})
-		if err != nil {
-			return row, err
-		}
-		var e *core.Engine
-		if kind == EngineQEMU {
-			e, err = core.NewQEMU(vm, rv64.Port{}, rv64.MustModule())
-		} else {
-			e, err = core.New(vm, rv64.Port{}, rv64.MustModule())
-		}
-		if err != nil {
-			return row, err
-		}
-		if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
-			return row, err
-		}
-		start := time.Now()
-		if err := e.Run(opt.budget()); err != nil {
-			return row, fmt.Errorf("mips %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if halted, code := e.Halted(); !halted || code != 0 {
-			return row, fmt.Errorf("mips %s/%s: no clean exit (halted=%v code=%#x)", w.Name, kind, halted, code)
-		}
-		row.GuestInstrs = e.GuestInstrs()
-		row.SimDeciCycles = e.Cycles()
-		row.Checksum = e.Reg(11)
-		ms := e.Metrics()
-		row.Metrics = &ms
-	}
-	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
-	return row, nil
+	return row
 }
 
 func mips(instrs uint64, seconds float64) float64 {
@@ -241,39 +143,52 @@ func GuestMIPS(short bool) (*MIPSReport, error) {
 		NumCPU: runtime.NumCPU(),
 		Short:  short,
 	}
-	opt := Options{}
+	// Each row times only the run itself: image build and machine
+	// construction are excluded.
+	add := func(s machine.Spec, guest string, res Result, err error) error {
+		if err == nil {
+			rep.Rows = append(rep.Rows, mipsRow(s, guest, res))
+		}
+		return err
+	}
 	for _, w := range mipsGA64Workloads(short) {
-		for _, k := range mipsEngines() {
-			row, err := runGA64MIPS(k, w, opt)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
-	}
-	for _, w := range mipsRV64Workloads(short) {
-		for _, k := range mipsEngines() {
-			row, err := runRV64MIPS(k, w, opt)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
-	}
-	for _, n := range smpScalingCounts(short) {
-		row, err := runRV64SMPMIPS(n, smpScalingIters(short), opt)
+		img, err := BuildSystemImage(w.Build())
 		if err != nil {
 			return nil, err
 		}
-		rep.Rows = append(rep.Rows, row)
+		for _, k := range mipsEngines {
+			s := spec(k, ga64.Port{})
+			res, err := runImage(s, img, w.Name, 1)
+			if err := add(s, "ga64", res, err); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, w := range mipsRV64Workloads(short) {
+		for _, k := range mipsEngines {
+			s := spec(k, rv64.Port{})
+			res, err := runRV64(s, w.Build(), w.Name)
+			if err := add(s, "rv64", res, err); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, n := range smpScalingCounts(short) {
+		s := spec(machine.Captive, rv64.Port{})
+		s.Harts = n // Quantum 0: truly parallel harts
+		res, err := runRV64(s, rvSMPKernel(smpScalingIters(short)), fmt.Sprintf("smp-lcg-x%d", n))
+		if err := add(s, "rv64", res, err); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }
 
 // MergeBaseline attaches a pre-optimization report and computes wall-clock
 // speedups per row key. It returns an error if the baseline disagrees with
-// this report on the model: guest instruction counts, checksums or
-// simulated cycle counts — a perf change must move wall-clock only.
+// this report on the model: guest instruction counts, checksums or — for
+// deterministic rows — simulated cycle counts; a perf change must move
+// wall-clock only.
 func (r *MIPSReport) MergeBaseline(base *MIPSReport) error {
 	byKey := make(map[string]MIPSRow, len(base.Rows))
 	for _, row := range base.Rows {
@@ -290,7 +205,7 @@ func (r *MIPSReport) MergeBaseline(base *MIPSReport) error {
 			return fmt.Errorf("bench: %s: guest-visible state moved vs baseline (instrs %d→%d, chk %#x→%#x)",
 				row.Key(), b.GuestInstrs, row.GuestInstrs, b.Checksum, row.Checksum)
 		}
-		if b.SimDeciCycles != row.SimDeciCycles {
+		if b.SimDeciCycles != row.SimDeciCycles && row.RunMode != modeParallel {
 			return fmt.Errorf("bench: %s: simulated cycles moved vs baseline (%d→%d) — the model changed, not just wall-clock",
 				row.Key(), b.SimDeciCycles, row.SimDeciCycles)
 		}

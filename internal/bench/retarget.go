@@ -10,10 +10,9 @@ package bench
 import (
 	"fmt"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
+	"captive/internal/machine"
 	"captive/internal/perf"
 )
 
@@ -163,71 +162,43 @@ func rvVMSumKernel() *rvasm.Program {
 	return p
 }
 
-// RVResult is the outcome of one RV64 kernel run.
-type RVResult struct {
-	Seconds     float64
-	GuestInstrs uint64
-	Checksum    uint64 // x11 at exit
+// runRV64 runs an RV64 kernel, entered at its origin (KernelBase, like
+// every kernel of this package), on the machine s describes and requires a
+// clean exit; the checksum is x11.
+func runRV64(s machine.Spec, p *rvasm.Program, name string) (Result, error) {
+	img, err := p.Assemble()
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := runImage(s, Image{Kernel: img, Entry: p.Org()}, name, 11)
+	if err == nil && res.ExitCode != 0 {
+		err = fmt.Errorf("bench %s/%s: no clean exit (code %#x)", name, s.Kind, res.ExitCode)
+	}
+	return res, err
 }
 
-// RunRV64Workload executes an RV64 kernel on the chosen engine kind
-// (EngineCaptive or EngineQEMU) through rv64.Port.
-func RunRV64Workload(kind EngineKind, w RVWorkload, opt Options) (RVResult, error) {
-	img, err := w.Build().Assemble()
-	if err != nil {
-		return RVResult{}, err
-	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-	})
-	if err != nil {
-		return RVResult{}, err
-	}
-	module := rv64.MustModule()
-	var e *core.Engine
-	if kind == EngineQEMU {
-		e, err = core.NewQEMU(vm, rv64.Port{}, module)
-	} else {
-		e, err = core.New(vm, rv64.Port{}, module)
-	}
-	if err != nil {
-		return RVResult{}, err
-	}
-	e.ChainingOff = opt.ChainingOff
-	if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
-		return RVResult{}, err
-	}
-	if err := e.Run(opt.budget()); err != nil {
-		return RVResult{}, fmt.Errorf("bench %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-	}
-	if halted, code := e.Halted(); !halted || code != 0 {
-		return RVResult{}, fmt.Errorf("bench %s/%s: no clean exit (halted=%v code=%#x)", w.Name, kind, halted, code)
-	}
-	return RVResult{
-		Seconds:     perf.Seconds(e.Cycles()),
-		GuestInstrs: e.GuestInstrs(),
-		Checksum:    e.Reg(11),
-	}, nil
+// RunRV64Workload executes an RV64 kernel on the chosen engine through
+// rv64.Port.
+func RunRV64Workload(kind machine.Kind, w RVWorkload) (Result, error) {
+	return runRV64(spec(kind, rv64.Port{}), w.Build(), w.Name)
 }
 
 // Table5 produces the retarget figure: per-kernel simulated runtimes on
 // both engines and the Captive-vs-QEMU speedup, with the geometric mean —
 // the same shape as the GA64 SPECint figure (Fig. 17), for the second
 // guest.
-func Table5(opt Options) (perf.Table, error) {
+func Table5() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Table 5: retargeted RV64 guest, Captive vs QEMU baseline",
 		Columns: []string{"qemu(s)", "captive(s)", "speedup"},
 	}
 	var ratios []float64
 	for _, w := range RVWorkloads() {
-		c, err := RunRV64Workload(EngineCaptive, w, opt)
+		c, err := RunRV64Workload(machine.Captive, w)
 		if err != nil {
 			return t, err
 		}
-		q, err := RunRV64Workload(EngineQEMU, w, opt)
+		q, err := RunRV64Workload(machine.QEMU, w)
 		if err != nil {
 			return t, err
 		}

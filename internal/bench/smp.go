@@ -1,26 +1,21 @@
 package bench
 
-// Multi-vCPU guest-MIPS scaling (ISSUE 8): the same per-hart kernel on 1, 2
-// and 4 truly-parallel vCPUs (core.SMP.RunParallel), reporting *aggregate*
+// Multi-vCPU guest-MIPS scaling: the same per-hart kernel on 1, 2 and 4
+// truly-parallel vCPUs (core.SMP.RunParallel), reporting *aggregate*
 // guest MIPS — total retired guest instructions across every hart per host
 // wall-clock second. Each hart runs an identical LCG mix loop seeded by
 // mhartid, so the work is embarrassingly parallel and the figure isolates
 // the engine's scaling: shared-code-cache contention, the stop-the-world
 // checkpoint cost and the per-hart dispatcher. The x1 row runs the very same
-// kernel through the same parallel path, making it the in-figure baseline.
+// kernel on the uniprocessor dispatcher, making it the in-figure baseline.
 //
 // These rows join the guest-MIPS JSON report under workload names of their
 // own ("smp-lcg-x<n>"), so the single-vCPU model gate against older
 // baselines is untouched.
 
 import (
-	"fmt"
-	"time"
-
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
 )
 
 // rvSMPKernel is the per-hart workload: an LCG register mix seeded by
@@ -40,53 +35,6 @@ func rvSMPKernel(iters uint64) *rvasm.Program {
 	p.Bne(10, rvasm.X0, "loop")
 	p.Ecall()
 	return p
-}
-
-// runRV64SMPMIPS runs the scaling kernel on n parallel vCPUs and reports
-// one aggregate row.
-func runRV64SMPMIPS(n int, iters uint64, opt Options) (MIPSRow, error) {
-	row := MIPSRow{Guest: "rv64", Workload: fmt.Sprintf("smp-lcg-x%d", n), Engine: "captive"}
-	img, err := rvSMPKernel(iters).Assemble()
-	if err != nil {
-		return row, err
-	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-		VCPUs:          n,
-	})
-	if err != nil {
-		return row, err
-	}
-	s, err := core.NewSMP(vm, rv64.Port{}, rv64.MustModule())
-	if err != nil {
-		return row, err
-	}
-	if err := s.VCPU(0).LoadImage(img, 0x1000, 0x1000); err != nil {
-		return row, err
-	}
-	for i := 1; i < n; i++ {
-		s.VCPU(i).SetPC(0x1000)
-	}
-	start := time.Now()
-	if err := s.RunParallel(opt.budget()); err != nil {
-		return row, fmt.Errorf("mips smp x%d: %w", n, err)
-	}
-	row.WallSeconds = time.Since(start).Seconds()
-	if halted, code := s.Halted(); !halted || code != 0 {
-		return row, fmt.Errorf("mips smp x%d: no clean exit (halted=%v code=%#x)", n, halted, code)
-	}
-	for i := 0; i < n; i++ {
-		e := s.VCPU(i)
-		row.GuestInstrs += e.GuestInstrs()
-		row.SimDeciCycles += e.Cycles()
-		row.Checksum ^= e.Reg(11)
-	}
-	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
-	ms := s.VCPU(0).Metrics()
-	row.Metrics = &ms
-	return row, nil
 }
 
 // smpScalingCounts selects the vCPU counts measured; short mode trims the

@@ -10,6 +10,7 @@ import (
 	"captive/internal/gen"
 	"captive/internal/guest/port"
 	"captive/internal/hvm"
+	"captive/internal/smp"
 	"captive/internal/softfloat"
 	"captive/internal/trace"
 	"captive/internal/vx64"
@@ -469,8 +470,8 @@ func (e *Engine) translatePCSlow(pc uint64) (uint64, bool) {
 // --- main loop -------------------------------------------------------
 
 // ErrBudget is returned when Run hits its cycle budget before the guest
-// halts.
-var ErrBudget = fmt.Errorf("core: cycle budget exhausted")
+// halts: the budget sentinel every engine shares.
+var ErrBudget = smp.ErrBudget
 
 // Run executes the guest until it halts or the deci-cycle budget expires.
 func (e *Engine) Run(budget uint64) error {

@@ -36,6 +36,7 @@ import (
 	"captive/internal/gen"
 	"captive/internal/guest/port"
 	"captive/internal/hvm"
+	"captive/internal/metrics"
 	"captive/internal/smp"
 	"captive/internal/trace"
 )
@@ -187,10 +188,16 @@ func newEngines(vm *hvm.VM, g port.Port, module *gen.Module) ([]*Engine, error) 
 	return sh.engines, nil
 }
 
-// SMP is an N-vCPU Captive (or, via NewSMPQEMU, QEMU-baseline) machine.
+// SMP is an N-vCPU Captive (or, via NewSMPQEMU, QEMU-baseline) machine. It
+// implements the machine seam (internal/machine); a uniprocessor is the
+// one-vCPU case.
 type SMP struct {
 	vm *hvm.VM
 	sh *shared
+
+	// Quantum selects how Run drives more than one vCPU: the deterministic
+	// scheduler with this retired-instruction quantum, or (0) RunParallel.
+	Quantum uint64
 }
 
 // NewSMP creates one Captive engine per vCPU of the VM (hvm.Config.VCPUs),
@@ -240,6 +247,64 @@ func (s *SMP) Halted() (bool, uint64) {
 	}
 	return true, s.sh.engines[0].exitCode
 }
+
+// Run executes the machine until every vCPU halts or the budget expires
+// (ErrBudget). budget counts steps of the shared budget unit: each vCPU may
+// spend smp.DeciCyclesPerStep simulated deci-cycles per step. One vCPU runs
+// the uniprocessor dispatcher (Engine.Run): the deterministic scheduler would
+// add dispatcher round trips and so change the model.
+func (s *SMP) Run(budget uint64) error {
+	cycles := budget * smp.DeciCyclesPerStep
+	switch {
+	case s.N() == 1:
+		return s.sh.engines[0].Run(cycles)
+	case s.Quantum > 0:
+		return s.RunDet(cycles, s.Quantum)
+	default:
+		return s.RunParallel(cycles)
+	}
+}
+
+// LoadImage copies an image into guest RAM and points every vCPU at entry.
+func (s *SMP) LoadImage(data []byte, gpa, entry uint64) error {
+	if err := s.vm.LoadGuestImage(data, gpa); err != nil {
+		return err
+	}
+	for _, e := range s.sh.engines {
+		e.SetPC(entry)
+	}
+	return nil
+}
+
+// LoadData copies bytes into guest RAM.
+func (s *SMP) LoadData(data []byte, gpa uint64) error { return s.vm.LoadGuestImage(data, gpa) }
+
+// Exit reports whether every vCPU has halted, and vCPU 0's exit code.
+func (s *SMP) Exit() (bool, uint64) { return s.Halted() }
+
+// ReadRAM copies guest RAM starting at pa into dst.
+func (s *SMP) ReadRAM(pa uint64, dst []byte) error { return s.sh.engines[0].ReadRAM(pa, dst) }
+
+// Metrics returns the machine's metrics summed over its vCPUs.
+func (s *SMP) Metrics() metrics.Snapshot {
+	harts := make([]metrics.Snapshot, len(s.sh.engines))
+	for i, e := range s.sh.engines {
+		harts[i] = e.Metrics()
+	}
+	return metrics.Sum(harts...)
+}
+
+// The per-hart view of the machine seam: vCPU i's state.
+
+func (s *SMP) Reg(i, n int) uint64               { return s.sh.engines[i].Reg(n) }
+func (s *SMP) SetReg(i, n int, v uint64)         { s.sh.engines[i].SetReg(n, v) }
+func (s *SMP) FReg(i, n int) uint64              { return s.sh.engines[i].FReg(n) }
+func (s *SMP) PC(i int) uint64                   { return s.sh.engines[i].PC() }
+func (s *SMP) RegState(i int) []byte             { return s.sh.engines[i].RegState() }
+func (s *SMP) Sys(i int) port.Sys                { return s.sh.engines[i].Sys() }
+func (s *SMP) HartExit(i int) (bool, uint64)     { return s.sh.engines[i].Halted() }
+func (s *SMP) GuestInstrs(i int) uint64          { return s.sh.engines[i].GuestInstrs() }
+func (s *SMP) SetTrace(i int, r *trace.Recorder) { s.sh.engines[i].SetTrace(r) }
 
 // RunDet executes the machine under the deterministic round-robin scheduler:
 // fixed quanta of retired instructions per hart, one goroutine. budget is the

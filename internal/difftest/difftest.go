@@ -7,35 +7,37 @@ import (
 	"strings"
 	"sync"
 
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/guest/port"
+	"captive/internal/guest/rv64"
+	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/ssa"
+	"captive/internal/trace"
 )
 
 // EngineID names one engine/optimization-level configuration under test.
 type EngineID struct {
-	Name  string // "interp", "captive", "qemu"
+	Kind  machine.Kind
 	Level ssa.OptLevel
 }
 
-func (id EngineID) String() string { return fmt.Sprintf("%s/O%d", id.Name, id.Level) }
+func (id EngineID) String() string { return fmt.Sprintf("%s/O%d", id.Kind, id.Level) }
 
 // Golden is the reference configuration every other run is compared to.
-var Golden = EngineID{Name: "interp", Level: ssa.O4}
+var Golden = EngineID{Kind: machine.Interp, Level: ssa.O4}
 
-// Configs returns the engine matrix: the golden interpreter, the
-// interpreter at O1 (offline-optimizer differential inside one engine), the
-// Captive DBT at every offline level, and the QEMU-style baseline at O4.
+// Configs returns the engine matrix every lane runs: the interpreter at O1
+// (offline-optimizer differential inside one engine), the Captive DBT at
+// every offline level, and the QEMU-style baseline at O4.
 func Configs() []EngineID {
 	return []EngineID{
-		{Name: "interp", Level: ssa.O1},
-		{Name: "captive", Level: ssa.O1},
-		{Name: "captive", Level: ssa.O2},
-		{Name: "captive", Level: ssa.O3},
-		{Name: "captive", Level: ssa.O4},
-		{Name: "qemu", Level: ssa.O4},
+		{Kind: machine.Interp, Level: ssa.O1},
+		{Kind: machine.Captive, Level: ssa.O1},
+		{Kind: machine.Captive, Level: ssa.O2},
+		{Kind: machine.Captive, Level: ssa.O3},
+		{Kind: machine.Captive, Level: ssa.O4},
+		{Kind: machine.QEMU, Level: ssa.O4},
 	}
 }
 
@@ -44,7 +46,7 @@ func Configs() []EngineID {
 type State struct {
 	Regs     []byte   // register file below the PC slot: X, VL, VH, NZCV
 	Data     []byte   // the probed data windows
-	CSRs     []uint64 // system-register snapshot (RV64 sys lane; nil otherwise)
+	CSRs     []uint64 // system-register snapshot (lanes with a Snapshot; nil otherwise)
 	Instrs   uint64   // retired guest instructions
 	ExitCode uint64
 	RV64     bool // state from an RV64 lane (register naming in Diff)
@@ -150,169 +152,205 @@ func regName(off int) string {
 	}
 }
 
-// stepLimit bounds interpreter runs; cycleBudget bounds DBT runs
-// (deci-cycles of the simulated host clock). Generated programs are short
-// and always halt; these limits only catch harness or model bugs.
-const (
-	stepLimit   = 2_000_000
-	cycleBudget = 4_000_000_000
-)
+// stepBudget bounds every run, in machine steps (the DBT engines get the
+// equivalent simulated-time bound). Generated programs are short and always
+// halt; the budget only catches harness or model bugs.
+const stepBudget = 2_000_000
 
-// Run executes a generated program on one engine configuration.
-func Run(p *Program, id EngineID) (State, error) {
-	st, _, err := RunStats(p, id)
-	return st, err
+// Seed is one committed regression seed (the corpus entries in corpus.go).
+type Seed = struct {
+	Seed int64
+	Ops  int
 }
 
-// RunStats executes a generated program like Run and additionally returns
-// the DBT engine's runtime statistics (zero-valued for the interpreter
-// lanes, which have no host faults or SMC protection). The SMC lane asserts
-// on Stats.SMCInvals through this.
-func RunStats(p *Program, id EngineID) (State, core.Stats, error) {
-	module, err := ga64.NewModule(id.Level)
-	if err != nil {
-		return State{}, core.Stats{}, err
-	}
-	switch id.Name {
-	case "interp":
-		m := interp.New(ga64.Port{}, module, RAMBytes)
-		copy(m.Mem[HandlerBase:], p.Handler)
-		if err := m.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if !m.Halted {
-			return State{}, core.Stats{}, fmt.Errorf("interp: did not halt")
-		}
-		st := State{Regs: m.RegState(), Instrs: m.Instrs, ExitCode: m.ExitCode}
-		st.Data = append(st.Data, m.Mem[ProbeStart:ProbeEnd]...)
-		st.Data = append(st.Data, m.Mem[StackProbe:StackEnd]...)
-		return st, core.Stats{}, nil
+// Sweep fixes a lane's sweep: Seeds fresh seeds from Base (Short under
+// -short), seed Base+i generated with 40+(i%5)*OpsStep constructs.
+type Sweep struct {
+	Seeds, Short int
+	Base         int64
+	OpsStep      int
+}
 
-	case "captive", "qemu":
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, core.Stats{}, err
+// Lane is one differential-testing lane: a seeded program generator plus
+// what the harness runs and compares for it. Every lane runs the same engine
+// matrix (Configs) against the same golden configuration through one Run,
+// one Check and one Minimize.
+type Lane struct {
+	Name     string
+	RV64     bool // RV64 guest (GA64 otherwise)
+	Harts    int  // hart count (0: uniprocessor); N > 1 runs the deterministic scheduler
+	Generate func(seed int64, ops int) (*Program, error)
+	// Windows are the probed guest-physical ranges [start, end), compared
+	// byte for byte (concatenated into hart 0's State.Data).
+	Windows [][2]uint64
+	// Snapshot extracts the compared system registers of a hart (nil: none).
+	Snapshot func(port.Sys) []uint64
+	// Filter restricts which reduced candidates the minimizer accepts,
+	// given their golden outcome (nil: any candidate that halts).
+	Filter func(golden Outcome) bool
+	// Assert is an extra per-configuration check on a run that matched the
+	// golden state (nil: none).
+	Assert func(id EngineID, o Outcome) error
+	Corpus []Seed
+	Sweep  Sweep
+	// Trace attaches a recorder for the comparable event kinds to hart 0:
+	// Check then also requires identical event streams and an unperturbed
+	// golden run.
+	Trace bool
+}
+
+// Traced returns the lane with tracing on.
+func (l *Lane) Traced() *Lane {
+	t := *l
+	t.Name += "+trace"
+	t.Trace = true
+	return &t
+}
+
+func (l *Lane) port() port.Port {
+	if l.RV64 {
+		return rv64.Port{}
+	}
+	return ga64.Port{}
+}
+
+// Outcome is one run of a lane program on one engine configuration.
+type Outcome struct {
+	Harts   []State          // per hart; hart 0 carries the probed windows
+	Metrics metrics.Snapshot // summed over harts
+	Events  []trace.Event    // hart 0's comparable events (traced lanes)
+}
+
+// Equal reports whether two outcomes are bit-identical hart for hart.
+func (o Outcome) Equal(p Outcome) bool {
+	if len(o.Harts) != len(p.Harts) {
+		return false
+	}
+	for i := range o.Harts {
+		if !o.Harts[i].Equal(p.Harts[i]) {
+			return false
 		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, ga64.Port{}, module)
-		} else {
-			e, err = core.New(vm, ga64.Port{}, module)
+	}
+	return true
+}
+
+// Diff describes the first per-hart difference ("" when equal).
+func (o Outcome) Diff(p Outcome) string {
+	if len(o.Harts) != len(p.Harts) {
+		return fmt.Sprintf("%d harts vs %d", len(o.Harts), len(p.Harts))
+	}
+	for i := range o.Harts {
+		if d := o.Harts[i].Diff(p.Harts[i]); d != "" {
+			if len(o.Harts) > 1 {
+				d = fmt.Sprintf("hart %d: %s", i, d)
+			}
+			return d
 		}
-		if err != nil {
-			return State{}, core.Stats{}, err
+	}
+	return ""
+}
+
+// Run executes a lane program on one engine configuration: the handler (if
+// any) at HandlerBase, the image at Org, every hart entering at Org.
+func (l *Lane) Run(p *Program, id EngineID) (Outcome, error) {
+	m, err := machine.New(machine.Spec{
+		Kind: id.Kind, Guest: l.port(), Level: id.Level,
+		RAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20,
+		Harts: l.Harts, Quantum: SMPQuantum,
+	})
+	if err != nil {
+		return Outcome{}, err
+	}
+	var events trace.Capture
+	if l.Trace {
+		m.SetTrace(0, trace.NewRecorder(&events, trace.ComparableKinds))
+	}
+	if p.Handler != nil {
+		if err := m.LoadData(p.Handler, HandlerBase); err != nil {
+			return Outcome{}, err
 		}
-		if err := e.LoadUser(p.Handler, HandlerBase); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, core.Stats{}, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
+	}
+	if err := m.LoadImage(p.Image, Org, Org); err != nil {
+		return Outcome{}, err
+	}
+	if err := m.Run(stepBudget); err != nil {
+		return Outcome{}, fmt.Errorf("%s: %w", id, err)
+	}
+	o := Outcome{Metrics: m.Metrics(), Events: events.Events}
+	for h := 0; h < m.N(); h++ {
+		halted, code := m.HartExit(h)
 		if !halted {
-			return State{}, core.Stats{}, fmt.Errorf("%s: did not halt", id)
+			return Outcome{}, fmt.Errorf("%s: hart %d did not halt", id, h)
 		}
-		st := State{Regs: e.RegState(), Instrs: e.GuestInstrs(), ExitCode: code}
-		buf := make([]byte, (ProbeEnd-ProbeStart)+(StackEnd-StackProbe))
-		if err := e.ReadRAM(ProbeStart, buf[:ProbeEnd-ProbeStart]); err != nil {
-			return State{}, core.Stats{}, err
+		st := State{RV64: l.RV64, Regs: m.RegState(h), Instrs: m.GuestInstrs(h), ExitCode: code}
+		if l.Snapshot != nil {
+			st.CSRs = l.Snapshot(m.Sys(h))
 		}
-		if err := e.ReadRAM(StackProbe, buf[ProbeEnd-ProbeStart:]); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		st.Data = buf
-		return st, e.Stats, nil
+		o.Harts = append(o.Harts, st)
 	}
-	return State{}, core.Stats{}, fmt.Errorf("difftest: unknown engine %q", id.Name)
-}
-
-// Mismatch describes a differential failure, including the minimized
-// reproducer.
-type Mismatch struct {
-	Seed      int64
-	ID        EngineID
-	Detail    string
-	Minimized []uint32 // minimized instruction words of the main image
-	RV64      bool     // failure from the RV64 lane
-}
-
-// Error implements error.
-func (m *Mismatch) Error() string {
-	arch, nop, org := "ga64", nopWord, uint32(Org)
-	if m.RV64 {
-		arch, nop, org = "rv64", uint32(rvNopWord), uint32(RVOrg)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "difftest: %s seed %d: %s diverges from %s: %s\n", arch, m.Seed, m.ID, Golden, m.Detail)
-	fmt.Fprintf(&sb, "minimized program (%d live words):\n", countLiveNop(m.Minimized, nop))
-	for i, w := range m.Minimized {
-		if w == nop {
-			continue
+	for _, w := range l.Windows {
+		buf := make([]byte, w[1]-w[0])
+		if err := m.ReadRAM(w[0], buf); err != nil {
+			return Outcome{}, err
 		}
-		fmt.Fprintf(&sb, "  %#06x: %#08x\n", org+uint32(4*i), w)
+		o.Harts[0].Data = append(o.Harts[0].Data, buf...)
 	}
-	return sb.String()
+	return o, nil
 }
 
-// Check generates the program for a seed, runs it through the full engine
-// matrix and compares every configuration against the golden interpreter.
-// On divergence the failing program is automatically minimized.
-func Check(seed int64, ops int) error {
-	return checkGA64(seed, ops, Generate)
-}
-
-// checkGA64 is the GA64 matrix check shared by the user-level and MMU-on
-// lanes; generate builds the program for the seed.
-func checkGA64(seed int64, ops int, generate func(int64, int) (*Program, error)) error {
-	p, err := generate(seed, ops)
+// Check generates the lane's program for a seed, runs it through the engine
+// matrix and compares every configuration against the golden interpreter,
+// minimizing on divergence.
+func (l *Lane) Check(seed int64, ops int) error {
+	p, err := l.Generate(seed, ops)
 	if err != nil {
-		return fmt.Errorf("difftest: seed %d: generate: %w", seed, err)
+		return fmt.Errorf("difftest: %s seed %d: generate: %w", l.Name, seed, err)
 	}
-	golden, err := Run(p, Golden)
+	golden, err := l.Run(p, Golden)
 	if err != nil {
-		return fmt.Errorf("difftest: seed %d: golden run: %w", seed, err)
+		return fmt.Errorf("difftest: %s seed %d: golden run: %w", l.Name, seed, err)
+	}
+	if l.Trace {
+		// Observation must not perturb: the traced golden run ends exactly
+		// where the untraced one does.
+		untraced := *l
+		untraced.Trace = false
+		plain, err := untraced.Run(p, Golden)
+		if err != nil {
+			return fmt.Errorf("difftest: %s seed %d: untraced golden run: %w", l.Name, seed, err)
+		}
+		if !golden.Equal(plain) {
+			return fmt.Errorf("difftest: %s seed %d: tracing perturbed the golden run: %s", l.Name, seed, plain.Diff(golden))
+		}
 	}
 	for _, id := range Configs() {
-		st, err := Run(p, id)
+		o, err := l.Run(p, id)
 		if err != nil {
-			return fmt.Errorf("difftest: seed %d: %w", seed, err)
+			return fmt.Errorf("difftest: %s seed %d: %w", l.Name, seed, err)
 		}
-		if st.Equal(golden) {
-			continue
+		if !o.Equal(golden) {
+			return &Mismatch{Seed: seed, ID: id, Detail: golden.Diff(o), Minimized: l.Minimize(p, id), RV64: l.RV64}
 		}
-		detail := golden.Diff(st)
-		words := Minimize(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words}
+		if l.Trace {
+			if d := DiffEvents(golden.Events, o.Events); d != "" {
+				return fmt.Errorf("difftest: %s seed %d: %s event stream diverges from %s: %s", l.Name, seed, id, Golden, d)
+			}
+		}
+		if l.Assert != nil {
+			if err := l.Assert(id, o); err != nil {
+				return fmt.Errorf("difftest: %s seed %d: %s: %w", l.Name, seed, id, err)
+			}
+		}
 	}
 	return nil
 }
 
-var nopWord = ga64.EncS(ga64.OpNop, 0, 0, 0)
-
-func countLive(words []uint32) int { return countLiveNop(words, nopWord) }
-
-func countLiveNop(words []uint32, nop uint32) int {
-	n := 0
-	for _, w := range words {
-		if w != nop {
-			n++
-		}
-	}
-	return n
-}
-
-// Minimize shrinks a failing program by replacing instruction words with
-// NOPs while the divergence against the golden interpreter persists.
+// Minimize shrinks a failing program by replacing instruction words with the
+// guest's NOP while the divergence against the golden interpreter persists.
 // Replacing (rather than deleting) preserves branch displacements, so every
-// intermediate candidate remains a well-formed program. The reduction loops
-// to a fixpoint.
-func Minimize(p *Program, id EngineID) []uint32 {
+// intermediate candidate remains a well-formed program. Candidates must
+// still halt on the golden model and pass the lane's Filter.
+func (l *Lane) Minimize(p *Program, id EngineID) []uint32 {
 	words := make([]uint32, len(p.Image)/4)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint32(p.Image[4*i:])
@@ -323,28 +361,67 @@ func Minimize(p *Program, id EngineID) []uint32 {
 			binary.LittleEndian.PutUint32(img[4*i:], w)
 		}
 		cand := &Program{Seed: p.Seed, Image: img, Handler: p.Handler}
-		g, err := Run(cand, Golden)
-		if err != nil {
-			return false // must still run cleanly on the golden model
-		}
-		st, err := Run(cand, id)
-		if err != nil {
+		g, err := l.Run(cand, Golden)
+		if err != nil || (l.Filter != nil && !l.Filter(g)) {
 			return false
 		}
-		return !st.Equal(g)
+		o, err := l.Run(cand, id)
+		return err == nil && !o.Equal(g)
 	}
-	return minimizeWords(words, stillFails)
+	return minimizeWords(words, nopWord(l.RV64), stillFails)
 }
 
-// minimizeWords is the GA64 reduction entry point.
-func minimizeWords(words []uint32, stillFails func([]uint32) bool) []uint32 {
-	return minimizeWordsNop(words, nopWord, stillFails)
+// Mismatch describes a differential failure, including the minimized
+// reproducer.
+type Mismatch struct {
+	Seed      int64
+	ID        EngineID
+	Detail    string
+	Minimized []uint32 // minimized instruction words of the main image
+	RV64      bool     // failure from an RV64 lane
 }
 
-// minimizeWordsNop is the reduction core: greedily replace words with the
-// lane's NOP while the predicate keeps reporting failure, looping to a
-// fixpoint. A program that does not fail is returned unchanged.
-func minimizeWordsNop(words []uint32, nop uint32, stillFails func([]uint32) bool) []uint32 {
+// Error implements error.
+func (m *Mismatch) Error() string {
+	arch, nop := "ga64", nopWord(m.RV64)
+	if m.RV64 {
+		arch = "rv64"
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "difftest: %s seed %d: %s diverges from %s: %s\n", arch, m.Seed, m.ID, Golden, m.Detail)
+	fmt.Fprintf(&sb, "minimized program (%d live words):\n", countLive(m.Minimized, nop))
+	for i, w := range m.Minimized {
+		if w == nop {
+			continue
+		}
+		fmt.Fprintf(&sb, "  %#06x: %#08x\n", Org+4*i, w)
+	}
+	return sb.String()
+}
+
+// nopWord is the minimizer's replacement word: GA64 nop, or RV64 addi x0,
+// x0, 0.
+func nopWord(rv bool) uint32 {
+	if rv {
+		return rvNopWord
+	}
+	return ga64.EncS(ga64.OpNop, 0, 0, 0)
+}
+
+func countLive(words []uint32, nop uint32) int {
+	n := 0
+	for _, w := range words {
+		if w != nop {
+			n++
+		}
+	}
+	return n
+}
+
+// minimizeWords is the reduction core: greedily replace words with the
+// NOP while the predicate keeps reporting failure, looping to a fixpoint.
+// A program that does not fail is returned unchanged.
+func minimizeWords(words []uint32, nop uint32, stillFails func([]uint32) bool) []uint32 {
 	if !stillFails(words) {
 		return words // not reproducible under re-run; return unreduced
 	}

@@ -2,89 +2,12 @@ package difftest
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strings"
 	"testing"
 
-	"captive/internal/guest/ga64"
+	"captive/internal/machine"
 	"captive/internal/ssa"
 )
-
-// TestCorpus replays the committed regression-seed corpus on every engine
-// configuration. This always runs, including under -short.
-func TestCorpus(t *testing.T) {
-	for _, c := range RegressionSeeds {
-		c := c
-		if err := Check(c.Seed, c.Ops); err != nil {
-			t.Errorf("corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestSweep runs the full differential sweep: 500 fresh seeded programs
-// through the interpreter, the Captive DBT at O1–O4 and the QEMU baseline,
-// asserting bit-identical register files, flags, memory and instruction
-// counts. Under -short a 50-seed subset runs. Seeds are sharded across
-// parallel subtests (per-seed engines, deterministic per seed).
-func TestSweep(t *testing.T) {
-	n := 500
-	if testing.Short() {
-		n = 50
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(1_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := Check(seed, ops); err != nil {
-			return fmt.Errorf("sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestGenerateDeterministic pins generation to the seed: the same seed must
-// produce the same image byte-for-byte, or the corpus stops being a corpus.
-func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("generation is not deterministic")
-	}
-	c, err := Generate(43, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) == string(c.Image) {
-		t.Fatal("different seeds produced identical programs")
-	}
-}
-
-// TestRunMatrixExecutes sanity-checks that each engine configuration
-// actually executes a program (non-zero instruction count, clean halt).
-func TestRunMatrixExecutes(t *testing.T) {
-	p, err := Generate(7, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := append([]EngineID{Golden}, Configs()...)
-	for _, id := range ids {
-		st, err := Run(p, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if st.Instrs == 0 {
-			t.Errorf("%s: no instructions retired", id)
-		}
-		if st.ExitCode != 0 {
-			t.Errorf("%s: exit code %d", id, st.ExitCode)
-		}
-	}
-}
 
 // TestMinimizeShrinks drives the NOP-replacement reduction loop with a
 // synthetic failure predicate: the "bug" triggers whenever two specific
@@ -106,12 +29,13 @@ func TestMinimizeShrinks(t *testing.T) {
 		}
 		return a && b
 	}
-	out := minimizeWords(words, stillFails)
+	nop := nopWord(false)
+	out := minimizeWords(words, nop, stillFails)
 	if len(out) != 64 {
 		t.Fatalf("minimizer changed program length: %d", len(out))
 	}
-	if countLive(out) != 2 || out[13] != markerA || out[47] != markerB {
-		t.Fatalf("minimizer kept %d live words (want exactly the 2 markers): %#x", countLive(out), out)
+	if countLive(out, nop) != 2 || out[13] != markerA || out[47] != markerB {
+		t.Fatalf("minimizer kept %d live words (want exactly the 2 markers): %#x", countLive(out, nop), out)
 	}
 }
 
@@ -123,7 +47,7 @@ func TestMinimizeKeepsNonFailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := Minimize(p, EngineID{Name: "captive", Level: ssa.O4})
+	words := User.Minimize(p, EngineID{Kind: machine.Captive, Level: ssa.O4})
 	if len(words) != len(p.Image)/4 {
 		t.Fatalf("minimizer changed program length: %d words vs %d", len(words), len(p.Image)/4)
 	}
@@ -163,16 +87,15 @@ func TestSVCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Run(p, Golden)
+	g, err := User.Run(p, Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(p, EngineID{Name: "captive", Level: ssa.O4})
+	st, err := User.Run(p, EngineID{Kind: machine.Captive, Level: ssa.O4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(g) {
 		t.Fatalf("SVC program diverged: %s", g.Diff(st))
 	}
-	_ = ga64.ECSVC
 }

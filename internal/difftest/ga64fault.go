@@ -135,11 +135,3 @@ func GenerateMMUFault(seed int64, ops int) (*Program, error) {
 	}
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
 }
-
-// CheckMMUFault generates the EL0 paging-fault program for a seed, runs it
-// through the full engine matrix and compares every configuration against
-// the golden interpreter, minimizing on divergence (the harness and
-// minimizer are the user lane's — only the generator differs).
-func CheckMMUFault(seed int64, ops int) error {
-	return checkGA64(seed, ops, GenerateMMUFault)
-}

@@ -3,50 +3,9 @@ package difftest
 import (
 	"testing"
 
+	"captive/internal/machine"
 	"captive/internal/ssa"
 )
-
-// TestMMUFaultCorpus replays the committed EL0 paging-fault regression
-// corpus. This always runs, including under -short.
-func TestMMUFaultCorpus(t *testing.T) {
-	for _, c := range MMUFaultRegressionSeeds {
-		c := c
-		if err := CheckMMUFault(c.Seed, c.Ops); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestMMUFaultSweep is the EL0 paging-fault differential sweep: EL0
-// programs under guest translation taking mid-block permission and
-// translation aborts through every engine, bit-identical down to the
-// block-granular instruction counts. The -short floor stays at 50 seeds —
-// this is the lane that proves the unified interpreter's fault-aware
-// accounting, so it never shrinks below that.
-func TestMMUFaultSweep(t *testing.T) {
-	seeds, base := 150, int64(7000)
-	if testing.Short() {
-		seeds = 50
-	}
-	sweepShards(t, seeds, func(i int) error {
-		return CheckMMUFault(base+int64(i), 40+i%5*40)
-	})
-}
-
-// TestMMUFaultGenerateDeterministic pins generator determinism.
-func TestMMUFaultGenerateDeterministic(t *testing.T) {
-	a, err := GenerateMMUFault(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateMMUFault(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("GenerateMMUFault is not deterministic")
-	}
-}
 
 // TestMMUFaultActuallyFaults guards the lane against silently degenerating:
 // a corpus-sized program must take guest exceptions beyond its SVC
@@ -56,14 +15,14 @@ func TestMMUFaultActuallyFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, stats, err := RunStats(p, EngineID{Name: "captive", Level: ssa.O4})
+	o, err := MMUFault.Run(p, EngineID{Kind: machine.Captive, Level: ssa.O4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ExitCode != 0 {
-		t.Fatalf("exit code %d", st.ExitCode)
+	if o.Harts[0].ExitCode != 0 {
+		t.Fatalf("exit code %d", o.Harts[0].ExitCode)
 	}
-	if stats.GuestFaults == 0 {
+	if o.Metrics.GuestFaults == 0 {
 		t.Fatal("no guest faults were injected — the fault pages are not faulting")
 	}
 }

@@ -95,11 +95,3 @@ func GenerateMMU(seed int64, ops int) (*Program, error) {
 	}
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
 }
-
-// CheckMMU generates the MMU-on program for a seed, runs it through the full
-// engine matrix and compares every configuration against the golden
-// interpreter, minimizing on divergence (the harness and minimizer are the
-// user lane's — only the generator differs).
-func CheckMMU(seed int64, ops int) error {
-	return checkGA64(seed, ops, GenerateMMU)
-}

@@ -14,18 +14,13 @@ package difftest
 // minimizer produces a reproducer.
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 
-	"captive/internal/core"
 	"captive/internal/device"
 	"captive/internal/guest/ga64"
 	gasm "captive/internal/guest/ga64/asm"
 	"captive/internal/guest/rv64"
 	"captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
 )
 
 // Timer MMIO guest-physical base (DeviceBase + the bus's timer window) —
@@ -204,157 +199,12 @@ func gaIRQHandler(delta, limit uint32) ([]byte, error) {
 	return h.Assemble()
 }
 
-// CheckIRQ generates the GA64 interrupt program for a seed, runs it
-// through the full engine matrix and compares every configuration against
-// the golden interpreter, minimizing on divergence.
-func CheckIRQ(seed int64, ops int) error {
-	return checkGA64(seed, ops, GenerateIRQ)
-}
-
 // --- RV64 lane ---------------------------------------------------------------
 
 // rvirqSnapshot extends the sys lane's CSR snapshot with the interrupt
 // CSRs; rvsysCSRNames carries the matching names.
 func rvirqSnapshot(s *rv64.Sys) []uint64 {
 	return append(rvsysSnapshot(s), s.Mideleg, s.Mie, s.Mip)
-}
-
-// RunRV64IRQ executes an interrupt-lane RV64 program on one engine
-// configuration. It is the sys runner with the interrupt CSRs added to the
-// compared state (paging is off, so the fault window is not probed).
-func RunRV64IRQ(p *Program, id EngineID) (State, error) {
-	switch id.Name {
-	case "interp":
-		m, err := interp.NewAt(rv64.Port{}, id.Level, RAMBytes)
-		if err != nil {
-			return State{}, err
-		}
-		if err := m.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		st := State{RV64: true, Regs: m.RegState(), Instrs: m.Instrs,
-			ExitCode: m.ExitCode, CSRs: rvirqSnapshot(rv64.RawSys(m.Sys()))}
-		st.Data = append(st.Data, m.Mem[RVProbeStart:RVProbeEnd]...)
-		st.Data = append(st.Data, m.Mem[RVStackProbe:RVStackEnd]...)
-		return st, nil
-
-	case "captive", "qemu":
-		module, err := rv64.NewModule(id.Level)
-		if err != nil {
-			return State{}, err
-		}
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, err
-		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, rv64.Port{}, module)
-		} else {
-			e, err = core.New(vm, rv64.Port{}, module)
-		}
-		if err != nil {
-			return State{}, err
-		}
-		if err := e.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
-		if !halted {
-			return State{}, fmt.Errorf("%s: did not halt", id)
-		}
-		sys := rv64.RawSys(e.Sys())
-		if sys == nil {
-			return State{}, fmt.Errorf("%s: engine system state is not RV64", id)
-		}
-		st := State{RV64: true, Regs: e.RegState(), Instrs: e.GuestInstrs(),
-			ExitCode: code, CSRs: rvirqSnapshot(sys)}
-		buf := make([]byte, (RVProbeEnd-RVProbeStart)+(RVStackEnd-RVStackProbe))
-		if err := e.ReadRAM(RVProbeStart, buf[:RVProbeEnd-RVProbeStart]); err != nil {
-			return State{}, err
-		}
-		if err := e.ReadRAM(RVStackProbe, buf[RVProbeEnd-RVProbeStart:]); err != nil {
-			return State{}, err
-		}
-		st.Data = buf
-		return st, nil
-	}
-	return State{}, fmt.Errorf("difftest: unknown rv64 irq engine %q", id.Name)
-}
-
-// CheckRV64IRQ generates the interrupt program for a seed, runs it through
-// the full engine matrix and compares every configuration against the
-// golden interpreter, minimizing on divergence.
-func CheckRV64IRQ(seed int64, ops int) error {
-	p, err := GenerateRV64IRQ(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64irq seed %d: generate: %w", seed, err)
-	}
-	golden, err := RunRV64IRQ(p, RVSysGolden)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64irq seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64IRQ(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: rv64irq seed %d: %w", seed, err)
-		}
-		if st.Equal(golden) {
-			continue
-		}
-		detail := golden.Diff(st)
-		words := MinimizeRV64IRQ(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words, RV64: true}
-	}
-	return nil
-}
-
-// MinimizeRV64IRQ shrinks a failing interrupt program by NOP replacement,
-// with the sys lane's relaxed clean-exit filter.
-func MinimizeRV64IRQ(p *Program, id EngineID) []uint32 {
-	return minimizeRVWith(p, id, RunRV64IRQ)
-}
-
-// imageWords and wordsImage convert between an instruction image and its
-// little-endian word vector for the minimizer.
-func imageWords(img []byte) []uint32 {
-	words := make([]uint32, len(img)/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(img[4*i:])
-	}
-	return words
-}
-
-func wordsImage(ws []uint32) []byte {
-	img := make([]byte, 4*len(ws))
-	for i, w := range ws {
-		binary.LittleEndian.PutUint32(img[4*i:], w)
-	}
-	return img
-}
-
-// minimizeRVWith is the RV64 reduction core shared by the sys-shaped lanes.
-func minimizeRVWith(p *Program, id EngineID, run func(*Program, EngineID) (State, error)) []uint32 {
-	words := imageWords(p.Image)
-	stillFails := func(ws []uint32) bool {
-		cand := &Program{Seed: p.Seed, Image: wordsImage(ws)}
-		g, err := run(cand, RVSysGolden)
-		if err != nil {
-			return false
-		}
-		st, err := run(cand, id)
-		if err != nil {
-			return false
-		}
-		return !st.Equal(g)
-	}
-	return minimizeWordsNop(words, rvNopWord, stillFails)
 }
 
 // --- RV64 generator ----------------------------------------------------------

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"captive/internal/device"
@@ -11,89 +10,6 @@ import (
 	"captive/internal/guest/rv64"
 	"captive/internal/guest/rv64/asm"
 )
-
-// TestIRQCorpus replays the committed GA64 interrupt-lane corpus on every
-// engine configuration. This always runs, including under -short.
-func TestIRQCorpus(t *testing.T) {
-	for _, c := range IRQRegressionSeeds {
-		if err := CheckIRQ(c.Seed, c.Ops); err != nil {
-			t.Errorf("irq corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestRV64IRQCorpus replays the committed RV64 interrupt-lane corpus.
-func TestRV64IRQCorpus(t *testing.T) {
-	for _, c := range RV64IRQRegressionSeeds {
-		if err := CheckRV64IRQ(c.Seed, c.Ops); err != nil {
-			t.Errorf("rv64 irq corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestIRQSweep sweeps fresh seeded GA64 interrupt programs across the full
-// engine matrix: timer arming through MMIO, WFI (both the wake and the
-// idle-skip paths), enable/mask toggles and vectored deliveries, all
-// asserted bit-identical. Together with the RV64 half below, the
-// full-depth sweep covers 240 seeds.
-func TestIRQSweep(t *testing.T) {
-	n := 120
-	if testing.Short() {
-		n = 12
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(6_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckIRQ(seed, ops); err != nil {
-			return fmt.Errorf("irq sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestRV64IRQSweep is the RV64 half of the interrupt sweep: machine-timer
-// interrupts to mtvec, delegated supervisor software interrupts to stvec,
-// WFI and mask toggles in both the M- and S-mode body flavours.
-func TestRV64IRQSweep(t *testing.T) {
-	n := 120
-	if testing.Short() {
-		n = 12
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(7_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckRV64IRQ(seed, ops); err != nil {
-			return fmt.Errorf("rv64 irq sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestGenerateIRQDeterministic pins interrupt-lane generation to the seed.
-func TestGenerateIRQDeterministic(t *testing.T) {
-	a, err := GenerateIRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateIRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("GenerateIRQ is not deterministic")
-	}
-	ra, err := GenerateRV64IRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := GenerateRV64IRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ra.Image) != string(rb.Image) {
-		t.Fatal("GenerateRV64IRQ is not deterministic")
-	}
-}
 
 // --- directed cross-engine scenarios ------------------------------------------
 
@@ -112,24 +28,10 @@ func checkDirectedGA64(t *testing.T, name string, p, h *gasm.Program) State {
 			t.Fatalf("%s: assemble handler: %v", name, err)
 		}
 	}
-	prog := &Program{Image: img, Handler: himg}
-	golden, err := Run(prog, Golden)
-	if err != nil {
-		t.Fatalf("%s: golden: %v", name, err)
-	}
-	for _, id := range Configs() {
-		st, err := Run(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, id, err)
-		}
-		if !st.Equal(golden) {
-			t.Fatalf("%s: %s diverges: %s", name, id, golden.Diff(st))
-		}
-	}
-	return golden
+	return checkDirected(t, IRQ, name, &Program{Image: img, Handler: himg})[0]
 }
 
-// checkDirectedRV64IRQ is the RV64 analog over the interrupt runner (the
+// checkDirectedRV64IRQ is the RV64 analog on the interrupt lane (the
 // compared state includes mideleg/mie/mip).
 func checkDirectedRV64IRQ(t *testing.T, name string, p *asm.Program) State {
 	t.Helper()
@@ -137,21 +39,7 @@ func checkDirectedRV64IRQ(t *testing.T, name string, p *asm.Program) State {
 	if err != nil {
 		t.Fatalf("%s: assemble: %v", name, err)
 	}
-	prog := &Program{Image: img}
-	golden, err := RunRV64IRQ(prog, RVSysGolden)
-	if err != nil {
-		t.Fatalf("%s: golden: %v", name, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64IRQ(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, id, err)
-		}
-		if !st.Equal(golden) {
-			t.Fatalf("%s: %s diverges: %s", name, id, golden.Diff(st))
-		}
-	}
-	return golden
+	return checkDirected(t, RV64IRQ, name, &Program{Image: img})[0]
 }
 
 // sigWord reads a 64-bit word of the GA64 signature block out of the

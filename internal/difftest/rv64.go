@@ -9,24 +9,18 @@ package difftest
 // proving the engines are guest-agnostic end to end.
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"strconv"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	"captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
-	"captive/internal/ssa"
 )
 
 // Guest memory map for generated RV64 programs. Load/store offsets are
 // 12-bit signed, so ±4 KiB probe windows around each base register cover
 // every reachable address.
 const (
-	RVOrg      = 0x1000   // program load/entry address
+	RVOrg      = Org      // program load/entry address
 	RVBuf0     = 0x200000 // x5 data buffer base
 	RVBuf1     = 0x210000 // x6 data buffer base
 	RVStackTop = 0x300000 // x2 (sp)
@@ -49,149 +43,12 @@ const (
 	rvAddr   = 30 // scratch for computed addresses
 )
 
-// RVGolden is the reference configuration of the RV64 lane.
-var RVGolden = EngineID{Name: "interp", Level: ssa.O4}
-
-// RV64Configs returns the RV64 engine matrix: the golden interpreter at O1
-// (offline-optimizer differential), the Captive DBT at every offline level
-// through rv64.Port, and the QEMU-style baseline.
-func RV64Configs() []EngineID {
-	return []EngineID{
-		{Name: "interp", Level: ssa.O1},
-		{Name: "captive", Level: ssa.O1},
-		{Name: "captive", Level: ssa.O2},
-		{Name: "captive", Level: ssa.O3},
-		{Name: "captive", Level: ssa.O4},
-		{Name: "qemu", Level: ssa.O4},
-	}
-}
-
 // rvNopWord is addi x0, x0, 0 — the minimizer's replacement word.
 const rvNopWord = 0x00000013
 
 // rv64NZCVOff returns the flags-byte offset in the RV64 register file.
 func rv64NZCVOff() int {
 	return rv64.MustModule().Registry.Bank("NZCV").Offset
-}
-
-// RunRV64 executes a generated RV64 program on one engine configuration.
-func RunRV64(p *Program, id EngineID) (State, error) {
-	switch id.Name {
-	case "interp":
-		m, err := interp.NewAt(rv64.Port{}, id.Level, RAMBytes)
-		if err != nil {
-			return State{}, err
-		}
-		if err := m.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		st := State{RV64: true, Regs: m.RegState(), Instrs: m.Instrs, ExitCode: m.ExitCode}
-		st.Data = append(st.Data, m.Mem[RVProbeStart:RVProbeEnd]...)
-		st.Data = append(st.Data, m.Mem[RVStackProbe:RVStackEnd]...)
-		return st, nil
-
-	case "captive", "qemu":
-		module, err := rv64.NewModule(id.Level)
-		if err != nil {
-			return State{}, err
-		}
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, err
-		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, rv64.Port{}, module)
-		} else {
-			e, err = core.New(vm, rv64.Port{}, module)
-		}
-		if err != nil {
-			return State{}, err
-		}
-		if err := e.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
-		if !halted {
-			return State{}, fmt.Errorf("%s: did not halt", id)
-		}
-		st := State{RV64: true, Regs: e.RegState(), Instrs: e.GuestInstrs(), ExitCode: code}
-		buf := make([]byte, (RVProbeEnd-RVProbeStart)+(RVStackEnd-RVStackProbe))
-		if err := e.ReadRAM(RVProbeStart, buf[:RVProbeEnd-RVProbeStart]); err != nil {
-			return State{}, err
-		}
-		if err := e.ReadRAM(RVStackProbe, buf[RVProbeEnd-RVProbeStart:]); err != nil {
-			return State{}, err
-		}
-		st.Data = buf
-		return st, nil
-	}
-	return State{}, fmt.Errorf("difftest: unknown rv64 engine %q", id.Name)
-}
-
-// CheckRV64 generates the RV64 program for a seed, runs it through the full
-// engine matrix and compares every configuration against the golden
-// interpreter, minimizing on divergence.
-func CheckRV64(seed int64, ops int) error {
-	p, err := GenerateRV64(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64 seed %d: generate: %w", seed, err)
-	}
-	golden, err := RunRV64(p, RVGolden)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64 seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: rv64 seed %d: %w", seed, err)
-		}
-		if st.Equal(golden) {
-			continue
-		}
-		detail := golden.Diff(st)
-		words := MinimizeRV64(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words, RV64: true}
-	}
-	return nil
-}
-
-// MinimizeRV64 shrinks a failing RV64 program by NOP replacement to a
-// fixpoint, exactly like the GA64 minimizer.
-func MinimizeRV64(p *Program, id EngineID) []uint32 {
-	words := make([]uint32, len(p.Image)/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(p.Image[4*i:])
-	}
-	stillFails := func(ws []uint32) bool {
-		img := make([]byte, 4*len(ws))
-		for i, w := range ws {
-			binary.LittleEndian.PutUint32(img[4*i:], w)
-		}
-		cand := &Program{Seed: p.Seed, Image: img}
-		g, err := RunRV64(cand, RVGolden)
-		if err != nil || g.ExitCode != 0 {
-			// Candidates must still reach ecall cleanly on the golden model.
-			// (Since the golden Machine adopted the engines' block-granular
-			// accounting, wild halts no longer diverge trivially — the sys
-			// lane accepts them — but the user lane keeps the stricter
-			// clean-exit filter so reductions stay within the generator's
-			// contract of bounded, probed-window accesses.)
-			return false
-		}
-		st, err := RunRV64(cand, id)
-		if err != nil {
-			return false
-		}
-		return !st.Equal(g)
-	}
-	return minimizeWordsNop(words, rvNopWord, stillFails)
 }
 
 // --- generator ---------------------------------------------------------------

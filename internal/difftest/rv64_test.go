@@ -1,88 +1,11 @@
 package difftest
 
 import (
-	"fmt"
 	"math/bits"
 	"testing"
 
 	"captive/internal/guest/rv64/asm"
 )
-
-// TestRV64Corpus replays the committed RV64 regression-seed corpus on every
-// engine configuration. This always runs, including under -short.
-func TestRV64Corpus(t *testing.T) {
-	for _, c := range RV64RegressionSeeds {
-		c := c
-		if err := CheckRV64(c.Seed, c.Ops); err != nil {
-			t.Errorf("rv64 corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestRV64Sweep runs the full RV64 differential sweep: fresh seeded
-// programs through the unified golden engine (via rv64.Port), the Captive DBT at O1–O4
-// (via rv64.Port — the same online pipeline that runs GA64) and the QEMU
-// baseline, asserting bit-identical x-registers, memory windows and
-// instruction counts. Under -short a subset runs.
-func TestRV64Sweep(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 30
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(2_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckRV64(seed, ops); err != nil {
-			return fmt.Errorf("rv64 sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestRV64GenerateDeterministic pins generation to the seed.
-func TestRV64GenerateDeterministic(t *testing.T) {
-	a, err := GenerateRV64(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateRV64(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) {
-		t.Fatal("rv64 generation is not deterministic")
-	}
-	c, err := GenerateRV64(43, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) == string(c.Image) {
-		t.Fatal("different seeds produced identical rv64 programs")
-	}
-}
-
-// TestRV64RunMatrixExecutes sanity-checks that each engine configuration
-// actually executes an RV64 program (non-zero instruction count, clean
-// ecall exit).
-func TestRV64RunMatrixExecutes(t *testing.T) {
-	p, err := GenerateRV64(7, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := append([]EngineID{RVGolden}, RV64Configs()...)
-	for _, id := range ids {
-		st, err := RunRV64(p, id)
-		if err != nil {
-			t.Fatalf("rv64 %s: %v", id, err)
-		}
-		if st.Instrs == 0 {
-			t.Errorf("rv64 %s: no instructions retired", id)
-		}
-		if st.ExitCode != 0 {
-			t.Errorf("rv64 %s: exit code %d", id, st.ExitCode)
-		}
-	}
-}
 
 // mEdgeCases is the directed M-extension edge-case program: every divide
 // corner the RISC-V spec pins (division by zero, the MinInt64/-1 overflow)
@@ -114,9 +37,9 @@ func mEdgeCases() *asm.Program {
 	return p
 }
 
-// TestRV64MExtensionEdgeCases runs the directed program through the golden
-// model and every DBT configuration, asserting full-state equality across
-// engines *and* the architecturally-required values from the RISC-V spec.
+// TestRV64MExtensionEdgeCases runs the directed program through the full
+// engine matrix, asserting full-state equality across engines *and* the
+// architecturally-required values from the RISC-V spec.
 func TestRV64MExtensionEdgeCases(t *testing.T) {
 	img, err := mEdgeCases().Assemble()
 	if err != nil {
@@ -124,10 +47,7 @@ func TestRV64MExtensionEdgeCases(t *testing.T) {
 	}
 	p := &Program{Seed: -1, Image: img}
 
-	golden, err := RunRV64(p, RVGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := checkDirected(t, RV64User, "m-edge-cases", p)[0]
 	reg := func(st State, n int) uint64 {
 		var v uint64
 		for i := 0; i < 8; i++ {
@@ -162,15 +82,6 @@ func TestRV64MExtensionEdgeCases(t *testing.T) {
 	for n, v := range want {
 		if got := reg(golden, n); got != v {
 			t.Errorf("golden x%d = %#x, want %#x (spec)", n, got, v)
-		}
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64(p, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !st.Equal(golden) {
-			t.Errorf("%s diverges on M-extension edge cases: %s", id, golden.Diff(st))
 		}
 	}
 }

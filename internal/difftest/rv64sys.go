@@ -13,16 +13,11 @@ package difftest
 // every engine, through the same port the user-level lane uses.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	"captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
-	"captive/internal/ssa"
 )
 
 // Guest physical layout of the sys lane. Code, buffers and stack reuse the
@@ -51,9 +46,6 @@ const (
 // clears mtvec and exits (x31 is written nowhere else).
 const rvSentinel = 0xE0D
 
-// RVSysGolden is the reference configuration of the sys lane.
-var RVSysGolden = EngineID{Name: "interp", Level: ssa.O4}
-
 // rvsysCSRNames lists the compared CSRs in snapshot order. The trailing
 // interrupt CSRs are snapshotted by the IRQ lane only (rvirqSnapshot); the
 // sys lane's shorter snapshot uses the common prefix.
@@ -76,142 +68,6 @@ func rvsysSnapshot(s *rv64.Sys) []uint64 {
 		uint64(s.Mode), s.Mstatus, s.Medeleg, s.Mtvec, s.Mscratch, s.Mepc,
 		s.Mcause, s.Mtval, s.Stvec, s.Sscratch, s.Sepc, s.Scause, s.Stval, s.Satp,
 	}
-}
-
-// RunRV64Sys executes a system-lane RV64 program on one engine
-// configuration, returning the full compared state (registers, CSRs, the
-// data and fault windows, instruction count, exit code).
-func RunRV64Sys(p *Program, id EngineID) (State, error) {
-	grab := func(read func(pa uint64, dst []byte) error) ([]byte, error) {
-		buf := make([]byte, (RVProbeEnd-RVProbeStart)+(RVStackEnd-RVStackProbe)+
-			(RVSysFaultProbeEnd-RVSysFaultProbeStart))
-		cut := buf
-		for _, w := range [][2]uint64{
-			{RVProbeStart, RVProbeEnd}, {RVStackProbe, RVStackEnd},
-			{RVSysFaultProbeStart, RVSysFaultProbeEnd},
-		} {
-			n := w[1] - w[0]
-			if err := read(w[0], cut[:n]); err != nil {
-				return nil, err
-			}
-			cut = cut[n:]
-		}
-		return buf, nil
-	}
-
-	switch id.Name {
-	case "interp":
-		m, err := interp.NewAt(rv64.Port{}, id.Level, RAMBytes)
-		if err != nil {
-			return State{}, err
-		}
-		if err := m.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		st := State{RV64: true, Regs: m.RegState(), Instrs: m.Instrs,
-			ExitCode: m.ExitCode, CSRs: rvsysSnapshot(rv64.RawSys(m.Sys()))}
-		st.Data, err = grab(func(pa uint64, dst []byte) error {
-			copy(dst, m.Mem[pa:])
-			return nil
-		})
-		return st, err
-
-	case "captive", "qemu":
-		module, err := rv64.NewModule(id.Level)
-		if err != nil {
-			return State{}, err
-		}
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, err
-		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, rv64.Port{}, module)
-		} else {
-			e, err = core.New(vm, rv64.Port{}, module)
-		}
-		if err != nil {
-			return State{}, err
-		}
-		if err := e.LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return State{}, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
-		if !halted {
-			return State{}, fmt.Errorf("%s: did not halt", id)
-		}
-		sys := rv64.RawSys(e.Sys())
-		if sys == nil {
-			return State{}, fmt.Errorf("%s: engine system state is not RV64", id)
-		}
-		st := State{RV64: true, Regs: e.RegState(), Instrs: e.GuestInstrs(),
-			ExitCode: code, CSRs: rvsysSnapshot(sys)}
-		st.Data, err = grab(e.ReadRAM)
-		return st, err
-	}
-	return State{}, fmt.Errorf("difftest: unknown rv64 sys engine %q", id.Name)
-}
-
-// CheckRV64Sys generates the system program for a seed, runs it through the
-// full engine matrix and compares every configuration against the golden
-// interpreter, minimizing on divergence.
-func CheckRV64Sys(seed int64, ops int) error {
-	p, err := GenerateRV64Sys(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64sys seed %d: generate: %w", seed, err)
-	}
-	golden, err := RunRV64Sys(p, RVSysGolden)
-	if err != nil {
-		return fmt.Errorf("difftest: rv64sys seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64Sys(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: rv64sys seed %d: %w", seed, err)
-		}
-		if st.Equal(golden) {
-			continue
-		}
-		detail := golden.Diff(st)
-		words := MinimizeRV64Sys(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words, RV64: true}
-	}
-	return nil
-}
-
-// MinimizeRV64Sys shrinks a failing system program by NOP replacement.
-// Candidates only need to halt cleanly on the golden model — unlike the
-// user lane, wild halts are fine here because the golden model's
-// block-granular accounting matches the engines' even through faults.
-func MinimizeRV64Sys(p *Program, id EngineID) []uint32 {
-	words := make([]uint32, len(p.Image)/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(p.Image[4*i:])
-	}
-	stillFails := func(ws []uint32) bool {
-		img := make([]byte, 4*len(ws))
-		for i, w := range ws {
-			binary.LittleEndian.PutUint32(img[4*i:], w)
-		}
-		cand := &Program{Seed: p.Seed, Image: img}
-		g, err := RunRV64Sys(cand, RVSysGolden)
-		if err != nil {
-			return false
-		}
-		st, err := RunRV64Sys(cand, id)
-		if err != nil {
-			return false
-		}
-		return !st.Equal(g)
-	}
-	return minimizeWordsNop(words, rvNopWord, stillFails)
 }
 
 // --- generator ---------------------------------------------------------------

@@ -7,72 +7,18 @@ import (
 	"captive/internal/guest/rv64/asm"
 )
 
-// TestRV64SysCorpus replays the committed system-lane regression corpus.
-func TestRV64SysCorpus(t *testing.T) {
-	for _, c := range RV64SysRegressionSeeds {
-		c := c
-		if err := CheckRV64Sys(c.Seed, c.Ops); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestRV64SysSweep is the paged differential sweep: ≥200 seeded programs in
-// full mode that build sv39 tables, enable paging, drop privilege via mret
-// and trap back, each asserted bit-identical (registers, CSRs, memory,
-// instruction counts) across the unified golden engine, Captive O1–O4 and QEMU.
-func TestRV64SysSweep(t *testing.T) {
-	seeds, base := 200, int64(4000)
-	if testing.Short() {
-		seeds = 25
-	}
-	sweepShards(t, seeds, func(i int) error {
-		return CheckRV64Sys(base+int64(i), 40+i%5*40)
-	})
-}
-
-// TestRV64SysGenerateDeterministic pins generator determinism (the corpus
-// is only a regression pin if a seed always produces the same program).
-func TestRV64SysGenerateDeterministic(t *testing.T) {
-	a, err := GenerateRV64Sys(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateRV64Sys(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) {
-		t.Fatal("GenerateRV64Sys is not deterministic")
-	}
-}
-
 // --- directed edge cases ------------------------------------------------------
 
-// checkDirected runs a handcrafted program across the full engine matrix,
-// requires bit-identical state everywhere, and returns the golden state for
-// scenario-specific assertions.
-func checkDirected(t *testing.T, name string, p *asm.Program) State {
+// checkSys runs a handcrafted program across the sys lane's full engine
+// matrix, requires bit-identical state everywhere, and returns the golden
+// state for scenario-specific assertions.
+func checkSys(t *testing.T, name string, p *asm.Program) State {
 	t.Helper()
 	img, err := p.Assemble()
 	if err != nil {
 		t.Fatalf("%s: assemble: %v", name, err)
 	}
-	prog := &Program{Image: img}
-	golden, err := RunRV64Sys(prog, RVSysGolden)
-	if err != nil {
-		t.Fatalf("%s: golden: %v", name, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64Sys(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, id, err)
-		}
-		if !st.Equal(golden) {
-			t.Fatalf("%s: %s diverges: %s", name, id, golden.Diff(st))
-		}
-	}
-	return golden
+	return checkDirected(t, RV64Sys, name, &Program{Image: img})[0]
 }
 
 // sysBoot emits the shared directed-test boot: sv39 tables (built by the
@@ -182,7 +128,7 @@ func TestSv39PermissionAndADFaults(t *testing.T) {
 			p := sysBoot(rv64.PrivS, 0, stdTables)
 			c.body(p)
 			sysExit(p)
-			st := checkDirected(t, c.name, p)
+			st := checkSys(t, c.name, p)
 			if st.ExitCode != 0 {
 				t.Fatalf("exit=%#x", st.ExitCode)
 			}
@@ -204,7 +150,7 @@ func TestSv39ExecFaultOnDataPage(t *testing.T) {
 	p.Li(31, rvSentinel)
 	p.Li(7, 0x200000)
 	p.Jalr(asm.X0, 7, 0)
-	st := checkDirected(t, "exec-of-noX-data-page", p)
+	st := checkSys(t, "exec-of-noX-data-page", p)
 	if st.ExitCode != 0 {
 		t.Fatalf("exit=%#x", st.ExitCode)
 	}
@@ -223,7 +169,7 @@ func TestSv39SUMAllowsUserPages(t *testing.T) {
 	p.Sd(6, 5, 0)
 	p.Ld(7, 5, 0)
 	sysExit(p)
-	st := checkDirected(t, "sum-allows", p)
+	st := checkSys(t, "sum-allows", p)
 	g := goldenRegs(st)
 	if g[7] != 0xABCD || g[22] != 1 {
 		t.Fatalf("x7=%#x traps=%d, want the store/load to succeed with only the sentinel trap", g[7], g[22])
@@ -255,7 +201,7 @@ func TestSv39ReservedBitFaults(t *testing.T) {
 			p.Li(5, 0x600000)
 			p.Ld(6, 5, 0)
 			sysExit(p)
-			st := checkDirected(t, c.name, p)
+			st := checkSys(t, c.name, p)
 			g := goldenRegs(st)
 			if g[20] != rv64.CauseLoadPage || g[21] != 0x600000 {
 				t.Fatalf("cause=%d tval=%#x, want load page fault at 0x600000", g[20], g[21])
@@ -316,7 +262,7 @@ func TestMisalignedPageCrossing(t *testing.T) {
 	p.Li(9, vaB)
 	p.Ld(11, 9, 0) // PA 0x520000: untouched by the spanning store
 	sysExit(p)
-	st := checkDirected(t, "page-cross", p)
+	st := checkSys(t, "page-cross", p)
 	g := goldenRegs(st)
 	// Low 4 bytes from PA 0x500FFC (top half of the 0x1111… doubleword),
 	// high 4 bytes from the physically adjacent PA 0x501000 (0x2222…) —
@@ -365,7 +311,7 @@ func TestCSRWARL(t *testing.T) {
 	// Read-only: writing mhartid traps.
 	p.Csrw(rv64.CSRMhartid, 5)
 	sysExit(p)
-	st := checkDirected(t, "warl-s", p)
+	st := checkSys(t, "warl-s", p)
 	g := goldenRegs(st)
 	if g[10] != 0x234564 || g[11] != 0x123454 {
 		t.Fatalf("stvec=%#x sepc=%#x, want low bits cleared", g[10], g[11])
@@ -405,7 +351,7 @@ func TestCSRWARL(t *testing.T) {
 	q.Label("mtrap")
 	q.Csrw(rv64.CSRMtvec, asm.X0)
 	q.Ecall()
-	st = checkDirected(t, "warl-m", q)
+	st = checkSys(t, "warl-m", q)
 	g = goldenRegs(st)
 	if g[10] != 0 {
 		t.Fatalf("satp after unsupported MODE write = %#x, want unchanged 0", g[10])
@@ -462,7 +408,7 @@ func TestEcallPerMode(t *testing.T) {
 	p.Ecall() // from S: cause 9, to M
 	p.Label("body")
 	p.Ecall() // from U: cause 8, delegated to S
-	st := checkDirected(t, "ecall-modes", p)
+	st := checkSys(t, "ecall-modes", p)
 	g := goldenRegs(st)
 	if g[20] != rv64.CauseEcallU || g[21] != rv64.CauseEcallS {
 		t.Fatalf("scause=%d mcause=%d, want 8 (delegated U ecall) and 9 (S ecall)", g[20], g[21])

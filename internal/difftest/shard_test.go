@@ -7,8 +7,8 @@ import (
 
 // sweepShardCount is how many parallel subtests each differential sweep is
 // split into. Seeds are strided across shards, so the set of seeds checked
-// is identical to the sequential loop; every Check* call builds its own
-// engines, so shards share nothing but the (immutable, once-built) guest
+// is identical to the sequential loop; every Lane.Check call builds its own
+// machines, so shards share nothing but the (immutable, once-built) guest
 // modules. Determinism is per seed, not per schedule — a failure always
 // reproduces with the same seed standalone.
 const sweepShardCount = 8

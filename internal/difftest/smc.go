@@ -13,7 +13,6 @@ package difftest
 // silently degrade into one that misses the protection path.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"captive/internal/guest/ga64"
@@ -99,34 +98,4 @@ func GenerateSMC(seed int64, ops int) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
-}
-
-// CheckSMC generates the self-modifying program for a seed, runs it through
-// the full engine matrix, compares every configuration against the golden
-// interpreter (minimizing on divergence) and asserts the SMC invalidation
-// machinery fired on every DBT configuration.
-func CheckSMC(seed int64, ops int) error {
-	p, err := GenerateSMC(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: smc seed %d: generate: %w", seed, err)
-	}
-	golden, err := Run(p, Golden)
-	if err != nil {
-		return fmt.Errorf("difftest: smc seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range Configs() {
-		st, stats, err := RunStats(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: smc seed %d: %w", seed, err)
-		}
-		if !st.Equal(golden) {
-			detail := golden.Diff(st)
-			words := Minimize(p, id)
-			return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words}
-		}
-		if id.Name != "interp" && stats.SMCInvals == 0 {
-			return fmt.Errorf("difftest: smc seed %d: %s retired no SMC invalidations (protection path not exercised)", seed, id)
-		}
-	}
-	return nil
 }

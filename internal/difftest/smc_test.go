@@ -5,52 +5,13 @@ import (
 
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/port"
+	"captive/internal/machine"
 	"captive/internal/ssa"
 )
 
-// TestSMCCorpus replays the committed self-modifying-code regression
-// corpus. This always runs, including under -short.
-func TestSMCCorpus(t *testing.T) {
-	for _, c := range SMCRegressionSeeds {
-		c := c
-		if err := CheckSMC(c.Seed, c.Ops); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestSMCSweep is the self-modifying-code differential sweep: generated
-// programs that overwrite already-executed code and re-execute it, each
-// asserted bit-identical across every engine with the SMC invalidation
-// counters required to fire on both DBT engines.
-func TestSMCSweep(t *testing.T) {
-	seeds, base := 100, int64(6000)
-	if testing.Short() {
-		seeds = 15
-	}
-	sweepShards(t, seeds, func(i int) error {
-		return CheckSMC(base+int64(i), 40+i%5*40)
-	})
-}
-
-// TestSMCGenerateDeterministic pins generator determinism.
-func TestSMCGenerateDeterministic(t *testing.T) {
-	a, err := GenerateSMC(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateSMC(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("GenerateSMC is not deterministic")
-	}
-}
-
 // TestSMCInvalsAsserted pins the lane's engine-stat contract directly: a
 // seed from the corpus must retire at least one SMC invalidation on the
-// Captive engine and on the QEMU baseline (CheckSMC would reject it
+// Captive engine and on the QEMU baseline (the lane's Check would reject it
 // otherwise, but assert the counters here so a silent harness regression
 // cannot slip by).
 func TestSMCInvalsAsserted(t *testing.T) {
@@ -59,14 +20,14 @@ func TestSMCInvalsAsserted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []EngineID{
-		{Name: "captive", Level: ssa.O4},
-		{Name: "qemu", Level: ssa.O4},
+		{Kind: machine.Captive, Level: ssa.O4},
+		{Kind: machine.QEMU, Level: ssa.O4},
 	} {
-		_, stats, err := RunStats(p, id)
+		o, err := SMC.Run(p, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if stats.SMCInvals == 0 {
+		if o.Metrics.SMCInvals == 0 {
 			t.Errorf("%s: no SMC invalidations fired", id)
 		}
 	}

@@ -12,15 +12,10 @@ package difftest
 // and the QEMU baseline.
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	"captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
-	"captive/internal/interp"
 )
 
 // SMPHarts and SMPQuantum fix the lane's topology: hart count and scheduler
@@ -83,190 +78,4 @@ func GenerateRV64SMP(seed int64, ops int) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Seed: seed, Ops: ops, Image: img}, nil
-}
-
-// smpProbe reads the lane's probed memory windows through the given reader.
-func smpProbe(read func(pa uint64, dst []byte) error) ([]byte, error) {
-	buf := make([]byte, (RVSMPProbeEnd-RVSMPProbeStart)+(RVStackEnd-RVStackProbe)+
-		(RVSMPStackH1End-RVSMPStackH1Probe))
-	cut := buf
-	for _, w := range [][2]uint64{
-		{RVSMPProbeStart, RVSMPProbeEnd},
-		{RVStackProbe, RVStackEnd},
-		{RVSMPStackH1Probe, RVSMPStackH1End},
-	} {
-		n := w[1] - w[0]
-		if err := read(w[0], cut[:n]); err != nil {
-			return nil, err
-		}
-		cut = cut[n:]
-	}
-	return buf, nil
-}
-
-// RunRV64SMP executes a generated SMP program on one engine configuration
-// under the deterministic scheduler, returning one State per hart. The
-// shared memory windows are attached to hart 0's state.
-func RunRV64SMP(p *Program, id EngineID) ([]State, error) {
-	switch id.Name {
-	case "interp":
-		module, err := rv64.NewModule(id.Level)
-		if err != nil {
-			return nil, err
-		}
-		cl := interp.NewCluster(rv64.Port{}, module, RAMBytes, SMPHarts)
-		if err := cl.Machines[0].LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return nil, err
-		}
-		for _, m := range cl.Machines[1:] {
-			m.SetPC(RVOrg)
-		}
-		if err := cl.RunDet(uint64(SMPHarts)*stepLimit, SMPQuantum); err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		if !cl.Halted() {
-			return nil, fmt.Errorf("%s: did not halt", id)
-		}
-		states := make([]State, SMPHarts)
-		for i, m := range cl.Machines {
-			states[i] = State{RV64: true, Regs: m.RegState(), Instrs: m.Instrs, ExitCode: m.ExitCode}
-		}
-		states[0].Data, err = smpProbe(func(pa uint64, dst []byte) error {
-			copy(dst, cl.Machines[0].Mem[pa:])
-			return nil
-		})
-		return states, err
-
-	case "captive", "qemu":
-		module, err := rv64.NewModule(id.Level)
-		if err != nil {
-			return nil, err
-		}
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20,
-			PTPoolBytes: 2 << 20, VCPUs: SMPHarts})
-		if err != nil {
-			return nil, err
-		}
-		var s *core.SMP
-		if id.Name == "qemu" {
-			s, err = core.NewSMPQEMU(vm, rv64.Port{}, module)
-		} else {
-			s, err = core.NewSMP(vm, rv64.Port{}, module)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := s.VCPU(0).LoadImage(p.Image, RVOrg, RVOrg); err != nil {
-			return nil, err
-		}
-		for i := 1; i < s.N(); i++ {
-			s.VCPU(i).SetPC(RVOrg)
-		}
-		if err := s.RunDet(cycleBudget, SMPQuantum); err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		if halted, _ := s.Halted(); !halted {
-			return nil, fmt.Errorf("%s: did not halt", id)
-		}
-		states := make([]State, s.N())
-		for i := range states {
-			e := s.VCPU(i)
-			h, code := e.Halted()
-			if !h {
-				return nil, fmt.Errorf("%s: hart %d did not halt", id, i)
-			}
-			states[i] = State{RV64: true, Regs: e.RegState(), Instrs: e.GuestInstrs(), ExitCode: code}
-		}
-		states[0].Data, err = smpProbe(s.VCPU(0).ReadRAM)
-		return states, err
-	}
-	return nil, fmt.Errorf("difftest: unknown smp engine %q", id.Name)
-}
-
-// smpStatesEqual reports whether two per-hart state slices are bit-identical.
-func smpStatesEqual(a, b []State) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// smpStatesDiff describes the first per-hart difference.
-func smpStatesDiff(a, b []State) string {
-	for i := range a {
-		if i < len(b) && !a[i].Equal(b[i]) {
-			return fmt.Sprintf("hart %d: %s", i, a[i].Diff(b[i]))
-		}
-	}
-	return ""
-}
-
-// CheckSMP generates the two-hart program for a seed, runs it through the
-// full engine matrix under the deterministic scheduler and compares every
-// configuration against the golden interpreter cluster, minimizing on
-// divergence.
-func CheckSMP(seed int64, ops int) error {
-	p, err := GenerateRV64SMP(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: smp seed %d: generate: %w", seed, err)
-	}
-	golden, err := RunRV64SMP(p, RVGolden)
-	if err != nil {
-		return fmt.Errorf("difftest: smp seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range RV64Configs() {
-		states, err := RunRV64SMP(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: smp seed %d: %w", seed, err)
-		}
-		if smpStatesEqual(states, golden) {
-			continue
-		}
-		detail := smpStatesDiff(golden, states)
-		words := MinimizeRV64SMP(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words, RV64: true}
-	}
-	return nil
-}
-
-// wordsOf and imageOf convert between an image and its instruction words.
-func wordsOf(img []byte) []uint32 {
-	words := make([]uint32, len(img)/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(img[4*i:])
-	}
-	return words
-}
-
-func imageOf(ws []uint32) []byte {
-	img := make([]byte, 4*len(ws))
-	for i, w := range ws {
-		binary.LittleEndian.PutUint32(img[4*i:], w)
-	}
-	return img
-}
-
-// MinimizeRV64SMP shrinks a failing SMP program by NOP replacement to a
-// fixpoint, like the uniprocessor minimizers. Candidates must still run to
-// a clean halt on the golden cluster.
-func MinimizeRV64SMP(p *Program, id EngineID) []uint32 {
-	words := wordsOf(p.Image)
-	stillFails := func(ws []uint32) bool {
-		cand := &Program{Seed: p.Seed, Image: imageOf(ws)}
-		g, err := RunRV64SMP(cand, RVGolden)
-		if err != nil {
-			return false
-		}
-		st, err := RunRV64SMP(cand, id)
-		if err != nil {
-			return false
-		}
-		return !smpStatesEqual(st, g)
-	}
-	return minimizeWordsNop(words, rvNopWord, stillFails)
 }

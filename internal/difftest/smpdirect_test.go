@@ -54,21 +54,7 @@ func runSMPDirected(t *testing.T, p *asm.Program) []State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &Program{Seed: -1, Image: img}
-	golden, err := RunRV64SMP(prog, RVGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range RV64Configs() {
-		states, err := RunRV64SMP(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !smpStatesEqual(states, golden) {
-			t.Errorf("%s diverges: %s", id, smpStatesDiff(golden, states))
-		}
-	}
-	return golden
+	return checkDirected(t, SMP, t.Name(), &Program{Seed: -1, Image: img})
 }
 
 // xreg extracts hart h's x-register n from the golden states.

@@ -3,94 +3,19 @@ package difftest
 import (
 	"fmt"
 
-	"captive/internal/core"
-	"captive/internal/guest/ga64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
 	"captive/internal/trace"
 )
 
-// The trace lane: differential testing of the *event streams* the
-// introspection layer emits, not just final state. The comparable kinds
-// (trace.ComparableKinds: block entries, interrupt deliveries, guest
-// exceptions) are architecturally determined — every engine must produce the
-// identical ordered sequence of (kind, arg, virtual-time, pc, addr) tuples
-// for the same program, because block formation, injection boundaries and
-// exception points are all part of the shared model. The lane also asserts
-// that running *with* tracing attached leaves the final architectural state
-// bit-identical to the untraced golden run: observation must not perturb.
-
-// RunTraced executes a generated program on one engine configuration with a
-// capture recorder attached for the comparable event kinds, returning the
-// final state and the ordered event stream.
-func RunTraced(p *Program, id EngineID) (State, []trace.Event, error) {
-	cap := &trace.Capture{}
-	rec := trace.NewRecorder(cap, trace.ComparableKinds)
-
-	module, err := ga64.NewModule(id.Level)
-	if err != nil {
-		return State{}, nil, err
-	}
-	switch id.Name {
-	case "interp":
-		m := interp.New(ga64.Port{}, module, RAMBytes)
-		m.SetTrace(rec)
-		copy(m.Mem[HandlerBase:], p.Handler)
-		if err := m.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, nil, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, nil, err
-		}
-		if !m.Halted {
-			return State{}, nil, fmt.Errorf("interp: did not halt")
-		}
-		st := State{Regs: m.RegState(), Instrs: m.Instrs, ExitCode: m.ExitCode}
-		st.Data = append(st.Data, m.Mem[ProbeStart:ProbeEnd]...)
-		st.Data = append(st.Data, m.Mem[StackProbe:StackEnd]...)
-		return st, cap.Events, nil
-
-	case "captive", "qemu":
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, nil, err
-		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, ga64.Port{}, module)
-		} else {
-			e, err = core.New(vm, ga64.Port{}, module)
-		}
-		if err != nil {
-			return State{}, nil, err
-		}
-		e.SetTrace(rec)
-		if err := e.LoadUser(p.Handler, HandlerBase); err != nil {
-			return State{}, nil, err
-		}
-		if err := e.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, nil, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, nil, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
-		if !halted {
-			return State{}, nil, fmt.Errorf("%s: did not halt", id)
-		}
-		st := State{Regs: e.RegState(), Instrs: e.GuestInstrs(), ExitCode: code}
-		buf := make([]byte, (ProbeEnd-ProbeStart)+(StackEnd-StackProbe))
-		if err := e.ReadRAM(ProbeStart, buf[:ProbeEnd-ProbeStart]); err != nil {
-			return State{}, nil, err
-		}
-		if err := e.ReadRAM(StackProbe, buf[ProbeEnd-ProbeStart:]); err != nil {
-			return State{}, nil, err
-		}
-		st.Data = buf
-		return st, cap.Events, nil
-	}
-	return State{}, nil, fmt.Errorf("difftest: unknown engine %q", id.Name)
-}
+// The trace flag of any lane (Lane.Traced): differential testing of the
+// *event streams* the introspection layer emits, not just final state. The
+// comparable kinds (trace.ComparableKinds: block entries, interrupt
+// deliveries, guest exceptions) are architecturally determined — every
+// engine must produce the identical ordered sequence of (kind, arg,
+// virtual-time, pc, addr) tuples for the same program, because block
+// formation, injection boundaries and exception points are all part of the
+// shared model. A traced lane also asserts that running *with* tracing
+// attached leaves the final architectural state bit-identical to the
+// untraced golden run: observation must not perturb.
 
 // DiffEvents describes the first difference between two ordered event
 // streams ("" when identical).
@@ -108,42 +33,4 @@ func DiffEvents(golden, got []trace.Event) string {
 		return fmt.Sprintf("stream length %d vs %d (first %d events agree)", len(golden), len(got), n)
 	}
 	return ""
-}
-
-// CheckTrace generates the program for a seed, runs it traced through the
-// full engine matrix and asserts (1) every configuration's comparable event
-// stream is identical to the golden interpreter's, and (2) attaching the
-// recorder did not perturb any engine's final state (compared against the
-// *untraced* golden run).
-func CheckTrace(seed int64, ops int, generate func(int64, int) (*Program, error)) error {
-	p, err := generate(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: seed %d: generate: %w", seed, err)
-	}
-	plain, err := Run(p, Golden)
-	if err != nil {
-		return fmt.Errorf("difftest: seed %d: golden run: %w", seed, err)
-	}
-	golden, events, err := RunTraced(p, Golden)
-	if err != nil {
-		return fmt.Errorf("difftest: seed %d: traced golden run: %w", seed, err)
-	}
-	if !golden.Equal(plain) {
-		return fmt.Errorf("difftest: seed %d: tracing perturbed the golden run: %s", seed, plain.Diff(golden))
-	}
-	for _, id := range Configs() {
-		st, ev, err := RunTraced(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: seed %d: %w", seed, err)
-		}
-		if !st.Equal(plain) {
-			return fmt.Errorf("difftest: seed %d: %s diverges from %s under tracing: %s",
-				seed, id, Golden, plain.Diff(st))
-		}
-		if d := DiffEvents(events, ev); d != "" {
-			return fmt.Errorf("difftest: seed %d: %s event stream diverges from %s: %s",
-				seed, id, Golden, d)
-		}
-	}
-	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"captive/internal/gen"
 	"captive/internal/guest/port"
 	"captive/internal/metrics"
+	"captive/internal/smp"
 	"captive/internal/ssa"
 	"captive/internal/trace"
 )
@@ -70,7 +71,7 @@ type Machine struct {
 	// bus is the device bus every access goes through: the machine's own
 	// Bus for a uniprocessor, hart 0's for a cluster member. hartID is this
 	// machine's index in the SMP topology, and cl the owning cluster (nil
-	// for a standalone machine).
+	// for a standalone machine, including the hart of a one-hart cluster).
 	bus    *device.Bus
 	hartID int
 	cl     *Cluster
@@ -566,7 +567,8 @@ func (m *Machine) Step() (bool, error) {
 // Run executes until halt or the step limit; it returns the number of
 // instructions retired during this call. The limit counts steps rather than
 // retired instructions so that exception loops through undecodable memory
-// still terminate.
+// still terminate; running out of it returns an error wrapping
+// smp.ErrBudget.
 func (m *Machine) Run(limit uint64) (uint64, error) {
 	start := m.Instrs
 	for steps := uint64(0); steps < limit; steps++ {
@@ -578,7 +580,7 @@ func (m *Machine) Run(limit uint64) (uint64, error) {
 			return m.Instrs - start, nil
 		}
 	}
-	return m.Instrs - start, fmt.Errorf("interp: step limit %d exceeded at pc %#x", limit, m.PC())
+	return m.Instrs - start, fmt.Errorf("interp: step limit %d exceeded at pc %#x: %w", limit, m.PC(), smp.ErrBudget)
 }
 
 // RunSlice executes until at least quantum further instructions have
@@ -596,7 +598,7 @@ func (m *Machine) RunSlice(quantum uint64) error {
 		}
 		if m.cl != nil {
 			if m.cl.steps >= m.cl.stepLimit {
-				return fmt.Errorf("interp: cluster step limit %d exceeded at hart %d pc %#x", m.cl.stepLimit, m.hartID, m.PC())
+				return fmt.Errorf("interp: cluster step limit %d exceeded at hart %d pc %#x: %w", m.cl.stepLimit, m.hartID, m.PC(), smp.ErrBudget)
 			}
 			m.cl.steps++
 		}

@@ -6,10 +6,12 @@
 // through one diffable shape (cmd/captive -metrics, cmd/bench -json).
 //
 // The struct deliberately lives below internal/core in the import graph
-// (it imports nothing) so benchmarks, difftest and future services
+// (it imports only the standard library) so benchmarks, difftest and future services
 // (ROADMAP item 3's captived) can consume snapshots without importing the
 // engines.
 package metrics
+
+import "reflect"
 
 // Snapshot is one engine's metrics at a point in time.
 //
@@ -61,4 +63,29 @@ type Snapshot struct {
 	TranslateNS int64 `json:"translate_ns,omitempty"`
 	RegallocNS  int64 `json:"regalloc_ns,omitempty"`
 	EncodeNS    int64 `json:"encode_ns,omitempty"`
+}
+
+// Sum aggregates the per-hart snapshots of one machine into the machine's
+// snapshot: every counter adds up across harts, while the engine name and
+// the virtual clock, which already covers the whole machine, come from
+// hart 0 once.
+func Sum(harts ...Snapshot) Snapshot {
+	if len(harts) == 0 {
+		return Snapshot{}
+	}
+	sum := harts[0]
+	acc := reflect.ValueOf(&sum).Elem()
+	for _, h := range harts[1:] {
+		v := reflect.ValueOf(h)
+		for i := 0; i < acc.NumField(); i++ {
+			switch f := acc.Field(i); f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + v.Field(i).Uint())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + v.Field(i).Int())
+			}
+		}
+	}
+	sum.VirtualTime = harts[0].VirtualTime
+	return sum
 }

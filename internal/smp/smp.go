@@ -6,7 +6,23 @@
 // is bit-identical everywhere — which is what lets the SMP difftest lane
 // compare multi-vCPU runs across the interpreter, Captive at every offline
 // level and the QEMU baseline.
+//
+// The package also owns the run contract every engine shares at any hart
+// count: the budget unit and its expiry sentinel.
 package smp
+
+import "errors"
+
+// DeciCyclesPerStep fixes the one budget unit of every engine. A run budget
+// counts interpreter steps; the DBT engines bound each hart's simulated time
+// at this many deci-cycles per step (2,000,000 steps = 4,000,000,000
+// deci-cycles, the bounds the difftest lanes always used).
+const DeciCyclesPerStep = 2000
+
+// ErrBudget is the one budget-expiry sentinel: every engine's run returns it
+// (or an error wrapping it, matched with errors.Is) when the budget runs out
+// before the guest halts.
+var ErrBudget = errors.New("run budget exhausted before the guest halted")
 
 // Hart is one virtual CPU as the scheduler sees it. Implementations adapt
 // the engine (core.Engine) or interpreter (interp.Machine) hart state.
