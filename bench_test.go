@@ -1,11 +1,5 @@
-// Benchmark harness entry points: one testing.B benchmark per table and
-// figure of the paper's evaluation (§3), plus micro-benchmarks of the
-// toolchain itself. Each figure benchmark performs one full regeneration per
-// iteration and reports its headline number via b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the entire evaluation. cmd/bench prints the full tables.
+// Benchmark harness entry points: the paper's evaluation (§3) and
+// micro-benchmarks of the toolchain itself.
 package captive_test
 
 import (
@@ -14,203 +8,56 @@ import (
 	"captive"
 	"captive/ga64asm"
 	"captive/internal/bench"
+	"captive/internal/guest/ga64"
 	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 )
 
-// BenchmarkFig17_SPECint regenerates Fig. 17: SPECint speedup over the QEMU
-// baseline (paper: geomean 2.21x).
-func BenchmarkFig17_SPECint(b *testing.B) {
+// BenchmarkPaper regenerates the paper's evaluation, one sub-benchmark per
+// bench.Experiments entry. Each iteration regenerates the experiment once
+// and reports its headline value, so
+//
+//	go test -run '^$' -bench Paper
+//
+// reproduces the entire evaluation; cmd/bench prints the full tables.
+func BenchmarkPaper(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-evaluation benchmark; skipped in -short runs")
 	}
-	for i := 0; i < b.N; i++ {
-		var ratios []float64
-		for _, w := range bench.Integer() {
-			c, q, err := bench.Compare(w)
-			if err != nil {
-				b.Fatal(err)
+	for _, e := range bench.Experiments() {
+		e := e
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				v, ok := headline(tables, e.Headline)
+				if !ok {
+					b.Fatalf("no %q row with a %q column", e.Headline.Row, e.Headline.Column)
+				}
+				b.ReportMetric(v, e.Headline.Unit)
 			}
-			ratios = append(ratios, perf.Speedup(q.Seconds, c.Seconds))
-		}
-		b.ReportMetric(perf.GeoMean(ratios), "geomean-speedup")
+		})
 	}
 }
 
-// BenchmarkFig18_SPECfp regenerates Fig. 18: SPECfp speedup (paper: 6.49x).
-func BenchmarkFig18_SPECfp(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		var ratios []float64
-		for _, w := range bench.Float() {
-			c, q, err := bench.Compare(w)
-			if err != nil {
-				b.Fatal(err)
+// headline finds h's cell in tables.
+func headline(tables []perf.Table, h bench.Headline) (float64, bool) {
+	for _, t := range tables {
+		for c, name := range t.Columns {
+			if name != h.Column {
+				continue
 			}
-			ratios = append(ratios, perf.Speedup(q.Seconds, c.Seconds))
-		}
-		b.ReportMetric(perf.GeoMean(ratios), "geomean-speedup")
-	}
-}
-
-// BenchmarkFig19_SimBench regenerates Fig. 19 and reports the memory-system
-// headline (Mem-Hot-MMU speedup).
-func BenchmarkFig19_SimBench(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		var hot float64
-		for _, m := range bench.SimBench() {
-			c, err := bench.RunMicro(machine.Captive, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := bench.RunMicro(machine.QEMU, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Name == "Mem-Hot-MMU" {
-				hot = perf.Speedup(q.Seconds, c.Seconds)
-			}
-		}
-		b.ReportMetric(hot, "mem-hot-mmu-speedup")
-	}
-}
-
-// BenchmarkFig20_JITPhases regenerates Fig. 20 and reports the translate
-// share (paper: 54.54%).
-func BenchmarkFig20_JITPhases(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig20()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t.Rows {
-			if row.Name == "Translate" {
-				b.ReportMetric(row.Values[0], "translate-%")
+			for _, r := range t.Rows {
+				if r.Name == h.Row && c < len(r.Values) {
+					return r.Values[c], true
+				}
 			}
 		}
 	}
-}
-
-// BenchmarkFig21_CodeQuality regenerates Fig. 21 and reports the per-block
-// code-quality factor (paper: 3.44x on 429.mcf).
-func BenchmarkFig21_CodeQuality(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig21()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Fit.Shift, "block-quality-factor")
-	}
-}
-
-// BenchmarkFig22_Native regenerates Fig. 22 and reports Captive's guest MIPS
-// (the basis of the native-platform comparison).
-func BenchmarkFig22_Native(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig22()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t.Rows {
-			if row.Name == "Captive" {
-				b.ReportMetric(row.Values[0], "speedup-vs-qemu")
-			}
-		}
-	}
-}
-
-// BenchmarkTable2_Sqrt verifies and times the Table 2 corner-case
-// reproduction (bit-accurate FSQRT via host FP + fix-ups).
-func BenchmarkTable2_Sqrt(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5_Retarget regenerates the Table 5-style retarget figure:
-// RV64 kernels through the same Captive/QEMU engines via the guest port.
-func BenchmarkTable5_Retarget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := t.Rows[len(t.Rows)-1]
-		b.ReportMetric(last.Values[len(last.Values)-1], "geomean-speedup")
-	}
-}
-
-// BenchmarkSec34_JITStats regenerates the §3.4 statistics and reports bytes
-// of host code per guest instruction on Captive (paper: 67.53).
-func BenchmarkSec34_JITStats(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Sec34()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t.Rows {
-			if row.Name == "bytes-per-guest-inst" {
-				b.ReportMetric(row.Values[0], "captive-bytes/guest-inst")
-			}
-		}
-	}
-}
-
-// BenchmarkSec361_OptLevels regenerates the §3.6.1 offline-optimization
-// comparison and reports the O4 size reduction (paper: 56%).
-func BenchmarkSec361_OptLevels(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Sec361()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t.Rows {
-			if row.Name == "O4" {
-				b.ReportMetric(row.Values[1], "O4-reduction-%")
-			}
-		}
-	}
-}
-
-// BenchmarkSec362_HardVsSoftFP regenerates §3.6.2 and reports the
-// within-Captive hardware-FP gain (paper: 1.3x).
-func BenchmarkSec362_HardVsSoftFP(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-evaluation benchmark; skipped in -short runs")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Sec362()
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = t
-	}
+	return 0, false
 }
 
 // --- toolchain micro-benchmarks ---
@@ -219,7 +66,7 @@ func BenchmarkSec362_HardVsSoftFP(b *testing.B) {
 // build, O4 optimization and decoder generation for the full GA64 model.
 func BenchmarkOfflineModuleBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.BuildFreshModule(ssa.O4); err != nil {
+		if _, err := ga64.BuildModule(ssa.O4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,12 +15,17 @@ import (
 	"fmt"
 	"os"
 
-	"captive/internal/adl"
 	"captive/internal/gen"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/rv64"
 	"captive/internal/ssa"
 )
+
+// models maps each -model name to the guest package's module builder.
+var models = map[string]func(ssa.OptLevel) (*gen.Module, error){
+	"ga64": ga64.NewModule,
+	"rv64": rv64.NewModule,
+}
 
 func main() {
 	level := flag.Int("O", 4, "offline optimization level (1-4)")
@@ -28,38 +33,12 @@ func main() {
 	model := flag.String("model", "ga64", "architecture model: ga64 or rv64")
 	flag.Parse()
 
-	var src string
-	switch *model {
-	case "ga64":
-		src = ga64.Source
-	case "rv64":
-		src = rv64.Source
-	default:
+	build, ok := models[*model]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "gensim: unknown model %q\n", *model)
 		os.Exit(1)
 	}
-
-	file, err := adl.Parse(src)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gensim:", err)
-		os.Exit(1)
-	}
-	reg := ssa.NewRegistry()
-	for _, b := range file.Banks {
-		switch b.Name {
-		case "X":
-			reg.AddBank(b, "gpr")
-		case "VL":
-			reg.AddBank(b, "vl")
-		case "VH":
-			reg.AddBank(b, "vh")
-		case "NZCV":
-			reg.AddBank(b, "flags")
-		default:
-			reg.AddBank(b, "")
-		}
-	}
-	module, err := gen.Build(file, reg, ssa.OptLevel(*level))
+	module, err := build(ssa.OptLevel(*level))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gensim:", err)
 		os.Exit(1)
@@ -87,8 +66,8 @@ func main() {
 	st := module.Stats()
 	fmt.Printf("model:            %s (O%d)\n", module.Arch, *level)
 	fmt.Printf("instructions:     %d (%d end translation blocks)\n", len(module.Instrs), endsBlock)
-	fmt.Printf("formats:          %d, %d-bit words\n", len(file.Formats), module.InstBits)
-	fmt.Printf("helpers:          %d (inlined offline)\n", len(file.Helpers))
+	fmt.Printf("formats:          %d, %d-bit words\n", len(module.File.Formats), module.InstBits)
+	fmt.Printf("helpers:          %d (inlined offline)\n", len(module.File.Helpers))
 	fmt.Printf("ssa statements:   %d\n", stmts)
 	fmt.Printf("register file:    %d bytes (PC at +%d)\n", module.Layout.Size, module.Layout.PCOffset)
 	fmt.Printf("decoder tree:     %d nodes, %d leaves, depth %d, max %d candidates/leaf\n",

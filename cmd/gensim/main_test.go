@@ -6,47 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
-	"captive/internal/adl"
 	"captive/internal/gen"
-	"captive/internal/guest/ga64"
-	"captive/internal/guest/rv64"
 	"captive/internal/ssa"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// buildFor mirrors main's module construction for a model name.
+// buildFor builds a model's module the way main does.
 func buildFor(t *testing.T, model string, level ssa.OptLevel) *gen.Module {
 	t.Helper()
-	var src string
-	switch model {
-	case "ga64":
-		src = ga64.Source
-	case "rv64":
-		src = rv64.Source
-	default:
+	build, ok := models[model]
+	if !ok {
 		t.Fatalf("unknown model %q", model)
 	}
-	file, err := adl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := ssa.NewRegistry()
-	for _, b := range file.Banks {
-		switch b.Name {
-		case "X":
-			reg.AddBank(b, "gpr")
-		case "VL":
-			reg.AddBank(b, "vl")
-		case "VH":
-			reg.AddBank(b, "vh")
-		case "NZCV":
-			reg.AddBank(b, "flags")
-		default:
-			reg.AddBank(b, "")
-		}
-	}
-	m, err := gen.Build(file, reg, level)
+	m, err := build(level)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"captive/internal/adl"
 	"captive/internal/core"
-	"captive/internal/gen"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
 	"captive/internal/machine"
@@ -17,26 +15,56 @@ import (
 )
 
 // This file regenerates every table and figure of the paper's evaluation
-// (§3). Each FigNN function runs the required workloads and renders the rows
-// the paper reports; EXPERIMENTS.md records paper-vs-measured values.
+// (§3): Experiments lists them, and each one runs the required workloads
+// and renders the rows the paper reports.
 
-// Fig17 reproduces Fig. 17: SPEC CPU2006 integer runtimes for Captive and
+// Experiment is one table or figure of the paper's evaluation.
+type Experiment struct {
+	Name     string // what cmd/bench selects it by, e.g. "fig17"
+	Run      func() ([]perf.Table, error)
+	Headline Headline
+}
+
+// Headline is the one value an experiment's benchmark reports: the cell at
+// Row and Column of one of its tables, reported in Unit.
+type Headline struct{ Row, Column, Unit string }
+
+// Experiments returns the paper's evaluation in the order cmd/bench prints
+// it.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"fig17", fig17, Headline{"Geo.Mean", "speedup", "geomean-speedup"}},
+		{"fig18", fig18, Headline{"Geo.Mean", "speedup", "geomean-speedup"}},
+		{"fig19", fig19, Headline{"Mem-Hot-MMU", "speedup", "mem-hot-mmu-speedup"}},
+		{"fig20", fig20, Headline{"Translate", "percent", "translate-%"}},
+		{"fig21", fig21, Headline{"code-quality-factor", "value", "block-quality-factor"}},
+		{"fig22", fig22, Headline{"Captive", "speedup", "speedup-vs-qemu"}},
+		{"table2", table2, Headline{"-inf", "captive", "captive-sqrt(-inf)-hi32"}},
+		{"table5", func() ([]perf.Table, error) { return table5(RunRV64Workload) },
+			Headline{"Geo.Mean", "speedup", "geomean-speedup"}},
+		{"sec3.4", sec34, Headline{"bytes-per-guest-inst", "captive", "captive-bytes/guest-inst"}},
+		{"sec3.6.1", sec361, Headline{"O4", "reduction%", "O4-reduction-%"}},
+		{"sec3.6.2", sec362, Headline{"captive-hardfp", "speedup-vs-qemu", "hardfp-speedup-vs-qemu"}},
+	}
+}
+
+// fig17 reproduces Fig. 17: SPEC CPU2006 integer runtimes for Captive and
 // the QEMU baseline (a), and the per-benchmark speedup with geometric mean
 // (b).
-func Fig17() (absolute, speedup perf.Table, err error) {
-	absolute = perf.Table{
+func fig17() ([]perf.Table, error) {
+	absolute := perf.Table{
 		Title:   "Fig 17a: SPECint absolute runtime (simulated seconds; lower is better)",
 		Columns: []string{"qemu(s)", "captive(s)"},
 	}
-	speedup = perf.Table{
+	speedup := perf.Table{
 		Title:   "Fig 17b: SPECint speed-up of Captive over QEMU (higher is better)",
 		Columns: []string{"speedup"},
 	}
 	var ratios []float64
 	for _, w := range Integer() {
-		c, q, cerr := Compare(w)
-		if cerr != nil {
-			return absolute, speedup, cerr
+		c, q, err := Compare(w)
+		if err != nil {
+			return nil, err
 		}
 		absolute.Add(w.Name, q.Seconds, c.Seconds)
 		s := perf.Speedup(q.Seconds, c.Seconds)
@@ -46,11 +74,11 @@ func Fig17() (absolute, speedup perf.Table, err error) {
 	speedup.Add("Geo.Mean", perf.GeoMean(ratios))
 	speedup.Notes = append(speedup.Notes,
 		"paper: geometric mean 2.21x; 456.hmmer and 462.libquantum slower than QEMU")
-	return absolute, speedup, nil
+	return []perf.Table{absolute, speedup}, nil
 }
 
-// Fig18 reproduces Fig. 18: SPECfp speedups.
-func Fig18() (perf.Table, error) {
+// fig18 reproduces Fig. 18: SPECfp speedups.
+func fig18() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 18: SPECfp speed-up of Captive over QEMU (higher is better)",
 		Columns: []string{"speedup"},
@@ -59,7 +87,7 @@ func Fig18() (perf.Table, error) {
 	for _, w := range Float() {
 		c, q, err := Compare(w)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
 		s := perf.Speedup(q.Seconds, c.Seconds)
 		t.Add(w.Name, s)
@@ -67,11 +95,11 @@ func Fig18() (perf.Table, error) {
 	}
 	t.Add("Geo.Mean", perf.GeoMean(ratios))
 	t.Notes = append(t.Notes, "paper: geometric mean 6.49x (software FP in QEMU vs host FP + fix-ups)")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Fig19 reproduces Fig. 19: SimBench micro-benchmark speedups.
-func Fig19() (perf.Table, error) {
+// fig19 reproduces Fig. 19: SimBench micro-benchmark speedups.
+func fig19() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 19: SimBench speed-up of Captive over QEMU",
 		Columns: []string{"speedup"},
@@ -79,22 +107,22 @@ func Fig19() (perf.Table, error) {
 	for _, m := range SimBench() {
 		c, err := RunMicro(machine.Captive, m)
 		if err != nil {
-			return t, fmt.Errorf("%s: %w", m.Name, err)
+			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
 		q, err := RunMicro(machine.QEMU, m)
 		if err != nil {
-			return t, fmt.Errorf("%s: %w", m.Name, err)
+			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
 		t.Add(m.Name, perf.Speedup(q.Seconds, c.Seconds))
 	}
 	t.Notes = append(t.Notes,
 		"paper: Captive wins everywhere except Small/Large-Blocks (code generation) and Data-Fault")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Fig20 reproduces Fig. 20: the share of JIT compilation time per phase,
+// fig20 reproduces Fig. 20: the share of JIT compilation time per phase,
 // measured over the translation work of the full SPECint suite.
-func Fig20() (perf.Table, error) {
+func fig20() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 20: % of JIT compilation time per phase (Captive)",
 		Columns: []string{"percent"},
@@ -103,7 +131,7 @@ func Fig20() (perf.Table, error) {
 	for _, w := range Integer() {
 		r, err := RunWorkload(machine.Captive, w)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
 		dec += r.Metrics.DecodeNS
 		tra += r.Metrics.TranslateNS
@@ -112,7 +140,7 @@ func Fig20() (perf.Table, error) {
 	}
 	total := dec + tra + reg + enc
 	if total == 0 {
-		return t, fmt.Errorf("fig20: no compilation time recorded")
+		return nil, fmt.Errorf("fig20: no compilation time recorded")
 	}
 	pct := func(ns int64) float64 { return 100 * float64(ns) / float64(total) }
 	t.Add("Decode", pct(dec))
@@ -120,27 +148,20 @@ func Fig20() (perf.Table, error) {
 	t.Add("Register-Allocation", pct(reg))
 	t.Add("Encode", pct(enc))
 	t.Notes = append(t.Notes, "paper: decode 2.75%, translate 54.54%, regalloc 25.63%, encode 17.08%")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Fig21Result carries the code-quality comparison of Fig. 21.
-type Fig21Result struct {
-	Table  perf.Table
-	Fit    perf.LogLogFit
-	Points int
-}
-
-// Fig21 reproduces Fig. 21: per-block accumulated execution cycles with
+// fig21 reproduces Fig. 21: per-block accumulated execution cycles with
 // block chaining disabled on both engines, and the log-log regression whose
 // vertical shift is the code-quality factor. The paper plots 429.mcf alone;
 // our synthetic kernels have far fewer basic blocks than real mcf, so the
 // scatter accumulates mcf plus two other branchy workloads for density.
-func Fig21() (Fig21Result, error) {
+func fig21() ([]perf.Table, error) {
 	var xs, ys []float64
 	for _, name := range []string{"429.mcf", "403.gcc", "471.omnetpp"} {
 		x, y, err := fig21Points(name)
 		if err != nil {
-			return Fig21Result{}, err
+			return nil, err
 		}
 		xs = append(xs, x...)
 		ys = append(ys, y...)
@@ -154,7 +175,7 @@ func Fig21() (Fig21Result, error) {
 	t.Add("regression-slope", fit.Slope)
 	t.Add("code-quality-factor", fit.Shift)
 	t.Notes = append(t.Notes, "paper: blocks execute on average 3.44x faster on Captive (429.mcf)")
-	return Fig21Result{Table: t, Fit: fit, Points: fit.N}, nil
+	return []perf.Table{t}, nil
 }
 
 func fig21Points(name string) (xs, ys []float64, err error) {
@@ -170,7 +191,7 @@ func fig21Points(name string) (xs, ys []float64, err error) {
 	profile := func(kind machine.Kind) (map[uint64]uint64, map[uint64]uint64, error) {
 		s := spec(kind, ga64.Port{})
 		s.ChainingOff = true
-		m, _, err := run(s, img)
+		m, err := run(s, img)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -215,9 +236,9 @@ const (
 	a57CPI = 0.95
 )
 
-// Fig22 reproduces Fig. 22: Captive and QEMU against native ARMv8 platforms,
+// fig22 reproduces Fig. 22: Captive and QEMU against native ARMv8 platforms,
 // as speedups relative to QEMU across the SPECint suite.
-func Fig22() (perf.Table, error) {
+func fig22() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 22: speed-up relative to QEMU (SPECint aggregate)",
 		Columns: []string{"speedup"},
@@ -226,7 +247,7 @@ func Fig22() (perf.Table, error) {
 	for _, w := range Integer() {
 		c, q, err := Compare(w)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
 		qemuS += q.Seconds
 		capS += c.Seconds
@@ -241,12 +262,12 @@ func Fig22() (perf.Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: Captive ~2x a 1.2GHz Cortex-A53, ~40% of a 2.0GHz Cortex-A57",
 		fmt.Sprintf("captive absolute: %.0f guest MIPS", instrs/capS/1e6))
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Table2 reproduces Table 2: x86 SQRTSD vs ARM FSQRT corner cases, and
+// table2 reproduces Table 2: x86 SQRTSD vs ARM FSQRT corner cases, and
 // verifies the Captive engine's fix-up path lands on the ARM column.
-func Table2() (perf.Table, error) {
+func table2() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Table 2: square-root corner cases (bit patterns)",
 		Columns: []string{"x86", "arm", "captive"},
@@ -274,31 +295,31 @@ func Table2() (perf.Table, error) {
 	p.Hlt(1)
 	img, err := BareMetal(p)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
-	m, _, err := run(spec(machine.Captive, ga64.Port{}), img)
+	m, err := run(spec(machine.Captive, ga64.Port{}), img)
 	if err != nil {
-		return t, fmt.Errorf("table2: %w", err)
+		return nil, fmt.Errorf("table2: %w", err)
 	}
 	for i, in := range inputs {
 		x86 := softfloat.Sqrt64(in.bits, softfloat.SemX86)
 		arm := softfloat.Sqrt64(in.bits, softfloat.SemARM)
 		got := m.FReg(0, i+8)
 		if got != arm {
-			return t, fmt.Errorf("table2: captive fsqrt(%s) = %#x, want ARM %#x", in.name, got, arm)
+			return nil, fmt.Errorf("table2: captive fsqrt(%s) = %#x, want ARM %#x", in.name, got, arm)
 		}
 		t.Add(in.name, float64(x86>>32), float64(arm>>32), float64(got>>32))
 	}
 	t.Notes = append(t.Notes,
 		"values shown are the high 32 bits of the result; captive == arm for every row",
 		"x86 yields the negative indefinite NaN for -inf and -0.5; ARM the positive default NaN")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Sec34 reproduces the §3.4 JIT statistics: per-block translation cost
+// sec34 reproduces the §3.4 JIT statistics: per-block translation cost
 // ratio, code size per guest instruction, and executed host instructions
 // per guest instruction, using 429.mcf as in the paper.
-func Sec34() (perf.Table, error) {
+func sec34() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Sec 3.4: JIT compilation and code-size statistics (429.mcf)",
 		Columns: []string{"captive", "qemu"},
@@ -306,11 +327,11 @@ func Sec34() (perf.Table, error) {
 	w, _ := ByName("429.mcf")
 	c, err := RunWorkload(machine.Captive, w)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	q, err := RunWorkload(machine.QEMU, w)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	cm, qm := c.Metrics, q.Metrics
 	perBlock := func(m metrics.Snapshot) float64 {
@@ -324,35 +345,25 @@ func Sec34() (perf.Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: Captive 2.6x slower per translated block; 67.53 vs 40.26 bytes/guest instruction",
 		"paper: ~10 executed host instructions per guest instruction")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
-// Sec361 reproduces §3.6.1: generated-code size (SSA statements, the
+// sec361 reproduces §3.6.1: generated-code size (SSA statements, the
 // generated-lines proxy) of the full GA64 model at offline levels O1–O4.
-func Sec361() (perf.Table, error) {
+func sec361() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Sec 3.6.1: offline optimization level vs generated model size",
 		Columns: []string{"ssa-stmts", "reduction%"},
 	}
 	var o1Count int
 	for _, level := range []ssa.OptLevel{ssa.O1, ssa.O2, ssa.O3, ssa.O4} {
-		file, err := adl.Parse(ga64.Source)
+		m, err := ga64.NewModule(level)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
-		reg := ssa.NewRegistry()
-		reg.AddBank(file.Bank("X"), "gpr")
-		reg.AddBank(file.Bank("VL"), "vl")
-		reg.AddBank(file.Bank("VH"), "vh")
-		reg.AddBank(file.Bank("NZCV"), "flags")
 		total := 0
-		for _, instr := range file.Instrs {
-			a, err := ssa.Build(file, instr, reg)
-			if err != nil {
-				return t, err
-			}
-			ssa.Optimize(a, level)
-			total += a.StmtCount()
+		for _, in := range m.Instrs {
+			total += in.Action.StmtCount()
 		}
 		if level == ssa.O1 {
 			o1Count = total
@@ -361,7 +372,7 @@ func Sec361() (perf.Table, error) {
 			100*(1-float64(total)/float64(o1Count)))
 	}
 	t.Notes = append(t.Notes, "paper: 271,299 lines at O1 vs 120,162 at O4 (56% reduction)")
-	return t, nil
+	return []perf.Table{t}, nil
 }
 
 // fpMicro builds the §3.6.2 floating-point micro-benchmark: a loop over
@@ -398,34 +409,34 @@ func fpMicro() *asm.Program {
 	return p
 }
 
-// Sec362 reproduces §3.6.2: hardware vs software floating point. Three
+// sec362 reproduces §3.6.2: hardware vs software floating point. Three
 // configurations: Captive with host FP (+fix-ups), QEMU with software FP,
 // and Captive with software FP (the internal ablation).
-func Sec362() (perf.Table, error) {
+func sec362() ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Sec 3.6.2: hardware vs software floating point (FP micro-benchmark)",
 		Columns: []string{"sim-seconds", "speedup-vs-qemu"},
 	}
 	img, err := BareMetal(fpMicro())
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	hw, err := RunImage(machine.Captive, img, "fpmicro")
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	soft := spec(machine.Captive, ga64.Port{})
 	soft.SoftFP = true
 	sw, err := runImage(soft, img, "fpmicro", 1)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	qm, err := RunImage(machine.QEMU, img, "fpmicro")
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	if hw.Checksum != sw.Checksum || hw.Checksum != qm.Checksum {
-		return t, fmt.Errorf("sec362: FP results disagree: %#x %#x %#x",
+		return nil, fmt.Errorf("sec362: FP results disagree: %#x %#x %#x",
 			hw.Checksum, sw.Checksum, qm.Checksum)
 	}
 	t.Add("captive-hardfp", hw.Seconds, qm.Seconds/hw.Seconds)
@@ -434,26 +445,7 @@ func Sec362() (perf.Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: hard-FP Captive 2.17x over QEMU; soft-FP Captive 1.68x; 1.3x within Captive",
 		fmt.Sprintf("measured within-captive hardware-FP gain: %.2fx", sw.Seconds/hw.Seconds))
-	return t, nil
-}
-
-// BuildFreshModule rebuilds the GA64 module from scratch (no cache), for
-// offline-stage benchmarking.
-func BuildFreshModule(level ssa.OptLevel) (int, error) {
-	file, err := adl.Parse(ga64.Source)
-	if err != nil {
-		return 0, err
-	}
-	reg := ssa.NewRegistry()
-	reg.AddBank(file.Bank("X"), "gpr")
-	reg.AddBank(file.Bank("VL"), "vl")
-	reg.AddBank(file.Bank("VH"), "vh")
-	reg.AddBank(file.Bank("NZCV"), "flags")
-	module, err := gen.Build(file, reg, level)
-	if err != nil {
-		return 0, err
-	}
-	return len(module.Instrs), nil
+	return []perf.Table{t}, nil
 }
 
 // SmallBlocksProgram exposes the Small-Blocks generator for the translation

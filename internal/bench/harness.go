@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/port"
@@ -20,7 +19,6 @@ type Result struct {
 	Checksum    uint64  // the checksum register at exit, XORed over harts
 	ExitCode    uint64
 	Console     string
-	Wall        time.Duration    // host time of the Run call alone
 	Metrics     metrics.Snapshot // summed over harts
 }
 
@@ -35,14 +33,14 @@ func spec(kind machine.Kind, g port.Port) machine.Spec {
 }
 
 // run builds the machine s describes, loads img (the kernel at KernelBase,
-// then any user segments) and runs it to a halt, timing the Run call alone.
-func run(s machine.Spec, img Image) (machine.Machine, time.Duration, error) {
+// then any user segments) and runs it to a halt.
+func run(s machine.Spec, img Image) (machine.Machine, error) {
 	m, err := machine.New(s)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for _, seg := range []struct {
 		data []byte
@@ -52,25 +50,23 @@ func run(s machine.Spec, img Image) (machine.Machine, time.Duration, error) {
 			continue
 		}
 		if err := m.LoadData(seg.data, seg.pa); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	start := time.Now()
 	if err := m.Run(budget); err != nil {
-		return nil, 0, fmt.Errorf("%w (pc=%#x)", err, m.PC(0))
+		return nil, fmt.Errorf("%w (pc=%#x)", err, m.PC(0))
 	}
-	wall := time.Since(start)
 	if halted, _ := m.Exit(); !halted {
-		return nil, 0, fmt.Errorf("did not halt")
+		return nil, fmt.Errorf("did not halt")
 	}
-	return m, wall, nil
+	return m, nil
 }
 
 // runImage runs img on the machine s describes and reports it; sumReg is the
 // guest's checksum register.
 func runImage(s machine.Spec, img Image, name string, sumReg int) (Result, error) {
 	res := Result{Workload: name, Engine: s.Kind}
-	m, wall, err := run(s, img)
+	m, err := run(s, img)
 	if err != nil {
 		return res, fmt.Errorf("bench %s/%s: %w", name, s.Kind, err)
 	}
@@ -82,7 +78,6 @@ func runImage(s machine.Spec, img Image, name string, sumReg int) (Result, error
 	}
 	_, res.ExitCode = m.Exit()
 	res.Console = m.Console()
-	res.Wall = wall
 	return res, nil
 }
 
@@ -120,9 +115,16 @@ func Compare(w Workload) (captive, qemu Result, err error) {
 	if err != nil {
 		return
 	}
-	if captive.Checksum != qemu.Checksum || captive.ExitCode != qemu.ExitCode {
-		err = fmt.Errorf("bench %s: engines disagree: captive chk=%#x exit=%d, qemu chk=%#x exit=%d",
-			w.Name, captive.Checksum, captive.ExitCode, qemu.Checksum, qemu.ExitCode)
-	}
+	err = agree(captive, qemu)
 	return
+}
+
+// agree requires a workload's Captive and QEMU runs to end with the same
+// checksum and exit code.
+func agree(captive, qemu Result) error {
+	if captive.Checksum != qemu.Checksum || captive.ExitCode != qemu.ExitCode {
+		return fmt.Errorf("bench %s: engines disagree: captive chk=%#x exit=%d, qemu chk=%#x exit=%d",
+			captive.Workload, captive.Checksum, captive.ExitCode, qemu.Checksum, qemu.ExitCode)
+	}
+	return nil
 }

@@ -183,27 +183,27 @@ func RunRV64Workload(kind machine.Kind, w RVWorkload) (Result, error) {
 	return runRV64(spec(kind, rv64.Port{}), w.Build(), w.Name)
 }
 
-// Table5 produces the retarget figure: per-kernel simulated runtimes on
-// both engines and the Captive-vs-QEMU speedup, with the geometric mean —
-// the same shape as the GA64 SPECint figure (Fig. 17), for the second
-// guest.
-func Table5() (perf.Table, error) {
+// table5 produces the retarget figure from run's results: per-kernel
+// simulated runtimes on both engines and the Captive-vs-QEMU speedup, with
+// the geometric mean — the same shape as the GA64 SPECint figure (Fig. 17),
+// for the second guest.
+func table5(run func(machine.Kind, RVWorkload) (Result, error)) ([]perf.Table, error) {
 	t := perf.Table{
 		Title:   "Table 5: retargeted RV64 guest, Captive vs QEMU baseline",
 		Columns: []string{"qemu(s)", "captive(s)", "speedup"},
 	}
 	var ratios []float64
 	for _, w := range RVWorkloads() {
-		c, err := RunRV64Workload(machine.Captive, w)
+		c, err := run(machine.Captive, w)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
-		q, err := RunRV64Workload(machine.QEMU, w)
+		q, err := run(machine.QEMU, w)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
 		if c.Checksum != q.Checksum || c.GuestInstrs != q.GuestInstrs {
-			return t, fmt.Errorf("table5 %s: engines disagree: captive chk=%#x n=%d, qemu chk=%#x n=%d",
+			return nil, fmt.Errorf("table5 %s: engines disagree: captive chk=%#x n=%d, qemu chk=%#x n=%d",
 				w.Name, c.Checksum, c.GuestInstrs, q.Checksum, q.GuestInstrs)
 		}
 		s := perf.Speedup(q.Seconds, c.Seconds)
@@ -214,5 +214,5 @@ func Table5() (perf.Table, error) {
 	t.Notes = append(t.Notes,
 		"same engines, same online pipeline as the GA64 figures — only the guest port differs",
 		"paper (Table 5): the generated ARMv7 guest reaches ~7.8x QEMU; other guests are user-level models")
-	return t, nil
+	return []perf.Table{t}, nil
 }

@@ -155,7 +155,3 @@ func (c *codeCache) flushAll() {
 	c.Flushes++
 	c.invalidateCode(c.base, c.size)
 }
-
-// hvmDirect converts a physical address to its direct-map VA. (Local copy
-// to avoid the import cycle with hvm in this file's context.)
-func hvmDirect(pa uint64) uint64 { return 0xFFFF_8000_0000_0000 + pa }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"captive/internal/hvm"
 	"captive/internal/vx64"
 )
 
@@ -70,7 +71,7 @@ func (c *codeCache) chain(b *Block, exitIdx int, to *Block, pc uint64) bool {
 	buf = vx64.Encode(buf, &cmp)
 	jne := vx64.Inst{Op: vx64.JCC, Cond: vx64.CondNE, Imm: 5}
 	buf = vx64.Encode(buf, &jne)
-	jmpEnd := hvmDirect(off) + uint64(len(buf)) + 5
+	jmpEnd := hvm.DirectVA(off) + uint64(len(buf)) + 5
 	jmp := vx64.Inst{Op: vx64.JMP, Imm: int64(to.Entry) - int64(jmpEnd)}
 	buf = vx64.Encode(buf, &jmp)
 	if len(buf) != chainSlotSize {

@@ -25,14 +25,25 @@ var (
 	moduleCache = map[ssa.OptLevel]*gen.Module{}
 )
 
-// NewModule parses and builds the GA64 module at the given offline
-// optimization level. Modules are cached per level.
+// NewModule returns the GA64 module at the given offline optimization
+// level, built by BuildModule once per level and cached.
 func NewModule(level ssa.OptLevel) (*gen.Module, error) {
 	moduleMu.Lock()
 	defer moduleMu.Unlock()
 	if m, ok := moduleCache[level]; ok {
 		return m, nil
 	}
+	m, err := BuildModule(level)
+	if err != nil {
+		return nil, err
+	}
+	moduleCache[level] = m
+	return m, nil
+}
+
+// BuildModule parses the GA64 description and builds its module at the given
+// offline optimization level, bypassing the cache.
+func BuildModule(level ssa.OptLevel) (*gen.Module, error) {
 	file, err := adl.Parse(Source)
 	if err != nil {
 		return nil, err
@@ -42,12 +53,7 @@ func NewModule(level ssa.OptLevel) (*gen.Module, error) {
 	reg.AddBank(file.Bank("VL"), "vl")
 	reg.AddBank(file.Bank("VH"), "vh")
 	reg.AddBank(file.Bank("NZCV"), "flags")
-	m, err := gen.Build(file, reg, level)
-	if err != nil {
-		return nil, err
-	}
-	moduleCache[level] = m
-	return m, nil
+	return gen.Build(file, reg, level)
 }
 
 // MustModule returns the O4 module, panicking on model errors (the model is

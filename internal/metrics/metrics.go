@@ -3,7 +3,7 @@
 // counters (core.Stats), the compilation statistics (core.JITStats) and the
 // simulated host CPU's architectural counters, so the three engines —
 // Captive, the QEMU-style baseline and the reference interpreter — export
-// through one diffable shape (cmd/captive -metrics, cmd/bench -json).
+// through one diffable shape (cmd/captive -metrics, the perfbench report).
 //
 // The struct deliberately lives below internal/core in the import graph
 // (it imports only the standard library) so benchmarks, difftest and future services
@@ -20,8 +20,8 @@ import "reflect"
 // counters, JIT size counters) are bit-identical across runs of the same
 // program and may be compared or regression-gated; the *wall-clock-derived*
 // fields (the *_ns translation times) measure the real host and must be
-// ignored by any baseline comparison — bench.MergeBaseline never reads
-// them.
+// ignored by any baseline comparison — the model golden of internal/bench
+// holds deterministic fields only.
 type Snapshot struct {
 	Engine string `json:"engine,omitempty"` // captive | qemu | interp
 
