@@ -202,11 +202,9 @@ func TestWorkloadsAgreeAcrossEngines(t *testing.T) {
 
 // TestSimBenchRuns executes every micro-benchmark on both engines.
 func TestSimBenchRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long micro-benchmark run")
-	}
-	// Parallel with TestModelGolden: the golden's rows fill the second CPU
-	// while one CPU spends most of this test on QEMU's TLB-Flush run.
+	// Parallel with TestModelGolden: the two share the CPUs, and QEMU's
+	// TLB-Flush run (a full code-cache flush per guest TLB flush) is still
+	// this test's longest subtest.
 	t.Parallel()
 	for _, m := range SimBench() {
 		m := m

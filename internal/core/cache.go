@@ -62,13 +62,12 @@ type codeCache struct {
 	// cpus are every host CPU executing out of this cache (one per vCPU):
 	// code invalidations are shootdowns, clearing each CPU's decode caches
 	// and superblock generation counters.
-	cpus    []*vx64.CPU
-	base    uint64 // physical base of the cache region
-	size    uint64
-	next    uint64 // bump allocator offset
-	blocks  map[cacheKey]*Block
-	byPage  map[uint64][]*Block // guest physical page -> blocks
-	Flushes uint64
+	cpus   []*vx64.CPU
+	base   uint64 // physical base of the cache region
+	size   uint64
+	next   uint64 // bump allocator offset
+	blocks map[cacheKey]*Block
+	byPage map[uint64][]*Block // guest physical page -> blocks
 }
 
 func newCodeCache(phys vx64.PhysMem, cpus []*vx64.CPU, base, size uint64) *codeCache {
@@ -147,11 +146,12 @@ func (c *codeCache) invalidatePage(gpaPage uint64) int {
 	return n
 }
 
-// flushAll drops everything and resets the allocator.
+// flushAll drops everything and resets the allocator. The whole region is
+// invalidated, but each CPU clears only what it decoded since its last
+// flush (vx64.CPU.InvalidateCode).
 func (c *codeCache) flushAll() {
 	c.blocks = make(map[cacheKey]*Block)
 	c.byPage = make(map[uint64][]*Block)
 	c.next = 0
-	c.Flushes++
 	c.invalidateCode(c.base, c.size)
 }

@@ -1,7 +1,7 @@
 // Dispatch hot-path tests: the engine's steady-state execution loop must
-// be allocation-free (ISSUE 5 satellite — the CI bench-smoke job gates on
-// this), and superblock/translation caches must stay coherent when already
-// executed code is overwritten through the engines' SMC machinery.
+// be allocation-free (the CI dispatch-alloc-gate job gates on this), and
+// superblock/translation caches must stay coherent when already executed
+// code is overwritten through the engines' SMC machinery.
 package core_test
 
 import (

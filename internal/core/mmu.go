@@ -37,11 +37,6 @@ type hostMMU struct {
 	// installedW tracks guest physical pages that have (or had) a writable
 	// host mapping, so protectPage knows when the big hammer is needed.
 	installedW map[uint64]bool
-
-	// Rebuilds counts full host-mapping invalidations.
-	Rebuilds uint64
-	// Installs counts host PTEs created.
-	Installs uint64
 }
 
 func newHostMMU(phys vx64.PhysMem, cpu *vx64.CPU, poolBase, poolSize uint64) *hostMMU {
@@ -81,7 +76,6 @@ func (m *hostMMU) reset() {
 	clearPage(m.phys, m.highRoot)
 	clear(m.installedW)
 	m.cpu.FlushTLB()
-	m.Rebuilds++
 }
 
 // InvalidateGuestMappings implements the §2.7.4 response to guest TLB
@@ -137,7 +131,6 @@ func (m *hostMMU) install(mode uint64, hostVA, hpa uint64, writable, user bool) 
 	if writable {
 		m.installedW[hpa>>vx64.PageShift] = true
 	}
-	m.Installs++
 }
 
 // wasInstalledWritable reports whether the guest physical page has had a

@@ -53,6 +53,10 @@ type shared struct {
 	cache *codeCache
 
 	// Exit resolution (engine.go): shared because the code region is.
+	// exitByPA maps a code-region offset to 1+index into exitArena (0: no
+	// exit TRAP there). Its length is the high-water mark of the offsets
+	// written since the last flush, which clears every written entry (listed
+	// in exitOffs) and truncates it, so entries past the length are zero.
 	exitByPA   []int32
 	exitArena  []exitRef
 	exitOffs   []uint64
@@ -162,7 +166,6 @@ func newEngines(vm *hvm.VM, g port.Port, module *gen.Module) ([]*Engine, error) 
 	sh.quiesce = sync.NewCond(&sh.mu)
 	l := vm.Layout
 	sh.cache = newCodeCache(vm.Phys, vm.CPUs, l.CodePA, l.CodeSize)
-	sh.exitByPA = make([]int32, l.CodeSize)
 	for id := range vm.CPUs {
 		e, err := newEngine(vm, g, module, id, sh)
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"captive/internal/gen"
@@ -140,7 +141,11 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	blk.Exits = append(blk.Exits, exit)
 	sh := e.sh
 	for _, tp := range blk.Exits[0].trapOffsets() {
-		if off := tp - e.vm.Layout.CodePA; off < uint64(len(sh.exitByPA)) {
+		if off := tp - e.vm.Layout.CodePA; off < e.vm.Layout.CodeSize {
+			if off >= uint64(len(sh.exitByPA)) {
+				// Entries past the length are zero (shared.exitByPA).
+				sh.exitByPA = slices.Grow(sh.exitByPA, int(off)+1-len(sh.exitByPA))[:off+1]
+			}
 			sh.exitArena = append(sh.exitArena, exitRef{blk: blk, idx: 0})
 			sh.exitOffs = append(sh.exitOffs, off)
 			sh.exitByPA[off] = int32(len(sh.exitArena))
@@ -197,6 +202,7 @@ func (e *Engine) flushTranslations() {
 	for _, off := range sh.exitOffs {
 		sh.exitByPA[off] = 0
 	}
+	sh.exitByPA = sh.exitByPA[:0]
 	sh.exitOffs = sh.exitOffs[:0]
 	sh.exitArena = sh.exitArena[:0]
 	sh.allChained = sh.allChained[:0]

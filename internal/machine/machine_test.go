@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"captive/internal/core"
@@ -313,6 +314,61 @@ func TestBudgetSentinel(t *testing.T) {
 			}
 			if err := m.Run(10_000); !errors.Is(err, machine.ErrBudget) {
 				t.Errorf("%s x%d (quantum %d): Run = %v, want ErrBudget", kind, s.harts, s.quantum, err)
+			}
+		}
+	}
+}
+
+// liveHeap returns the Go heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// totalPhys returns the size of the flat physical memory hvm.New allocates
+// for cfg.
+func totalPhys(t *testing.T, cfg hvm.Config) uint64 {
+	t.Helper()
+	vm, err := hvm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vm.Layout.TotalPhys
+}
+
+// TestHeapBound holds the Go heap that machine.New adds for a DBT machine
+// to its flat physical memory (hvm Layout.TotalPhys) plus 1 MiB per hart.
+// Everything else a machine allocates up front — the decode and exit
+// indexes over the code cache, superblock tables, host MMU and system state
+// — must stay small and must not scale with the code cache's size.
+func TestHeapBound(t *testing.T) {
+	guest := ga64.Port{}
+	if _, err := guest.Module(ssa.O4); err != nil { // cached per process: not the machine's
+		t.Fatal(err)
+	}
+	for _, sz := range []struct{ ram, cache int }{{8 << 20, 4 << 20}, {64 << 20, 32 << 20}} {
+		for _, harts := range []int{1, 2, 4} {
+			cfg := hvm.Config{GuestRAMBytes: sz.ram, CodeCacheBytes: sz.cache, PTPoolBytes: 4 << 20, VCPUs: harts}
+			phys := totalPhys(t, cfg)
+			limit := phys + uint64(harts)<<20
+			for _, kind := range []machine.Kind{machine.Captive, machine.QEMU} {
+				before := liveHeap()
+				m, err := machine.New(machine.Spec{Kind: kind, Guest: guest, RAMBytes: cfg.GuestRAMBytes,
+					CodeCacheBytes: cfg.CodeCacheBytes, PTPoolBytes: cfg.PTPoolBytes, Harts: harts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				added := liveHeap() - before
+				runtime.KeepAlive(m)
+				name := fmt.Sprintf("%s x%d, %d MiB RAM, %d MiB cache", kind, harts, sz.ram>>20, sz.cache>>20)
+				if added > limit {
+					t.Errorf("%s: machine.New added %.1f MiB of heap, want at most %.1f (physical memory + 1 MiB per hart)",
+						name, float64(added)/(1<<20), float64(limit)/(1<<20))
+				} else {
+					t.Logf("%s: %.2f MiB over physical memory", name, (float64(added)-float64(phys))/(1<<20))
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"captive/internal/softfloat"
@@ -240,10 +241,14 @@ type CPU struct {
 
 	tlb [tlbSize]tlbEntry
 
-	// Decode cache over the code region [CodeLo, CodeHi) of physical
-	// memory, where the DBT engines place generated code. codeIdx maps
-	// (pa - CodeLo) to 1+index into codeArena; 0 means not decoded.
-	CodeLo, CodeHi uint64
+	// Decode cache over the code region [codeLo, codeHi) of physical
+	// memory, where the DBT engines place generated code (empty until
+	// SetCodeRegion). codeIdx maps (pa - codeLo) to 1+index into
+	// codeArena; 0 means not decoded. Its length is the high-water mark of
+	// the offsets decoded since it was last emptied, and its backing array
+	// is zero past that length, so it grows with the code executed, not
+	// with the region.
+	codeLo, codeHi uint64
 	codeIdx        []int32
 	codeArena      []Inst
 	codeLens       []uint8
@@ -301,8 +306,8 @@ func (c *CPU) ProfPause() {
 // SetCodeRegion declares [lo, hi) of physical memory as the generated-code
 // region and enables the decode cache and superblock execution over it.
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
-	c.CodeLo, c.CodeHi = lo, hi
-	c.codeIdx = make([]int32, hi-lo)
+	c.codeLo, c.codeHi = lo, hi
+	c.codeIdx = nil
 	c.codeArena = c.codeArena[:0]
 	c.codeLens = c.codeLens[:0]
 	c.sbTab = make([]sbSlot, sbTableSize)
@@ -314,24 +319,45 @@ func (c *CPU) SetCodeRegion(lo, hi uint64) {
 // patch/unpatch, SMC page invalidation, block installation). This is the
 // coherence contract of the decode and superblock caches: code-region
 // bytes changed by any other means are stale until it is called.
+//
+// The decode index, and every live superblock, covers only instructions
+// starting below the index's length, so only the part of the range below it
+// is cleared, and a range reaching that length truncates the index to the
+// range's start. A full-region flush therefore costs time in proportion to
+// the code decoded since the previous one, whatever the region's size.
+// Like the index itself, invalidation is keyed by instruction start: a
+// range covering only the tail of an instruction leaves it cached.
 func (c *CPU) InvalidateCode(pa, n uint64) {
-	if c.codeIdx == nil || pa >= c.CodeHi || pa+n <= c.CodeLo {
+	if pa >= c.codeHi || pa+n <= c.codeLo {
 		return
 	}
-	lo := max(pa, c.CodeLo) - c.CodeLo
-	hi := min(pa+n, c.CodeHi) - c.CodeLo
+	lo := max(pa, c.codeLo) - c.codeLo
+	hi := min(pa+n, c.codeHi) - c.codeLo
 	if hi <= lo {
 		return
 	}
-	for i := lo; i < hi; i++ {
-		c.codeIdx[i] = 0
+	c.fetchOK = false
+	end := uint64(len(c.codeIdx))
+	if lo >= end {
+		return
 	}
+	hi = min(hi, end)
+	clear(c.codeIdx[lo:hi])
 	// Superblocks are invalidated lazily: bump the generation of every
 	// covered page; runSuperblock rebuilds on generation mismatch.
 	for p := lo >> PageShift; p <= (hi-1)>>PageShift; p++ {
 		c.sbPageGen[p]++
 	}
-	c.fetchOK = false
+	if hi == end {
+		c.codeIdx = c.codeIdx[:lo]
+		if lo == 0 {
+			// No index entry refers into the arena any more, and no
+			// pointer decodeCached returned outlives the next decode
+			// (superblocks hold copies), so the arena restarts too.
+			c.codeArena = c.codeArena[:0]
+			c.codeLens = c.codeLens[:0]
+		}
+	}
 }
 
 // SetCR3 loads CR3 from the hypervisor side, emulating a WRCR3 executed on
@@ -527,7 +553,7 @@ func (c *CPU) fetchInst() (*Inst, int, *fault) {
 		c.fetchVAPage, c.fetchPAPage, c.fetchCPL, c.fetchOK = vaPage, pa>>PageShift, c.CPL, true
 	}
 	pa := c.fetchPAPage<<PageShift | va&PageMask
-	if pa >= c.CodeLo && pa < c.CodeHi && c.codeIdx != nil {
+	if pa >= c.codeLo && pa < c.codeHi {
 		inst, n, ok := c.decodeCached(pa)
 		if !ok {
 			return nil, 0, &fault{addr: va, access: AccessExec, bus: true}
@@ -546,13 +572,20 @@ func (c *CPU) fetchInst() (*Inst, int, *fault) {
 // decodeCached returns the decoded instruction at code-region physical
 // address pa through the decode cache, filling it on miss.
 func (c *CPU) decodeCached(pa uint64) (*Inst, int, bool) {
-	off := pa - c.CodeLo
-	if id := c.codeIdx[off]; id != 0 {
-		return &c.codeArena[id-1], int(c.codeLens[id-1]), true
+	off := pa - c.codeLo
+	if off < uint64(len(c.codeIdx)) {
+		if id := c.codeIdx[off]; id != 0 {
+			return &c.codeArena[id-1], int(c.codeLens[id-1]), true
+		}
 	}
 	inst, n, err := Decode(c.Phys, int(pa))
 	if err != nil {
 		return nil, 0, false
+	}
+	if off >= uint64(len(c.codeIdx)) {
+		// Entries past the length are zero (see the field comment), so
+		// extending the slice exposes no stale decode.
+		c.codeIdx = slices.Grow(c.codeIdx, int(off)+1-len(c.codeIdx))[:off+1]
 	}
 	c.codeArena = append(c.codeArena, inst)
 	c.codeLens = append(c.codeLens, uint8(n))
@@ -615,8 +648,8 @@ func (c *CPU) Run(cycleBudget uint64) Trap {
 	limit := c.Stats.Cycles + cycleBudget
 	for c.Stats.Cycles < limit {
 		if c.DirectBase != 0 && c.RIP >= c.DirectBase {
-			if pa := c.RIP - c.DirectBase; pa >= c.CodeLo && pa < c.CodeHi && c.sbTab != nil {
-				t, stop := c.runSuperblock(pa-c.CodeLo, limit)
+			if pa := c.RIP - c.DirectBase; pa >= c.codeLo && pa < c.codeHi {
+				t, stop := c.runSuperblock(pa-c.codeLo, limit)
 				if stop {
 					return t
 				}

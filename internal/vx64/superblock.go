@@ -112,8 +112,8 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 	}
 	ops, lens := c.sbScratch[:0], c.sbScratchLens[:0]
 	var worst uint64
-	pa := c.CodeLo + off
-	for len(ops) < sbMaxOps && pa < c.CodeHi {
+	pa := c.codeLo + off
+	for len(ops) < sbMaxOps && pa < c.codeHi {
 		inst, n, ok := c.decodeCached(pa)
 		if !ok {
 			break
@@ -135,7 +135,7 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 		lens:  append([]uint8(nil), lens...),
 		worst: worst,
 		pg0:   uint32(off >> PageShift),
-		pg1:   uint32((pa - 1 - c.CodeLo) >> PageShift),
+		pg1:   uint32((pa - 1 - c.codeLo) >> PageShift),
 	}
 	sb.gen0 = c.sbPageGen[sb.pg0]
 	sb.gen1 = c.sbPageGen[sb.pg1]

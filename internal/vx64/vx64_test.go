@@ -532,6 +532,90 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	}
 }
 
+// codeRegion is newTestCPU's code region; invalidating all of it is what
+// an engine's full code-cache flush does.
+const codeRegion = 1 << 20
+
+// TestFullInvalidateBoundsDecodeArena runs a loop, then invalidates the
+// whole code region and re-runs it 100 times, as the QEMU baseline does on
+// every guest TLB flush. Each flush empties the decode index, so the decode
+// arena must stay at one run's size instead of growing with every
+// re-decode.
+func TestFullInvalidateBoundsDecodeArena(t *testing.T) {
+	c := newTestCPU()
+	const at = 0x400
+	body := asm(c.Phys, at,
+		Inst{Op: MOVI32, Rd: 0, Imm: 10},
+		Inst{Op: XORrr, Rd: 1, Rs: 1},
+	)
+	jccStart := asm(c.Phys, body,
+		Inst{Op: ADDrr, Rd: 1, Rs: 0},
+		Inst{Op: ADDri, Rd: 0, Imm: -1},
+		Inst{Op: CMPri, Rd: 0, Imm: 0},
+	)
+	jccEnd := asm(c.Phys, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: 0})
+	asm(c.Phys, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: int64(body) - int64(jccEnd)})
+	asm(c.Phys, jccEnd, Inst{Op: HLT})
+
+	run(t, c, directBase+at)
+	arena, lens := len(c.codeArena), len(c.codeLens)
+	if c.R[1] != 55 || arena == 0 {
+		t.Fatalf("first run: r1 = %d, %d arena entries", c.R[1], arena)
+	}
+	for i := 0; i < 100; i++ {
+		c.InvalidateCode(0, codeRegion)
+		run(t, c, directBase+at)
+		if c.R[1] != 55 {
+			t.Fatalf("run %d after a flush: r1 = %d, want 55", i+2, c.R[1])
+		}
+	}
+	if len(c.codeArena) != arena || len(c.codeLens) != lens {
+		t.Errorf("after 100 flushes: %d arena and %d length entries, want %d and %d (one run's decodes)",
+			len(c.codeArena), len(c.codeLens), arena, lens)
+	}
+}
+
+// TestFlushCoherenceAcrossOffsets decodes and runs code at a high offset,
+// invalidates the whole region, then installs new code at a low offset and
+// different code at the old high offset, as a bump allocator refilling
+// after a flush would. Both must run their new bytes (no stale decode or
+// superblock survives the flush), and the decode index must shrink to the
+// extent of the code decoded since the flush.
+func TestFlushCoherenceAcrossOffsets(t *testing.T) {
+	c := newTestCPU()
+	const lo, hi = 0x100, 0x80000
+	asm(c.Phys, hi, Inst{Op: MOVI8, Rd: 0, Imm: 1}, Inst{Op: HLT})
+	run(t, c, directBase+hi)
+	if c.R[0] != 1 {
+		t.Fatalf("first run at the high offset: r0 = %d, want 1", c.R[0])
+	}
+
+	c.InvalidateCode(0, codeRegion)
+	// Each install invalidates its own bytes, like the engines' translate.
+	loEnd := asm(c.Phys, lo, Inst{Op: MOVI8, Rd: 0, Imm: 2}, Inst{Op: ADDri, Rd: 0, Imm: 5}, Inst{Op: HLT})
+	c.InvalidateCode(lo, loEnd-lo)
+	hiEnd := asm(c.Phys, hi, Inst{Op: MOVI8, Rd: 0, Imm: 3}, Inst{Op: HLT})
+	c.InvalidateCode(hi, hiEnd-hi)
+
+	run(t, c, directBase+lo)
+	if c.R[0] != 7 {
+		t.Fatalf("low offset after the flush: r0 = %d, want 7", c.R[0])
+	}
+	if n := uint64(len(c.codeIdx)); n > loEnd {
+		t.Errorf("decode index spans %#x bytes after the flush, want at most the low code's extent %#x", n, loEnd)
+	}
+	// Stepping probes the decode index; Run executes superblocks.
+	c.RIP = directBase + hi
+	if tr := runStepped(c, 1_000_000); tr.Kind != TrapHlt || c.R[0] != 3 {
+		t.Fatalf("stepped high offset after the flush: %v, r0 = %d, want 3 (stale decode)", tr, c.R[0])
+	}
+	c.R[0] = 0
+	run(t, c, directBase+hi)
+	if c.R[0] != 3 {
+		t.Errorf("high offset after the flush: r0 = %d, want 3 (stale superblock)", c.R[0])
+	}
+}
+
 func TestCycleAccounting(t *testing.T) {
 	c := newTestCPU()
 	asm(c.Phys, 0,
