@@ -365,12 +365,6 @@ func UserProgram() *asm.Program {
 	return asm.New(UserBase)
 }
 
-// EmitExit emits the exit syscall (x0 = code register preserved).
-func EmitExit(p *asm.Program) { p.Svc(SysExit) }
-
-// EmitPutchar emits a putchar syscall of the byte in x0.
-func EmitPutchar(p *asm.Program) { p.Svc(SysPutchar) }
-
 // Image is a loadable guest memory image.
 type Image struct {
 	Kernel  []byte

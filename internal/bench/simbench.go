@@ -39,16 +39,6 @@ func SimBench() []Micro {
 	}
 }
 
-// MicroByName finds a micro-benchmark.
-func MicroByName(name string) (Micro, bool) {
-	for _, m := range SimBench() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Micro{}, false
-}
-
 // emitIdentityMMU builds 2 MiB identity blocks over the low 16 MiB plus the
 // device window and enables translation (clobbers x0-x3).
 func emitIdentityMMU(p *asm.Program) {

@@ -16,7 +16,7 @@ import (
 //	... second slot ...
 //	trap   #1            ; miss: back to the dispatcher
 //
-// Each exit holds up to two chain slots (taken/fall-through of a
+// Each block's exit holds up to two chain slots (taken/fall-through of a
 // conditional branch). A hit costs a handful of deci-cycles instead of a
 // dispatcher round trip; guest TLB flushes and SMC invalidations unpatch by
 // restoring the TRAP at the epilogue head.
@@ -25,7 +25,7 @@ import (
 // MOVI64 (10) + CMPrr (3) + JCC (6) + JMP (5).
 const chainSlotSize = 24
 
-// maxChainSlots bounds the slots per exit.
+// maxChainSlots bounds the slots per block exit.
 const maxChainSlots = 2
 
 // epilogueSize reserves room for two slots plus the terminal TRAP (2 bytes)
@@ -45,25 +45,18 @@ func writeEpilogue(phys vx64.PhysMem, pa uint64) {
 	copy(phys[pa:], buf)
 }
 
-// chainSlot is an installed PC-compare chain entry.
-type chainSlot struct {
-	target uint64
-	blk    *Block
-}
-
 // chain installs a chain slot in b's exit for target pc -> to. It reports
 // whether a new slot was installed.
-func (c *codeCache) chain(b *Block, exitIdx int, to *Block, pc uint64) bool {
-	e := &b.Exits[exitIdx]
-	if len(e.Slots) >= maxChainSlots || !to.Valid || !b.Valid {
+func (c *codeCache) chain(b, to *Block, pc uint64) bool {
+	if len(b.slots) >= maxChainSlots || !to.Valid || !b.Valid {
 		return false
 	}
-	for _, s := range e.Slots {
-		if s.target == pc {
+	for _, target := range b.slots {
+		if target == pc {
 			return false
 		}
 	}
-	off := e.EpiPA + uint64(len(e.Slots))*chainSlotSize
+	off := b.epiPA + uint64(len(b.slots))*chainSlotSize
 	var buf []byte
 	mov := vx64.Inst{Op: vx64.MOVI64, Rd: uint16(vx64.RTMP), Imm: int64(pc)}
 	buf = vx64.Encode(buf, &mov)
@@ -83,30 +76,20 @@ func (c *codeCache) chain(b *Block, exitIdx int, to *Block, pc uint64) bool {
 	tr := vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec}
 	tb := vx64.Encode(nil, &tr)
 	copy(c.phys[next:], tb)
-	c.invalidateCode(e.EpiPA, epilogueSize)
+	c.invalidateCode(b.epiPA, epilogueSize)
 
-	e.Slots = append(e.Slots, chainSlot{target: pc, blk: to})
-	to.incoming = append(to.incoming, patchRef{from: b, exit: exitIdx})
+	b.slots = append(b.slots, pc)
+	to.incoming = append(to.incoming, b)
+	c.chained = append(c.chained, b)
 	return true
 }
 
-// unchain removes every slot of an exit.
-func (c *codeCache) unchain(b *Block, exitIdx int) {
-	e := &b.Exits[exitIdx]
-	if len(e.Slots) == 0 {
+// unchain removes every slot of b's exit.
+func (c *codeCache) unchain(b *Block) {
+	if len(b.slots) == 0 {
 		return
 	}
-	writeEpilogue(c.phys, e.EpiPA)
-	c.invalidateCode(e.EpiPA, epilogueSize)
-	e.Slots = nil
-}
-
-// trapOffsets enumerates the physical addresses at which this exit's TRAP
-// can sit (after 0, 1 or 2 installed slots), for dispatcher identification.
-func (e *Exit) trapOffsets() [maxChainSlots + 1]uint64 {
-	var out [maxChainSlots + 1]uint64
-	for i := 0; i <= maxChainSlots; i++ {
-		out[i] = e.EpiPA + uint64(i)*chainSlotSize
-	}
-	return out
+	writeEpilogue(c.phys, b.epiPA)
+	c.invalidateCode(b.epiPA, epilogueSize)
+	b.slots = nil
 }

@@ -89,10 +89,10 @@ func TestEngineLoop(t *testing.T) {
 		t.Errorf("sum = %d, want 50005000", e.Reg(0))
 	}
 	// The loop reuses its translation: far fewer blocks than iterations.
-	if e.JIT.Blocks > 10 {
-		t.Errorf("translated %d blocks for a 3-block program", e.JIT.Blocks)
+	if e.Metrics().JITBlocks > 10 {
+		t.Errorf("translated %d blocks for a 3-block program", e.Metrics().JITBlocks)
 	}
-	if e.Stats.BlockChains == 0 {
+	if e.Metrics().BlockChains == 0 {
 		t.Error("expected block chaining on the loop back-edge")
 	}
 }
@@ -116,7 +116,7 @@ func TestEngineMemory(t *testing.T) {
 	if e.Reg(5) != 0xCAFEBABE12345678 || e.Reg(6) != 0xCAFEBABE12345678 {
 		t.Errorf("ldp: %#x %#x", e.Reg(5), e.Reg(6))
 	}
-	if e.Stats.HostFaults == 0 {
+	if e.Metrics().HostFaults == 0 {
 		t.Error("expected demand-population host faults")
 	}
 }
@@ -167,8 +167,8 @@ func TestEngineUART(t *testing.T) {
 	if e.Console() != "captive" {
 		t.Errorf("console = %q", e.Console())
 	}
-	if e.Stats.MMIOEmulations != 7 {
-		t.Errorf("MMIO emulations = %d, want 7", e.Stats.MMIOEmulations)
+	if e.Metrics().MMIOEmulations != 7 {
+		t.Errorf("MMIO emulations = %d, want 7", e.Metrics().MMIOEmulations)
 	}
 }
 
@@ -307,7 +307,7 @@ func TestEngineSelfModifyingCode(t *testing.T) {
 	if e.Reg(5) != 1 || e.Reg(6) != 2 {
 		t.Errorf("SMC: first=%d second=%d, want 1 and 2", e.Reg(5), e.Reg(6))
 	}
-	if e.Stats.SMCInvals == 0 {
+	if e.Metrics().SMCInvals == 0 {
 		t.Error("expected an SMC invalidation")
 	}
 }

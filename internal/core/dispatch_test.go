@@ -170,12 +170,12 @@ func TestTracingInvariance(t *testing.T) {
 }
 
 // BenchmarkDispatchChained reports the steady-state dispatch loop for
-// -benchmem runs (the CI bench-smoke job fails the build on a non-zero
-// allocs/op here). One op is a 500k deci-cycle budget slice.
+// -benchmem runs (the CI dispatch-alloc-gate job fails the build on a
+// non-zero allocs/op here). One op is a 500k deci-cycle budget slice.
 func BenchmarkDispatchChained(b *testing.B) {
 	e := newKindEngine(b, false)
 	loadHotLoop(b, e)
-	start := e.CPUStats()
+	start := e.Metrics().HostInsts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,7 +184,7 @@ func BenchmarkDispatchChained(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	retired := e.CPUStats().Insts - start.Insts
+	retired := e.Metrics().HostInsts - start
 	if b.N > 0 {
 		b.ReportMetric(float64(retired)/float64(b.N), "host-instrs/op")
 	}
@@ -222,7 +222,7 @@ func TestEnginePatchedBlockRerun(t *testing.T) {
 			if e.Reg(7) != 42 {
 				t.Errorf("patched routine: x7 = %d, want 42 (stale translation or superblock)", e.Reg(7))
 			}
-			if e.Stats.SMCInvals == 0 {
+			if e.Metrics().SMCInvals == 0 {
 				t.Error("SMC invalidation did not fire")
 			}
 		})

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"captive/internal/gen"
 	"captive/internal/guest/port"
 	"captive/internal/hvm"
+	"captive/internal/metrics"
 	"captive/internal/smp"
 	"captive/internal/softfloat"
 	"captive/internal/trace"
@@ -43,34 +43,6 @@ const (
 	// is measurably heavier than Captive's direct dispatch.
 	costQDispatch = 400
 )
-
-// JITStats aggregates compilation statistics (Figs. 19/20, §3.4).
-type JITStats struct {
-	Blocks       int
-	GuestInstrs  int
-	DAGNodes     int
-	LIRInsts     int
-	CodeBytes    int
-	DeadInsts    int
-	Spills       int
-	DecodeTime   time.Duration
-	TranslateT   time.Duration
-	RegallocT    time.Duration
-	EncodeT      time.Duration
-	CacheFlushes uint64
-}
-
-// Stats aggregates runtime statistics.
-type Stats struct {
-	DispatchLoops  uint64
-	BlockChains    uint64
-	HostFaults     uint64
-	GuestFaults    uint64
-	IRQsDelivered  uint64
-	MMIOEmulations uint64
-	SMCInvals      uint64
-	TransFlushes   uint64 // guest TLB flush / regime changes
-}
 
 // Engine is the Captive execution engine for one guest vCPU (or, with
 // Kind == BackendQEMU, the QEMU-style baseline). A uniprocessor machine is
@@ -125,10 +97,9 @@ type Engine struct {
 	iTLB     [itlbSize]itlbEntry
 	iTLBOver map[uint64]itlbEntry
 
-	// lastExit is the most recent dispatch-TRAP exit (an index into the
-	// shared exit tables, see shared.exitByPA in smp.go).
-	lastExit   exitRef
-	lastExitOK bool
+	// lastExit is the block whose dispatch TRAP ended the most recent
+	// execution (codeCache.exitAt), or nil.
+	lastExit *Block
 
 	halted   bool
 	exitCode uint64
@@ -153,8 +124,9 @@ type Engine struct {
 
 	hooks port.Hooks
 
-	JIT   JITStats
-	Stats Stats
+	// stats holds the engine's own counters and JIT phase times, updated
+	// in place; Metrics adds what it derives from the CPU and state page.
+	stats metrics.Snapshot
 }
 
 // itlbSize is the direct-mapped iTLB's entry count; fetch pages 16 MiB
@@ -165,11 +137,6 @@ type itlbEntry struct {
 	vaPage  uint64 // tag; ^0 when invalid
 	gpaPage uint64
 	user    bool
-}
-
-type exitRef struct {
-	blk *Block
-	idx int
 }
 
 // New creates a Captive engine inside the given host VM, executing the
@@ -371,7 +338,7 @@ func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
 // vector to their handler; user-level guests halt with the port's exit code.
 func (e *Engine) raise(ex port.Exception) {
 	e.rec.Emit(trace.Exception, uint8(ex.Kind), e.VirtualTime(), ex.PC, ex.Addr)
-	e.Stats.GuestFaults++
+	e.stats.GuestFaults++
 	e.cpu.Stats.Cycles += costInjectExc
 	entry := e.sys.Take(ex, e.NZCV(), &e.hooks)
 	if entry.Halt {
@@ -391,7 +358,7 @@ func (e *Engine) raise(ex port.Exception) {
 // physical address (§2.6) — only the chain links are reset.
 func (e *Engine) translationChanged() {
 	e.rec.Emit(trace.TLBFlush, 0, e.VirtualTime(), e.cpu.R[vx64.RPC], 0)
-	e.Stats.TransFlushes++
+	e.stats.TransFlushes++
 	e.clearITLB()
 	if e.Kind == BackendQEMU {
 		// The baseline's translations are virtually indexed: everything
@@ -402,14 +369,14 @@ func (e *Engine) translationChanged() {
 		return
 	}
 	e.cpu.Stats.Cycles += costInvalidateTr
-	e.mmu.InvalidateGuestMappings()
+	e.mmu.reset()
 	// Chain links compare guest PCs, so a regime change on any hart drops
 	// them all (SMP machines never install any: chaining is off for N > 1).
-	for _, ref := range e.sh.allChained {
-		e.rec.Emit(trace.ChainUnpatch, 0, e.VirtualTime(), 0, ref.blk.GPA)
-		e.cache.unchain(ref.blk, ref.idx)
+	for _, b := range e.cache.chained {
+		e.rec.Emit(trace.ChainUnpatch, 0, e.VirtualTime(), 0, b.GPA)
+		e.cache.unchain(b)
 	}
-	e.sh.allChained = e.sh.allChained[:0]
+	e.cache.chained = e.cache.chained[:0]
 }
 
 // clearITLB invalidates the fetch-translation cache (array and overflow).
@@ -491,7 +458,7 @@ func (e *Engine) Run(budget uint64) error {
 // lookup/translation, chaining, and execution until the next trap back.
 // In parallel SMP mode this is the unit between stop-the-world checkpoints.
 func (e *Engine) dispatchOnce(limit uint64) error {
-	e.Stats.DispatchLoops++
+	e.stats.DispatchLoops++
 	if e.Kind == BackendQEMU {
 		e.cpu.Stats.Cycles += costQDispatch
 	} else {
@@ -506,7 +473,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	// same retired-instruction count on every engine.
 	if line := e.timerLine(); e.sys.PendingIRQ(line, &e.hooks) {
 		e.rec.Emit(trace.IRQ, boolArg(line), e.VirtualTime(), pc, 0)
-		e.Stats.IRQsDelivered++
+		e.stats.IRQsDelivered++
 		e.cpu.Stats.Cycles += costInjectExc
 		entry := e.sys.TakeIRQ(pc, line, e.NZCV(), &e.hooks)
 		if entry.Halt {
@@ -551,20 +518,17 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	}
 	// Chain the previous block's exit to this one (§2.6): install a
 	// PC-compare slot so the transition bypasses the dispatcher.
-	if e.lastExitOK && !e.ChainingOff {
-		le := e.lastExit
+	if le := e.lastExit; le != nil && !e.ChainingOff {
 		// The baseline only chains direct-branch exits (TCG's goto_tb);
 		// indirect control flow re-enters its dispatcher every time.
-		if le.blk.Valid && le.blk.EL == el &&
-			(e.Kind != BackendQEMU || le.blk.DirectExit) {
-			if e.cache.chain(le.blk, le.idx, blk, pc) {
-				e.sh.allChained = append(e.sh.allChained, le)
-				e.Stats.BlockChains++
-				e.rec.Emit(trace.ChainPatch, 0, e.VirtualTime(), pc, le.blk.GPA)
+		if le.Valid && le.EL == el && (e.Kind != BackendQEMU || le.DirectExit) {
+			if e.cache.chain(le, blk, pc) {
+				e.stats.BlockChains++
+				e.rec.Emit(trace.ChainPatch, 0, e.VirtualTime(), pc, le.GPA)
 			}
 		}
 	}
-	e.lastExitOK = false
+	e.lastExit = nil
 
 	if err := e.execute(blk, pc, el, limit); err != nil {
 		return err
@@ -621,12 +585,7 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 				// Normal exit to dispatcher.
 				e.rec.Emit(trace.BlockExit, 0, e.VirtualTime(), cpu.R[vx64.RPC], 0)
 				e.SetPC(cpu.R[vx64.RPC])
-				if off := e.trapPA(trap) - e.vm.Layout.CodePA; off < uint64(len(e.sh.exitByPA)) {
-					if id := e.sh.exitByPA[off]; id != 0 {
-						e.lastExit = e.sh.exitArena[id-1]
-						e.lastExitOK = true
-					}
-				}
+				e.lastExit = e.cache.exitAt(e.trapPA(trap))
 				return nil
 			}
 			return fmt.Errorf("core: unexpected soft trap %d at rip %#x", trap.Vec, trap.RIP)
@@ -690,7 +649,7 @@ func (e *Engine) unmask(va uint64) uint64 {
 // emulate MMIO, detect self-modifying code (§2.6), or inject a guest
 // exception. It returns done=true when a guest exception was injected.
 func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
-	e.Stats.HostFaults++
+	e.stats.HostFaults++
 	va := trap.Addr
 	if va > hvm.LowHalfMask {
 		return false, fmt.Errorf("core: engine fault outside guest range: %v", trap)
@@ -725,26 +684,19 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 		return true, nil
 	}
 	gpaPage := gpa >> 12
-	if write && e.mmu.isProtected(gpaPage) {
-		// Self-modifying code: drop the page's translations, lift the
-		// protection on every hart and retry the store (§2.6). The
-		// invalidation is a shootdown — it clears every sibling's decode
-		// caches and superblock generations, so it runs with siblings
-		// parked in parallel mode; a sibling's stale read-only mapping
-		// re-faults once, sees the page unprotected and reinstalls
-		// writable.
+	if write && e.cache.pageHasCode(gpaPage) {
+		// Self-modifying code: drop the page's translations, which lifts
+		// the protection on every hart, and retry the store (§2.6). The
+		// invalidation is a shootdown — it bumps every sibling's superblock
+		// generations, so it runs with siblings parked in parallel mode; a
+		// sibling's stale read-only mapping re-faults once, finds no code
+		// on the page and reinstalls writable.
 		e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, gpaPage<<12)
-		e.Stats.SMCInvals++
-		e.sh.exclusive(e, func() {
-			e.cache.invalidatePage(gpaPage)
-			for _, eng := range e.sh.engines {
-				eng.mmu.unprotect(gpaPage)
-			}
-		})
-		e.mmu.install(e.curMode, va&^uint64(0xFFF), gpaPage<<12, w.Write, w.User)
-		return false, nil
+		e.stats.SMCInvals++
+		e.sh.exclusive(e, func() { e.cache.invalidatePage(gpaPage) })
 	}
-	writable := w.Write && !e.mmu.isProtected(gpaPage)
+	// Pages holding translated code are mapped read-only (SMC detection).
+	writable := w.Write && !e.cache.pageHasCode(gpaPage)
 	e.mmu.install(e.curMode, va&^uint64(0xFFF), gpaPage<<12, writable, w.User)
 	return false, nil
 }
@@ -753,7 +705,7 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 // instruction, then resumes past it — the classic trap-and-emulate path of a
 // hardware hypervisor.
 func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
-	e.Stats.MMIOEmulations++
+	e.stats.MMIOEmulations++
 	e.cpu.Stats.Cycles += costMMIOEmulate
 	in := trap.Inst
 	var width uint8
@@ -973,9 +925,6 @@ func (e *Engine) registerHelpers() {
 
 // Cycles returns the simulated host time consumed so far (deci-cycles).
 func (e *Engine) Cycles() uint64 { return e.cpu.Stats.Cycles }
-
-// CPUStats exposes the host CPU's architectural event counters.
-func (e *Engine) CPUStats() vx64.Stats { return e.cpu.Stats }
 
 // LoadUser copies additional image data (e.g. a user program) into guest
 // RAM without changing the PC.

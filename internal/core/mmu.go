@@ -31,9 +31,6 @@ type hostMMU struct {
 	lowRoot  uint64
 	highRoot uint64
 
-	// protected tracks guest physical pages whose host mappings are
-	// write-protected for SMC detection (§2.6).
-	protected map[uint64]bool
 	// installedW tracks guest physical pages that have (or had) a writable
 	// host mapping, so protectPage knows when the big hammer is needed.
 	installedW map[uint64]bool
@@ -43,7 +40,6 @@ func newHostMMU(phys vx64.PhysMem, cpu *vx64.CPU, poolBase, poolSize uint64) *ho
 	m := &hostMMU{
 		phys: phys, cpu: cpu,
 		poolBase: poolBase, poolSize: poolSize,
-		protected:  make(map[uint64]bool),
 		installedW: make(map[uint64]bool),
 	}
 	m.lowRoot = m.allocTable()
@@ -69,19 +65,14 @@ func clearPage(phys vx64.PhysMem, pa uint64) {
 }
 
 // reset drops every host mapping: both roots are cleared and the pool
-// rewinds past them; the hardware TLB is flushed.
+// rewinds past them; the hardware TLB is flushed. It is also the §2.7.4
+// response to guest TLB flushes and translation-regime changes.
 func (m *hostMMU) reset() {
 	m.poolNext = 2 * vx64.PageSize // keep the two root pages
 	clearPage(m.phys, m.lowRoot)
 	clearPage(m.phys, m.highRoot)
 	clear(m.installedW)
 	m.cpu.FlushTLB()
-}
-
-// InvalidateGuestMappings implements the §2.7.4 response to guest TLB
-// flushes and translation-regime changes.
-func (m *hostMMU) InvalidateGuestMappings() {
-	m.reset()
 }
 
 // root returns the CR3 value for an address-space half (mode 0 = low).
@@ -133,37 +124,15 @@ func (m *hostMMU) install(mode uint64, hostVA, hpa uint64, writable, user bool) 
 	}
 }
 
-// wasInstalledWritable reports whether the guest physical page has had a
-// writable host mapping since the last reset.
-func (m *hostMMU) wasInstalledWritable(gpaPage uint64) bool {
-	return m.installedW[gpaPage]
-}
-
-// unprotect re-enables writes on every host mapping of a guest physical
-// page after its translations were invalidated. Rather than tracking all
-// VAs mapping the page, the host mappings are rebuilt lazily: clearing the
-// roots is correct and simple, but expensive; instead we just flush the
-// hardware TLB and fix the PTE(s) on the next fault. Here we simply mark
-// the page unprotected; stale read-only PTEs re-fault once and get
-// reinstalled writable.
-func (m *hostMMU) unprotect(gpaPage uint64) {
-	delete(m.protected, gpaPage)
-}
-
-// protectPage marks a guest physical page as containing translated code.
-// Already-installed writable host mappings of it must be downgraded; we take
-// the big hammer (root reset) only when such a mapping could exist.
-func (m *hostMMU) protectPage(gpaPage uint64, hadWritableMapping bool) {
-	m.protected[gpaPage] = true
-	if hadWritableMapping {
+// protectPage write-protects a guest physical page that now holds
+// translated code: host mappings installed from here on are read-only
+// (handleHostFault asks the code cache), and already-installed writable
+// ones must be downgraded. We take the big hammer (root reset) only when
+// such a mapping could exist.
+func (m *hostMMU) protectPage(gpaPage uint64) {
+	if m.installedW[gpaPage] {
 		m.reset()
 	}
-}
-
-// isProtected reports whether a guest physical page is write-protected for
-// SMC detection.
-func (m *hostMMU) isProtected(gpaPage uint64) bool {
-	return m.protected[gpaPage]
 }
 
 // guestWalk walks the guest page tables through the guest port, using the
@@ -172,12 +141,5 @@ func (e *Engine) guestWalk(va uint64) port.WalkResult {
 	if e.sys.MMUOn() {
 		e.cpu.Stats.Cycles += 4 * vx64.CostGuestWalkStep
 	}
-	return e.sys.Walk(e.guestPhysRead64, va)
-}
-
-func (e *Engine) guestPhysRead64(gpa uint64) (uint64, bool) {
-	if gpa+8 > e.vm.Layout.GuestRAMSize {
-		return 0, false
-	}
-	return e.vm.Phys.R64(gpa), true
+	return e.sys.Walk(e.vm.GuestPhysRead64, va)
 }

@@ -83,46 +83,22 @@ func (e *Engine) ProfileDecay(shift uint) {
 	}
 }
 
-// Metrics returns the unified metrics snapshot of this engine.
+// Metrics returns the unified metrics snapshot of this engine: its own
+// counters plus the clocks and the host CPU's counters.
 func (e *Engine) Metrics() metrics.Snapshot {
-	name := "captive"
+	m := e.stats
+	m.Engine = "captive"
 	if e.Kind == BackendQEMU {
-		name = "qemu"
+		m.Engine = "qemu"
 	}
-	cs := e.cpu.Stats
-	return metrics.Snapshot{
-		Engine:        name,
-		GuestInstrs:   e.GuestInstrs(),
-		VirtualTime:   e.VirtualTime(),
-		SimDeciCycles: cs.Cycles,
-
-		DispatchLoops:  e.Stats.DispatchLoops,
-		BlockChains:    e.Stats.BlockChains,
-		HostFaults:     e.Stats.HostFaults,
-		GuestFaults:    e.Stats.GuestFaults,
-		IRQsDelivered:  e.Stats.IRQsDelivered,
-		MMIOEmulations: e.Stats.MMIOEmulations,
-		SMCInvals:      e.Stats.SMCInvals,
-		TransFlushes:   e.Stats.TransFlushes,
-
-		JITBlocks:      e.JIT.Blocks,
-		JITGuestInstrs: e.JIT.GuestInstrs,
-		JITDAGNodes:    e.JIT.DAGNodes,
-		JITLIRInsts:    e.JIT.LIRInsts,
-		JITCodeBytes:   e.JIT.CodeBytes,
-		JITDeadInsts:   e.JIT.DeadInsts,
-		JITSpills:      e.JIT.Spills,
-		CacheFlushes:   e.JIT.CacheFlushes,
-
-		HostInsts:     cs.Insts,
-		HostTLBHits:   cs.TLBHits,
-		HostTLBMisses: cs.TLBMisses,
-		HostPageFault: cs.Faults,
-		HostHelpers:   cs.Helpers,
-
-		DecodeNS:    e.JIT.DecodeTime.Nanoseconds(),
-		TranslateNS: e.JIT.TranslateT.Nanoseconds(),
-		RegallocNS:  e.JIT.RegallocT.Nanoseconds(),
-		EncodeNS:    e.JIT.EncodeT.Nanoseconds(),
-	}
+	m.GuestInstrs = e.GuestInstrs()
+	m.VirtualTime = e.VirtualTime()
+	cs := &e.cpu.Stats
+	m.SimDeciCycles = cs.Cycles
+	m.HostInsts = cs.Insts
+	m.HostTLBHits = cs.TLBHits
+	m.HostTLBMisses = cs.TLBMisses
+	m.HostPageFault = cs.Faults
+	m.HostHelpers = cs.Helpers
+	return m
 }

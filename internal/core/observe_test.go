@@ -10,6 +10,7 @@ import (
 	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/metrics"
 )
 
 // profProgram builds a three-temperature program: a hot loop (100k
@@ -191,10 +192,10 @@ func TestStatsPathParity(t *testing.T) {
 		p.Ret()
 		return p
 	}
-	run := func(qemu bool) core.Stats {
+	run := func(qemu bool) metrics.Snapshot {
 		e := newKindEngine(t, qemu)
 		runCaptive(t, e, build())
-		return e.Stats
+		return e.Metrics()
 	}
 	cap, qemu := run(false), run(true)
 	if cap.MMIOEmulations != 6 || qemu.MMIOEmulations != 6 {
@@ -245,9 +246,6 @@ func TestMetricsSnapshot(t *testing.T) {
 			if m.GuestInstrs != e.GuestInstrs() || m.SimDeciCycles != e.Cycles() {
 				t.Errorf("snapshot disagrees with engine: instrs %d vs %d, cycles %d vs %d",
 					m.GuestInstrs, e.GuestInstrs(), m.SimDeciCycles, e.Cycles())
-			}
-			if m.JITBlocks != e.JIT.Blocks || m.JITCodeBytes != e.JIT.CodeBytes {
-				t.Errorf("JIT section disagrees: blocks %d vs %d", m.JITBlocks, e.JIT.Blocks)
 			}
 			if m.VirtualTime < m.GuestInstrs {
 				t.Errorf("virtual time %d below instruction count %d", m.VirtualTime, m.GuestInstrs)

@@ -210,7 +210,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	}
 	gpa := w.PA
 	if e.guest.IsDevice(gpa) {
-		e.Stats.MMIOEmulations++
+		e.stats.MMIOEmulations++
 		e.rec.Emit(trace.MMIO, mmioArg(width, write), e.VirtualTime(), guestPC, gpa)
 		if write {
 			e.vm.MMIO(gpa, true, width, val)
@@ -236,7 +236,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 		for page := gpa >> 12; page <= endPage; page++ {
 			if e.cache.pageHasCode(page) {
 				e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, page<<12)
-				e.Stats.SMCInvals++
+				e.stats.SMCInvals++
 				e.cache.invalidatePage(page)
 			}
 		}

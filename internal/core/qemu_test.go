@@ -42,8 +42,8 @@ func TestQemuArithmeticAndMemory(t *testing.T) {
 	}
 	// Softmmu path: no host page faults expected (the addend points at the
 	// direct map).
-	if e.Stats.HostFaults != 0 {
-		t.Errorf("qemu baseline should not host-fault, got %d", e.Stats.HostFaults)
+	if e.Metrics().HostFaults != 0 {
+		t.Errorf("qemu baseline should not host-fault, got %d", e.Metrics().HostFaults)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestQemuExceptionsAndMMU(t *testing.T) {
 		t.Errorf("X3=%#x X4=%d", e.Reg(3), e.Reg(4))
 	}
 	// The baseline flushed its translation cache when the MMU came on.
-	if e.JIT.CacheFlushes == 0 {
+	if e.Metrics().CacheFlushes == 0 {
 		t.Error("VA-indexed cache must flush on translation changes")
 	}
 }
@@ -135,7 +135,7 @@ func TestQemuSMC(t *testing.T) {
 	if e.Reg(5) != 1 || e.Reg(6) != 2 {
 		t.Errorf("SMC: first=%d second=%d", e.Reg(5), e.Reg(6))
 	}
-	if e.Stats.SMCInvals == 0 {
+	if e.Metrics().SMCInvals == 0 {
 		t.Error("expected dirty-page invalidation")
 	}
 }

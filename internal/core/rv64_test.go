@@ -73,7 +73,7 @@ func TestRV64CaptiveEngine(t *testing.T) {
 		if e.GuestInstrs() != 39 {
 			t.Errorf("qemu=%v: retired %d instructions, want 39", qemu, e.GuestInstrs())
 		}
-		if !qemu && e.Stats.BlockChains == 0 {
+		if !qemu && e.Metrics().BlockChains == 0 {
 			t.Error("expected block chaining on the RV64 loop back-edge")
 		}
 	}

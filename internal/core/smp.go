@@ -2,11 +2,11 @@ package core
 
 // SMP execution (ISSUE 8): N vCPU engines over one guest RAM, one
 // port-driven system model and one physically-indexed code cache. The
-// translation state that used to live on the single Engine — the code cache,
-// the exit-resolution tables, the profile-slot map and the idle-skip offset
-// of the virtual clock — moves into the per-machine shared struct; each
-// engine keeps its own VX64 CPU, register state, host MMU (a disjoint slice
-// of the page-table pool), iTLB, system model, stats and trace recorder.
+// translation state — the code cache (which owns the exit and chain
+// indexes), the profile-slot map and the idle-skip offset of the virtual
+// clock — lives in the per-machine shared struct; each engine keeps its own
+// VX64 CPU, register state, host MMU (a disjoint slice of the page-table
+// pool), iTLB, system model, stats and trace recorder.
 //
 // Two run modes exist:
 //
@@ -51,16 +51,6 @@ type shared struct {
 	engines []*Engine
 
 	cache *codeCache
-
-	// Exit resolution (engine.go): shared because the code region is.
-	// exitByPA maps a code-region offset to 1+index into exitArena (0: no
-	// exit TRAP there). Its length is the high-water mark of the offsets
-	// written since the last flush, which clears every written entry (listed
-	// in exitOffs) and truncates it, so entries past the length are zero.
-	exitByPA   []int32
-	exitArena  []exitRef
-	exitOffs   []uint64
-	allChained []exitRef
 
 	// profPC maps shared profile-arena slots to guest PCs (observe.go).
 	profPC []uint64

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"captive/internal/gen"
@@ -31,7 +30,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	t0 := time.Now()
 	decs, undef := port.ScanBlock(e.module, e.fetchRead, gpa, e.scanBuf[:0])
 	e.scanBuf = decs
-	e.JIT.DecodeTime += time.Since(t0)
+	e.stats.DecodeNS += time.Since(t0).Nanoseconds()
 
 	// --- translate (§2.3.2) ---
 	t1 := time.Now()
@@ -90,8 +89,8 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	})
 	em.emitBr(vx64.Inst{Op: vx64.JMP}, epi.id)
 	lir := em.Finalize()
-	e.JIT.TranslateT += time.Since(t1)
-	e.JIT.DAGNodes += em.DAGNodes
+	e.stats.TranslateNS += time.Since(t1).Nanoseconds()
+	e.stats.JITDAGNodes += em.DAGNodes
 
 	// --- register allocation (§2.3.3) ---
 	t2 := time.Now()
@@ -99,9 +98,9 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: block at %#x: %w", pc, err)
 	}
-	e.JIT.RegallocT += time.Since(t2)
-	e.JIT.DeadInsts += astats.Dead
-	e.JIT.Spills += astats.Spilled
+	e.stats.RegallocNS += time.Since(t2).Nanoseconds()
+	e.stats.JITDeadInsts += astats.Dead
+	e.stats.JITSpills += astats.Spilled
 
 	// --- encode (§2.3.4) ---
 	t3 := time.Now()
@@ -124,50 +123,35 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	}
 	copy(e.vm.Phys[pa:], code)
 	e.cache.invalidateCode(pa, uint64(len(code)))
-	e.JIT.EncodeT += time.Since(t3)
+	e.stats.EncodeNS += time.Since(t3).Nanoseconds()
 
 	key := gpa
 	if e.Kind == BackendQEMU {
 		key = pc
 	}
+	gpaPage := gpa >> 12
 	blk := &Block{
-		GPA: key, EL: el, PhysPage: gpa >> 12,
-		Entry: hvm.DirectVA(pa), PA: pa, Len: len(code),
-		GuestInstrs: n, CodeBytes: len(code),
+		GPA: key, EL: el, PhysPage: gpaPage,
+		Entry: hvm.DirectVA(pa), epiPA: pa + uint64(labels[epi.id]),
 		DirectExit: em.pcWriteConstOnly,
 		Valid:      true,
 	}
-	exit := Exit{EpiPA: pa + uint64(labels[epi.id])}
-	blk.Exits = append(blk.Exits, exit)
-	sh := e.sh
-	for _, tp := range blk.Exits[0].trapOffsets() {
-		if off := tp - e.vm.Layout.CodePA; off < e.vm.Layout.CodeSize {
-			if off >= uint64(len(sh.exitByPA)) {
-				// Entries past the length are zero (shared.exitByPA).
-				sh.exitByPA = slices.Grow(sh.exitByPA, int(off)+1-len(sh.exitByPA))[:off+1]
-			}
-			sh.exitArena = append(sh.exitArena, exitRef{blk: blk, idx: 0})
-			sh.exitOffs = append(sh.exitOffs, off)
-			sh.exitByPA[off] = int32(len(sh.exitArena))
-		}
-	}
+	hadCode := e.cache.pageHasCode(gpaPage)
 	e.cache.insert(blk)
 
-	// SMC protection: Captive write-protects the source page through the
-	// host MMU (§2.6) — on *every* hart, since any of them could write the
-	// page; the baseline evicts each hart's softmmu write entry for the
-	// page and relies on slow-path dirty tracking.
-	gpaPage := gpa >> 12
+	// SMC protection: the first block from a page makes Captive
+	// write-protect it through the host MMU (§2.6) — on *every* hart, since
+	// any of them could write the page; the baseline evicts each hart's
+	// softmmu write entry for the page and relies on slow-path dirty
+	// tracking.
 	if e.Kind == BackendQEMU {
 		idx := int(pc >> 12 & (softTLBSize - 1))
-		for _, eng := range sh.engines {
+		for _, eng := range e.sh.engines {
 			e.vm.Phys.W64(eng.softTLBEntryPA(idx)+softTLBTagW, ^uint64(0))
 		}
-	} else {
-		for _, eng := range sh.engines {
-			if !eng.mmu.isProtected(gpaPage) {
-				eng.mmu.protectPage(gpaPage, eng.mmu.wasInstalledWritable(gpaPage))
-			}
+	} else if !hadCode {
+		for _, eng := range e.sh.engines {
+			eng.mmu.protectPage(gpaPage)
 		}
 	}
 
@@ -186,31 +170,21 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	} else {
 		e.cpu.Stats.Cycles += costJITBase + costJITPerLIR*charged
 	}
-	e.JIT.Blocks++
-	e.JIT.GuestInstrs += n
-	e.JIT.LIRInsts += len(alloc)
-	e.JIT.CodeBytes += len(code)
+	e.stats.JITBlocks++
+	e.stats.JITGuestInstrs += n
+	e.stats.JITLIRInsts += len(alloc)
+	e.stats.JITCodeBytes += len(code)
 	e.rec.Emit(trace.Translate, uint8(el), e.VirtualTime(), pc, uint64(len(code)))
 	return blk, nil
 }
 
-// flushTranslations empties the code cache and every structure referring
-// into it, on every hart sharing it.
+// flushTranslations empties the code cache and forgets every hart's last
+// exit, which pointed into it.
 func (e *Engine) flushTranslations() {
-	sh := e.sh
-	e.cache.flushAll()
-	for _, off := range sh.exitOffs {
-		sh.exitByPA[off] = 0
-	}
-	sh.exitByPA = sh.exitByPA[:0]
-	sh.exitOffs = sh.exitOffs[:0]
-	sh.exitArena = sh.exitArena[:0]
-	sh.allChained = sh.allChained[:0]
-	e.JIT.CacheFlushes++
-	for _, eng := range sh.engines {
-		eng.lastExitOK = false
-		// Protections become stale (no code pages remain).
-		eng.mmu.protected = make(map[uint64]bool)
+	e.cache.flush()
+	e.stats.CacheFlushes++
+	for _, eng := range e.sh.engines {
+		eng.lastExit = nil
 	}
 }
 

@@ -9,8 +9,8 @@ package difftest
 // pageHasCode → invalidate) — while the golden interpreter, which rescans
 // blocks from current memory on every entry, defines the architectural
 // outcome. Besides bit-identical state, the harness asserts that
-// Stats.SMCInvals actually fired on both DBT engines, so the lane can never
-// silently degrade into one that misses the protection path.
+// Metrics().SMCInvals actually fired on both DBT engines, so the lane can
+// never silently degrade into one that misses the protection path.
 
 import (
 	"math/rand"

@@ -42,24 +42,11 @@ type Config struct {
 	VCPUs          int // guest vCPU count; 0 means 1 (uniprocessor)
 }
 
-// DefaultConfig returns the configuration used by the benchmarks: 64 MiB of
-// guest RAM, a 16 MiB code cache and a 4 MiB page-table pool.
-func DefaultConfig() Config {
-	return Config{
-		GuestRAMBytes:  64 << 20,
-		CodeCacheBytes: 16 << 20,
-		PTPoolBytes:    4 << 20,
-	}
-}
-
 // Layout is the resolved physical memory map.
 type Layout struct {
 	GuestRAMSize uint64
 	CaptiveBase  uint64
 	VCPUs        int
-	StatePA      uint64 // one page of engine state (vCPU 0)
-	RegFilePA    uint64 // guest register file (vCPU 0)
-	StackTopPA   uint64 // top of the unikernel stack (vCPU 0, grows down)
 	PTPoolPA     uint64
 	PTPoolSize   uint64
 	CodePA       uint64
@@ -80,7 +67,8 @@ func (l *Layout) StatePAOf(i int) uint64 { return l.CaptiveBase + uint64(i)*cpuS
 // RegFilePAOf returns the guest register file of vCPU i.
 func (l *Layout) RegFilePAOf(i int) uint64 { return l.StatePAOf(i) + 0x1000 }
 
-// StackTopOf returns the unikernel stack top of vCPU i.
+// StackTopOf returns the top of vCPU i's unikernel stack (64 KiB below it,
+// growing down).
 func (l *Layout) StackTopOf(i int) uint64 { return l.StatePAOf(i) + 0x20000 }
 
 // SoftTLBOf returns the QEMU-baseline softmmu TLB base of vCPU i. For a
@@ -114,7 +102,6 @@ const (
 // VM is the host virtual machine.
 type VM struct {
 	Phys   vx64.PhysMem
-	CPU    *vx64.CPU   // host CPU of vCPU 0 (uniprocessor shorthand)
 	CPUs   []*vx64.CPU // one host CPU per guest vCPU
 	Bus    *device.Bus
 	Layout Layout
@@ -142,9 +129,6 @@ func New(cfg Config) (*VM, error) {
 		return nil, fmt.Errorf("hvm: guest RAM overlaps the MMIO window")
 	}
 	l.VCPUs = n
-	l.StatePA = l.StatePAOf(0)
-	l.RegFilePA = l.RegFilePAOf(0)
-	l.StackTopPA = l.StackTopOf(0) // 64 KiB stack below
 	if n == 1 {
 		// Historical uniprocessor map: the page-table pool starts right
 		// after the single vCPU's state/stack area, with the baseline's
@@ -163,12 +147,11 @@ func New(cfg Config) (*VM, error) {
 	for i := range cpus {
 		cpu := vx64.NewCPU(phys)
 		cpu.DirectBase = DirectBase
-		cpu.EPTEnabled = true // SLAT: identity GPA->HPA mapping (DESIGN.md §7)
 		cpu.SetCodeRegion(l.CodePA, l.CodePA+l.CodeSize)
 		cpus[i] = cpu
 	}
 
-	vm := &VM{Phys: phys, CPU: cpus[0], CPUs: cpus, Bus: &device.Bus{}, Layout: l}
+	vm := &VM{Phys: phys, CPUs: cpus, Bus: &device.Bus{}, Layout: l}
 	vm.Bus.Cycles = func() uint64 { return cpus[0].Stats.Cycles / 10 }
 	return vm, nil
 }
@@ -188,7 +171,7 @@ func (vm *VM) GuestPhysRead64(gpa uint64) (uint64, bool) {
 
 // LoadGuestImage copies a guest kernel image into guest DRAM.
 func (vm *VM) LoadGuestImage(data []byte, gpa uint64) error {
-	if gpa+uint64(len(data)) > vm.Layout.GuestRAMSize {
+	if size := vm.Layout.GuestRAMSize; gpa > size || uint64(len(data)) > size-gpa {
 		return fmt.Errorf("hvm: image of %d bytes at %#x exceeds guest RAM", len(data), gpa)
 	}
 	copy(vm.Phys[gpa:], data)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLayout(t *testing.T) {
-	vm, err := New(DefaultConfig())
+	vm, err := New(Config{GuestRAMBytes: 64 << 20, CodeCacheBytes: 16 << 20, PTPoolBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,15 +20,15 @@ func TestLayout(t *testing.T) {
 		t.Errorf("captive area overlaps devices: %#x", l.CaptiveBase)
 	}
 	// Regions are ordered and within physical memory.
-	if !(l.StatePA < l.RegFilePA && l.RegFilePA < l.StackTopPA &&
-		l.StackTopPA <= l.PTPoolPA && l.PTPoolPA < l.CodePA &&
+	if !(l.StatePAOf(0) < l.RegFilePAOf(0) && l.RegFilePAOf(0) < l.StackTopOf(0) &&
+		l.StackTopOf(0) <= l.PTPoolPA && l.PTPoolPA < l.CodePA &&
 		l.CodePA+l.CodeSize == l.TotalPhys) {
 		t.Errorf("layout out of order: %+v", l)
 	}
 	if uint64(len(vm.Phys)) != l.TotalPhys {
 		t.Errorf("phys size %d != %d", len(vm.Phys), l.TotalPhys)
 	}
-	if vm.CPU.DirectBase != DirectBase || !vm.CPU.EPTEnabled {
+	if len(vm.CPUs) != 1 || vm.CPUs[0].DirectBase != DirectBase {
 		t.Error("CPU not configured for the hypervisor environment")
 	}
 }

@@ -190,7 +190,7 @@ func (m *Machine) Sys() port.Sys { return m.sys }
 // LoadImage copies a program image into guest physical memory and points
 // the PC at its entry.
 func (m *Machine) LoadImage(data []byte, loadPA, entry uint64) error {
-	if loadPA+uint64(len(data)) > uint64(len(m.Mem)) {
+	if size := uint64(len(m.Mem)); loadPA > size || uint64(len(data)) > size-loadPA {
 		return fmt.Errorf("interp: image of %d bytes at %#x exceeds %d bytes of RAM", len(data), loadPA, len(m.Mem))
 	}
 	copy(m.Mem[loadPA:], data)

@@ -319,6 +319,43 @@ func TestBudgetSentinel(t *testing.T) {
 	}
 }
 
+// TestAddressWrap loads and reads 8 bytes at guest physical 2^64-4, where
+// the end address wraps past zero: every engine, at one and two harts, must
+// return an error and must not panic.
+func TestAddressWrap(t *testing.T) {
+	const pa = 1<<64 - 4
+	buf := make([]byte, 8)
+	for _, kind := range []machine.Kind{machine.Interp, machine.Captive, machine.QEMU} {
+		for _, harts := range []int{1, 2} {
+			m, err := machine.New(machine.Spec{Kind: kind, Guest: rv64.Port{}, RAMBytes: ram,
+				CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20, Harts: harts, Quantum: quantum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"LoadImage", func() error { return m.LoadImage(buf, pa, pa) }},
+				{"LoadData", func() error { return m.LoadData(buf, pa) }},
+				{"ReadRAM", func() error { return m.ReadRAM(pa, buf) }},
+			} {
+				name := fmt.Sprintf("%s x%d %s", kind, harts, c.name)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s at %#x panicked: %v", name, uint64(pa), r)
+						}
+					}()
+					if err := c.call(); err == nil {
+						t.Errorf("%s at %#x returned no error", name, uint64(pa))
+					}
+				}()
+			}
+		}
+	}
+}
+
 // liveHeap returns the Go heap still reachable after a full collection.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -340,9 +377,9 @@ func totalPhys(t *testing.T, cfg hvm.Config) uint64 {
 
 // TestHeapBound holds the Go heap that machine.New adds for a DBT machine
 // to its flat physical memory (hvm Layout.TotalPhys) plus 1 MiB per hart.
-// Everything else a machine allocates up front — the decode and exit
-// indexes over the code cache, superblock tables, host MMU and system state
-// — must stay small and must not scale with the code cache's size.
+// Everything else a machine allocates up front — the exit index over the
+// code cache, superblock tables, host MMU and system state — must stay
+// small and must not scale with the code cache's size.
 func TestHeapBound(t *testing.T) {
 	guest := ga64.Port{}
 	if _, err := guest.Module(ssa.O4); err != nil { // cached per process: not the machine's

@@ -1,9 +1,10 @@
 // Package metrics defines the unified, exported metrics snapshot of the
 // execution engines: one flat, JSON-taggable struct covering the runtime
-// counters (core.Stats), the compilation statistics (core.JITStats) and the
-// simulated host CPU's architectural counters, so the three engines —
-// Captive, the QEMU-style baseline and the reference interpreter — export
-// through one diffable shape (cmd/captive -metrics, the perfbench report).
+// event counters, the compilation statistics and the simulated host CPU's
+// architectural counters, so the three engines — Captive, the QEMU-style
+// baseline and the reference interpreter — export through one diffable
+// shape (cmd/captive -metrics, the perfbench report). The DBT engine keeps
+// its own counters in a Snapshot, updated in place.
 //
 // The struct deliberately lives below internal/core in the import graph
 // (it imports only the standard library) so benchmarks, difftest and future services

@@ -72,13 +72,6 @@ func AnalyzeFixedness(a *Action) {
 			}
 		}
 	}
-
-	// Export block fixedness on the blocks' statements for the generator:
-	// a branch is decidable at translate time iff its condition is fixed
-	// (which already requires its inputs fixed); the generator also needs
-	// to know whether the *block* is reached deterministically, which it
-	// recomputes from branch fixedness during translation.
-	a.blockFixed = blockFixed
 }
 
 func stmtFixed(s *Stmt) bool {
@@ -97,13 +90,4 @@ func stmtFixed(s *Stmt) bool {
 	default:
 		return false
 	}
-}
-
-// BlockFixed reports whether control reaching b is decidable at translation
-// time. Valid after AnalyzeFixedness.
-func (a *Action) BlockFixed(b *Block) bool {
-	if a.blockFixed == nil {
-		return false
-	}
-	return a.blockFixed[b]
 }

@@ -271,7 +271,6 @@ type Action struct {
 
 	nextStmtID  int
 	nextBlockID int
-	blockFixed  map[*Block]bool
 }
 
 // NewBlock appends a fresh empty block.

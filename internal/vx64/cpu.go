@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"captive/internal/softfloat"
@@ -215,10 +214,6 @@ type CPU struct {
 	// permitted from all rings in this simulation.
 	DirectBase uint64
 
-	// EPTEnabled notes that SLAT is active. The mapping is identity with a
-	// bounds check (DESIGN.md §7); the counter feeds the stats only.
-	EPTEnabled bool
-
 	Helpers []HelperFunc
 
 	Stats Stats
@@ -241,17 +236,9 @@ type CPU struct {
 
 	tlb [tlbSize]tlbEntry
 
-	// Decode cache over the code region [codeLo, codeHi) of physical
-	// memory, where the DBT engines place generated code (empty until
-	// SetCodeRegion). codeIdx maps (pa - codeLo) to 1+index into
-	// codeArena; 0 means not decoded. Its length is the high-water mark of
-	// the offsets decoded since it was last emptied, and its backing array
-	// is zero past that length, so it grows with the code executed, not
-	// with the region.
+	// The code region [codeLo, codeHi) of physical memory, where the DBT
+	// engines place generated code (empty until SetCodeRegion).
 	codeLo, codeHi uint64
-	codeIdx        []int32
-	codeArena      []Inst
-	codeLens       []uint8
 
 	// One-entry fetch translation cache.
 	fetchVAPage uint64
@@ -275,9 +262,11 @@ type CPU struct {
 	// Superblock execution state (superblock.go): a direct-mapped cache of
 	// predecoded straight-line runs keyed by code-region offset, and a
 	// per-page generation counter bumped by InvalidateCode so stale
-	// superblocks are rebuilt on next entry.
+	// superblocks are rebuilt on next entry. No live superblock extends
+	// past code-region offset sbHigh.
 	sbTab     []sbSlot
 	sbPageGen []uint32
+	sbHigh    uint64
 	// Reusable decode buffers for buildSuperblock, so cached runs hold
 	// exact-length slices.
 	sbScratch     []Inst
@@ -304,29 +293,27 @@ func (c *CPU) ProfPause() {
 }
 
 // SetCodeRegion declares [lo, hi) of physical memory as the generated-code
-// region and enables the decode cache and superblock execution over it.
+// region and enables superblock execution over it.
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
 	c.codeLo, c.codeHi = lo, hi
-	c.codeIdx = nil
-	c.codeArena = c.codeArena[:0]
-	c.codeLens = c.codeLens[:0]
 	c.sbTab = make([]sbSlot, sbTableSize)
 	c.sbPageGen = make([]uint32, (hi-lo+PageSize-1)/PageSize)
+	c.sbHigh = 0
 }
 
-// InvalidateCode drops cached decodes and superblocks for [pa, pa+n); the
-// engines call this after patching or overwriting generated code (chain
+// InvalidateCode drops the superblocks covering [pa, pa+n); the engines
+// call this after patching or overwriting generated code (chain
 // patch/unpatch, SMC page invalidation, block installation). This is the
-// coherence contract of the decode and superblock caches: code-region
-// bytes changed by any other means are stale until it is called.
+// coherence contract of the superblock cache: code-region bytes changed by
+// any other means are stale for Run until it is called. Step always
+// decodes from memory.
 //
-// The decode index, and every live superblock, covers only instructions
-// starting below the index's length, so only the part of the range below it
-// is cleared, and a range reaching that length truncates the index to the
-// range's start. A full-region flush therefore costs time in proportion to
-// the code decoded since the previous one, whatever the region's size.
-// Like the index itself, invalidation is keyed by instruction start: a
-// range covering only the tail of an instruction leaves it cached.
+// Only the part of the range below sbHigh can hold a live superblock, so a
+// range at or above it (fresh code being installed) costs nothing, and a
+// range reaching it lowers sbHigh to the range's start: every superblock
+// ending above that start touches one of the bumped pages. A full-region
+// flush therefore costs time in proportion to the code run since the
+// previous one, whatever the region's size.
 func (c *CPU) InvalidateCode(pa, n uint64) {
 	if pa >= c.codeHi || pa+n <= c.codeLo {
 		return
@@ -337,26 +324,17 @@ func (c *CPU) InvalidateCode(pa, n uint64) {
 		return
 	}
 	c.fetchOK = false
-	end := uint64(len(c.codeIdx))
-	if lo >= end {
+	if lo >= c.sbHigh {
 		return
 	}
-	hi = min(hi, end)
-	clear(c.codeIdx[lo:hi])
+	hi = min(hi, c.sbHigh)
 	// Superblocks are invalidated lazily: bump the generation of every
 	// covered page; runSuperblock rebuilds on generation mismatch.
 	for p := lo >> PageShift; p <= (hi-1)>>PageShift; p++ {
 		c.sbPageGen[p]++
 	}
-	if hi == end {
-		c.codeIdx = c.codeIdx[:lo]
-		if lo == 0 {
-			// No index entry refers into the arena any more, and no
-			// pointer decodeCached returned outlives the next decode
-			// (superblocks hold copies), so the arena restarts too.
-			c.codeArena = c.codeArena[:0]
-			c.codeLens = c.codeLens[:0]
-		}
+	if hi == c.sbHigh {
+		c.sbHigh = lo
 	}
 }
 
@@ -540,57 +518,24 @@ func (c *CPU) ea(m Mem) uint64 {
 	return a
 }
 
-// fetchInst returns the decoded instruction at RIP, using the fetch
-// translation cache and the code-region decode cache.
-func (c *CPU) fetchInst() (*Inst, int, *fault) {
+// fetchInst decodes the instruction at RIP from memory, using the fetch
+// translation cache.
+func (c *CPU) fetchInst() (Inst, int, *fault) {
 	va := c.RIP
 	vaPage := va >> PageShift
 	if !(c.fetchOK && c.fetchVAPage == vaPage && c.fetchCPL == c.CPL) {
 		pa, f := c.translate(va, AccessExec, c.CPL)
 		if f != nil {
-			return nil, 0, f
+			return Inst{}, 0, f
 		}
 		c.fetchVAPage, c.fetchPAPage, c.fetchCPL, c.fetchOK = vaPage, pa>>PageShift, c.CPL, true
 	}
 	pa := c.fetchPAPage<<PageShift | va&PageMask
-	if pa >= c.codeLo && pa < c.codeHi {
-		inst, n, ok := c.decodeCached(pa)
-		if !ok {
-			return nil, 0, &fault{addr: va, access: AccessExec, bus: true}
-		}
-		return inst, n, nil
-	}
 	inst, n, err := Decode(c.Phys, int(pa))
 	if err != nil {
-		return nil, 0, &fault{addr: va, access: AccessExec, bus: true}
+		return Inst{}, 0, &fault{addr: va, access: AccessExec, bus: true}
 	}
-	// Slow path outside the code region: return a copy.
-	tmp := inst
-	return &tmp, n, nil
-}
-
-// decodeCached returns the decoded instruction at code-region physical
-// address pa through the decode cache, filling it on miss.
-func (c *CPU) decodeCached(pa uint64) (*Inst, int, bool) {
-	off := pa - c.codeLo
-	if off < uint64(len(c.codeIdx)) {
-		if id := c.codeIdx[off]; id != 0 {
-			return &c.codeArena[id-1], int(c.codeLens[id-1]), true
-		}
-	}
-	inst, n, err := Decode(c.Phys, int(pa))
-	if err != nil {
-		return nil, 0, false
-	}
-	if off >= uint64(len(c.codeIdx)) {
-		// Entries past the length are zero (see the field comment), so
-		// extending the slice exposes no stale decode.
-		c.codeIdx = slices.Grow(c.codeIdx, int(off)+1-len(c.codeIdx))[:off+1]
-	}
-	c.codeArena = append(c.codeArena, inst)
-	c.codeLens = append(c.codeLens, uint8(n))
-	c.codeIdx[off] = int32(len(c.codeArena))
-	return &c.codeArena[len(c.codeArena)-1], n, true
+	return inst, n, nil
 }
 
 func (c *CPU) setZS(v uint64) {
@@ -641,8 +586,8 @@ func (c *CPU) pageFault(f *fault, inst *Inst, next uint64) Trap {
 //
 // Inside the declared code region, fetches through the direct map execute
 // as superblocks (superblock.go): predecoded straight-line runs dispatched
-// without the per-instruction fetch-translation check, decode-cache probe
-// and budget comparison. The architectural outcome — registers, memory,
+// without the per-instruction fetch-translation check, decode and budget
+// comparison. The architectural outcome — registers, memory,
 // Stats.Insts, Stats.Cycles, trap points — is bit-identical to stepping.
 func (c *CPU) Run(cycleBudget uint64) Trap {
 	limit := c.Stats.Cycles + cycleBudget
@@ -674,7 +619,7 @@ func (c *CPU) Step() Trap {
 	next := c.RIP + uint64(n)
 	c.Stats.Insts++
 	c.Stats.Cycles += opCost[inst.Op]
-	if !c.execOp(inst, next) {
+	if !c.execOp(&inst, next) {
 		return c.trap
 	}
 	return Trap{}

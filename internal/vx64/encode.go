@@ -311,10 +311,3 @@ func Decode(buf []byte, off int) (Inst, int, error) {
 	}
 	return inst, i - off, nil
 }
-
-// EncodedLen returns the number of bytes Encode will produce for inst.
-func EncodedLen(inst *Inst) int {
-	// Encoding is cheap; reuse it against a stack buffer.
-	var tmp [16]byte
-	return len(Encode(tmp[:0], inst))
-}

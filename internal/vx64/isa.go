@@ -48,10 +48,6 @@ const (
 	NoReg Reg = 0xFF
 )
 
-// XReg is a floating-point register number (0–15), holding a 64-bit IEEE-754
-// value (SSE2-style scalar use; "2D" vector operations use adjacent pairs).
-type XReg uint8
-
 // Op is a VX64 opcode. The encoding is one opcode byte followed by
 // operand bytes whose layout is determined entirely by the opcode
 // (see encode.go).
@@ -215,9 +211,6 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond%d", uint8(c))
 }
 
-// Negate returns the inverse condition.
-func (c Cond) Negate() Cond { return c ^ 1 }
-
 // Mem describes a memory operand [Base + Index*Scale + Disp].
 type Mem struct {
 	Base  Reg
@@ -244,8 +237,8 @@ func (m Mem) String() string {
 type Inst struct {
 	Op   Op
 	Cond Cond
-	Rd   uint16 // destination GPR or XReg (uint16 so it can hold a vreg id)
-	Rs   uint16 // source GPR or XReg
+	Rd   uint16 // destination GPR or FP register (uint16 so it can hold a vreg id)
+	Rs   uint16 // source GPR or FP register
 	Rs2  uint16 // second source (three-operand FP)
 	M    Mem
 	Imm  int64

@@ -4,10 +4,10 @@ package vx64
 // declared code region and enter it through the hypervisor direct map, so a
 // fetch inside the region needs no page walk, no TLB and no permission
 // check: the va→pa relation is linear everywhere the direct map is defined.
-// That makes the per-Step overhead — fetch-translation check, decode-cache
-// probe, budget comparison, large-Trap return — pure simulator cost with no
+// That makes the per-Step overhead — fetch-translation check, decode,
+// budget comparison, large-Trap return — pure simulator cost with no
 // architectural content, and it dominates the wall-clock of every benchmark
-// and difftest sweep.
+// and difftest sweep. Superblocks are the only predecoded form of code.
 //
 // A superblock is a predecoded straight-line run of instructions starting
 // at some code-region offset and ending at the first instruction that can
@@ -21,8 +21,8 @@ package vx64
 // Step in a loop; TestSuperblockStepEquivalence pins this.
 //
 // Coherence: superblocks are invalidated by InvalidateCode, which the
-// engines already call on chain patch/unpatch (core/chain.go), block
-// installation (core/translate.go) and SMC page invalidation
+// engines call on chain patch/unpatch (core/chain.go), block installation
+// (core/translate.go), SMC page invalidation and full flushes
 // (core/cache.go). Invalidation is lazy — a per-page generation counter is
 // bumped and stale superblocks rebuild on next entry — so patching one
 // epilogue does not scan the superblock cache.
@@ -99,12 +99,12 @@ func opWorstCost(op Op) uint64 {
 }
 
 // buildSuperblock decodes the straight-line run starting at code-region
-// offset off, sharing the per-byte decode cache with Step. Decoding goes
-// through a reusable scratch buffer so the cached superblock holds
-// exact-length slices (many runs are short — a memory op through a HELPER
-// ends one after a few ops — and a warm 16k-slot table would otherwise pin
-// full-capacity slices). It returns nil when the first instruction does
-// not decode (the Step slow path reports the fault).
+// offset off from physical memory and raises sbHigh to the run's end.
+// Decoding goes through a reusable scratch buffer so the cached superblock
+// holds exact-length slices (many runs are short — a memory op through a
+// HELPER ends one after a few ops — and a warm 16k-slot table would
+// otherwise pin full-capacity slices). It returns nil when the first
+// instruction does not decode (the Step slow path reports the fault).
 func (c *CPU) buildSuperblock(off uint64) *superblock {
 	if c.sbScratch == nil {
 		c.sbScratch = make([]Inst, 0, sbMaxOps)
@@ -114,11 +114,11 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 	var worst uint64
 	pa := c.codeLo + off
 	for len(ops) < sbMaxOps && pa < c.codeHi {
-		inst, n, ok := c.decodeCached(pa)
-		if !ok {
+		inst, n, err := Decode(c.Phys, int(pa))
+		if err != nil {
 			break
 		}
-		ops = append(ops, *inst)
+		ops = append(ops, inst)
 		lens = append(lens, uint8(n))
 		worst += opWorstCost(inst.Op)
 		pa += uint64(n)
@@ -139,6 +139,7 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 	}
 	sb.gen0 = c.sbPageGen[sb.pg0]
 	sb.gen1 = c.sbPageGen[sb.pg1]
+	c.sbHigh = max(c.sbHigh, pa-c.codeLo)
 	return sb
 }
 

@@ -278,7 +278,7 @@ func TestSuperblockPageSpanInvalidation(t *testing.T) {
 }
 
 // TestSuperblockSetCodeRegionResets ensures SetCodeRegion drops all
-// superblock state along with the decode cache.
+// superblock state.
 func TestSuperblockSetCodeRegionResets(t *testing.T) {
 	c := newTestCPU()
 	end := asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 5}, Inst{Op: HLT})

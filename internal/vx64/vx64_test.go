@@ -528,7 +528,7 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	c.InvalidateCode(0, end)
 	run(t, c, directBase)
 	if c.R[0] != 2 {
-		t.Errorf("decode cache not invalidated: r0=%d", c.R[0])
+		t.Errorf("stale superblock executed: r0=%d", c.R[0])
 	}
 }
 
@@ -536,12 +536,12 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 // an engine's full code-cache flush does.
 const codeRegion = 1 << 20
 
-// TestFullInvalidateBoundsDecodeArena runs a loop, then invalidates the
-// whole code region and re-runs it 100 times, as the QEMU baseline does on
-// every guest TLB flush. Each flush empties the decode index, so the decode
-// arena must stay at one run's size instead of growing with every
-// re-decode.
-func TestFullInvalidateBoundsDecodeArena(t *testing.T) {
+// TestFullInvalidateBoundsSBHigh runs a loop, then invalidates the whole
+// code region and re-runs it 100 times, as the QEMU baseline does on every
+// guest TLB flush. Each flush lowers sbHigh to zero and each rerun raises it
+// back to the loop's extent only, so no flush costs more than the code run
+// since the previous one.
+func TestFullInvalidateBoundsSBHigh(t *testing.T) {
 	c := newTestCPU()
 	const at = 0x400
 	body := asm(c.Phys, at,
@@ -555,32 +555,33 @@ func TestFullInvalidateBoundsDecodeArena(t *testing.T) {
 	)
 	jccEnd := asm(c.Phys, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: 0})
 	asm(c.Phys, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: int64(body) - int64(jccEnd)})
-	asm(c.Phys, jccEnd, Inst{Op: HLT})
+	end := asm(c.Phys, jccEnd, Inst{Op: HLT})
 
 	run(t, c, directBase+at)
-	arena, lens := len(c.codeArena), len(c.codeLens)
-	if c.R[1] != 55 || arena == 0 {
-		t.Fatalf("first run: r1 = %d, %d arena entries", c.R[1], arena)
+	if c.R[1] != 55 || c.sbHigh != end {
+		t.Fatalf("first run: r1 = %d, sbHigh = %#x, want 55 and %#x", c.R[1], c.sbHigh, end)
 	}
 	for i := 0; i < 100; i++ {
 		c.InvalidateCode(0, codeRegion)
+		if c.sbHigh != 0 {
+			t.Fatalf("flush %d: sbHigh = %#x, want 0", i+1, c.sbHigh)
+		}
 		run(t, c, directBase+at)
 		if c.R[1] != 55 {
 			t.Fatalf("run %d after a flush: r1 = %d, want 55", i+2, c.R[1])
 		}
-	}
-	if len(c.codeArena) != arena || len(c.codeLens) != lens {
-		t.Errorf("after 100 flushes: %d arena and %d length entries, want %d and %d (one run's decodes)",
-			len(c.codeArena), len(c.codeLens), arena, lens)
+		if c.sbHigh != end {
+			t.Fatalf("run %d after a flush: sbHigh = %#x, want one run's extent %#x", i+2, c.sbHigh, end)
+		}
 	}
 }
 
-// TestFlushCoherenceAcrossOffsets decodes and runs code at a high offset,
-// invalidates the whole region, then installs new code at a low offset and
-// different code at the old high offset, as a bump allocator refilling
-// after a flush would. Both must run their new bytes (no stale decode or
-// superblock survives the flush), and the decode index must shrink to the
-// extent of the code decoded since the flush.
+// TestFlushCoherenceAcrossOffsets runs code at a high offset, invalidates
+// the whole region, then installs new code at a low offset and different
+// code at the old high offset, as a bump allocator refilling after a flush
+// would. Both must run their new bytes (no stale superblock survives the
+// flush), and sbHigh must shrink to the extent of the code run since the
+// flush.
 func TestFlushCoherenceAcrossOffsets(t *testing.T) {
 	c := newTestCPU()
 	const lo, hi = 0x100, 0x80000
@@ -601,10 +602,10 @@ func TestFlushCoherenceAcrossOffsets(t *testing.T) {
 	if c.R[0] != 7 {
 		t.Fatalf("low offset after the flush: r0 = %d, want 7", c.R[0])
 	}
-	if n := uint64(len(c.codeIdx)); n > loEnd {
-		t.Errorf("decode index spans %#x bytes after the flush, want at most the low code's extent %#x", n, loEnd)
+	if c.sbHigh != loEnd {
+		t.Errorf("sbHigh = %#x after the flush, want the low code's extent %#x", c.sbHigh, loEnd)
 	}
-	// Stepping probes the decode index; Run executes superblocks.
+	// Stepping decodes from memory; Run executes superblocks.
 	c.RIP = directBase + hi
 	if tr := runStepped(c, 1_000_000); tr.Kind != TrapHlt || c.R[0] != 3 {
 		t.Fatalf("stepped high offset after the flush: %v, r0 = %d, want 3 (stale decode)", tr, c.R[0])
@@ -614,6 +615,68 @@ func TestFlushCoherenceAcrossOffsets(t *testing.T) {
 	if c.R[0] != 3 {
 		t.Errorf("high offset after the flush: r0 = %d, want 3 (stale superblock)", c.R[0])
 	}
+}
+
+// TestStepDecodesMemory overwrites code-region bytes that Step has already
+// executed, without calling InvalidateCode: Step keeps no decode cache, so
+// it must run the new bytes.
+func TestStepDecodesMemory(t *testing.T) {
+	c := newTestCPU()
+	asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 1}, Inst{Op: HLT})
+	c.RIP = directBase
+	if tr := runStepped(c, 1_000_000); tr.Kind != TrapHlt || c.R[0] != 1 {
+		t.Fatalf("first run: %v, r0 = %d, want hlt and 1", tr, c.R[0])
+	}
+	asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 2}, Inst{Op: HLT})
+	c.RIP = directBase
+	if tr := runStepped(c, 1_000_000); tr.Kind != TrapHlt || c.R[0] != 2 {
+		t.Errorf("after overwriting: %v, r0 = %d, want hlt and 2 (stale decode)", tr, c.R[0])
+	}
+}
+
+// TestInvalidateCodeSBHigh pins InvalidateCode's cost bound. A range at or
+// above sbHigh changes no page generation and leaves sbHigh alone; a range
+// below it bumps only its own pages; a range reaching it also lowers sbHigh
+// to the range's start.
+func TestInvalidateCodeSBHigh(t *testing.T) {
+	c := newTestCPU()
+	// One straight-line run across the boundary of pages 0 and 1.
+	start := uint64(PageSize - 8)
+	at := start
+	for i := 0; i < 4; i++ {
+		at = asm(c.Phys, at, Inst{Op: ADDri, Rd: 0, Imm: 1})
+	}
+	end := asm(c.Phys, at, Inst{Op: HLT})
+	run(t, c, directBase+start)
+	if c.sbHigh != end {
+		t.Fatalf("sbHigh = %#x after one run, want its end %#x", c.sbHigh, end)
+	}
+	check := func(step string, high uint64, bumped ...int) {
+		t.Helper()
+		if c.sbHigh != high {
+			t.Errorf("%s: sbHigh = %#x, want %#x", step, c.sbHigh, high)
+		}
+		want := make([]uint32, len(c.sbPageGen))
+		for _, p := range bumped {
+			want[p]++
+		}
+		for p := range want {
+			if c.sbPageGen[p] != want[p] {
+				t.Errorf("%s: page %d generation %d, want %d", step, p, c.sbPageGen[p], want[p])
+			}
+		}
+	}
+
+	c.InvalidateCode(end, 3*PageSize)
+	c.InvalidateCode(end+5*PageSize, 100)
+	check("ranges at and above sbHigh", end)
+
+	c.InvalidateCode(start, 2)
+	check("range below sbHigh", end, 0)
+
+	patch := uint64(PageSize + 4)
+	c.InvalidateCode(patch, 2*PageSize)
+	check("range reaching sbHigh", patch, 0, 1)
 }
 
 func TestCycleAccounting(t *testing.T) {
