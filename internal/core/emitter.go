@@ -53,9 +53,8 @@ type node struct {
 	// bank load specifics
 	memOff int32
 	// materialization state
-	gpr   uint16 // virtual/physical GPR holding the value (0 = none)
-	fpr   uint16 // virtual FP register holding the value (0 = none)
-	bankW uint64 // bank version at creation (for lazy bank loads)
+	gpr uint16 // virtual/physical GPR holding the value (0 = none)
+	fpr uint16 // virtual FP register holding the value (0 = none)
 }
 
 type nodeKind uint8
@@ -93,13 +92,9 @@ type Emitter struct {
 
 	locals []uint16 // LocalRef -> GPR vreg
 
-	// bankVersion increments on every bank write; lazy bank loads remember
-	// the version they were created under and refuse lazy reuse across
-	// writes (force-materialization keeps ordering correct).
-	bankVersion uint64
-
 	// pendingBankLoads lists unmaterialized nLoadBank vals for forced
-	// materialization before a bank write.
+	// materialization before a bank write (lazy bank loads are never
+	// reused across a write: forcing them first keeps the ordering).
 	pendingBankLoads []gen.Val
 
 	// pendingLazy lists every unmaterialized lazy node created since the
@@ -116,13 +111,9 @@ type Emitter struct {
 	// Stats for §3.4.
 	DAGNodes int
 
-	// Exit-analysis bookkeeping for block chaining: count of WritePC
-	// emissions, whether all were PC+const, the last constant offset, and
-	// the number of dynamic branches.
-	pcWrites         int
+	// pcWriteConstOnly reports whether every WritePC was PC+const (the
+	// block's exit is direct, so it may be chained).
 	pcWriteConstOnly bool
-	pcWriteOffset    int64
-	dynBranches      int
 }
 
 // newEmitter creates an emitter for one guest block translation.
@@ -536,7 +527,7 @@ func (e *Emitter) Const(ty adl.TypeName, v uint64) gen.Val {
 // byte offset folded at translation time (Fig. 7's const_u32(256+16*insn.a)).
 func (e *Emitter) BankReadFixed(bank *ssa.Bank, idx uint64) gen.Val {
 	off := int32(bank.Offset) + int32(idx)*int32(bank.Stride)
-	v := e.newNode(node{kind: nLoadBank, ty: bank.Type, memOff: off, bankW: e.bankVersion})
+	v := e.newNode(node{kind: nLoadBank, ty: bank.Type, memOff: off})
 	e.pendingBankLoads = append(e.pendingBankLoads, v)
 	return v
 }
@@ -571,7 +562,6 @@ func (e *Emitter) forceBankLoads() {
 func (e *Emitter) BankWriteFixed(bank *ssa.Bank, idx uint64, val gen.Val) {
 	e.forceBankLoads()
 	off := int32(bank.Offset) + int32(idx)*int32(bank.Stride)
-	e.bankVersion++
 	// FP values stored directly from the FP register file (Fig. 13's
 	// `movq %xmm0,0x100(%rbp)` pattern).
 	if n := e.nodes[val]; n.fpr != 0 && bank.Stride == 8 {
@@ -587,7 +577,6 @@ func (e *Emitter) BankWriteFixed(bank *ssa.Bank, idx uint64, val gen.Val) {
 // BankWrite implements gen.Emitter (dynamic register index).
 func (e *Emitter) BankWrite(bank *ssa.Bank, idx gen.Val, val gen.Val) {
 	e.forceBankLoads()
-	e.bankVersion++
 	i := e.matG(idx)
 	g := e.matG(val)
 	e.emit(vx64.Inst{Op: storeOpFor(uint8(bank.Stride)), Rs: g,
@@ -625,19 +614,9 @@ func (e *Emitter) Cast(from, to adl.TypeName, a gen.Val) gen.Val {
 	if an := e.nodes[a]; an.kind == nConst {
 		return e.newNode(node{kind: nConst, ty: to, cval: ssa.EvalCast(an.cval, from, to)})
 	}
-	if from == to || (from.Bits() == to.Bits() && from.Bits() == 64) {
-		return a
-	}
-	// Widening from an already-canonical value is a no-op.
-	if to.Bits() == 64 {
-		n := e.nodes[a]
-		out := n
-		out.ty = to
-		out.a = a
-		if n.kind == nBin || n.kind == nUn || n.kind == nCast || n.kind == nSelect || n.kind == nLoadBank || n.kind == nReadPC {
-			// Reuse the same node; its canonical 64-bit value is the cast.
-			return a
-		}
+	// Widening an already-canonical value to 64 bits is a no-op: the
+	// node's canonical 64-bit value is the cast.
+	if from == to || to.Bits() == 64 {
 		return a
 	}
 	return e.newNode(node{kind: nCast, ty: to, from: from, a: a})
@@ -663,18 +642,15 @@ func (e *Emitter) ReadPC() gen.Val { return e.newNode(node{kind: nReadPC, ty: ad
 // values are materialized first — any of them may transitively read the PC
 // register this write is about to redirect (the jal link-register hazard).
 func (e *Emitter) WritePC(v gen.Val) {
-	e.pcWrites++
 	e.flushPending(v)
 	n := e.nodes[v]
 	if n.kind == nBin && n.binOp == ssa.BinAdd {
 		an, bn := e.nodes[n.a], e.nodes[n.b]
 		if an.kind == nReadPC && bn.kind == nConst && fitsImm32(bn.cval) {
-			e.pcWriteOffset = int64(bn.cval)
 			e.emit(vx64.Inst{Op: vx64.ADDri, Rd: uint16(vx64.RPC), Imm: int64(bn.cval)})
 			return
 		}
 		if bn.kind == nReadPC && an.kind == nConst && fitsImm32(an.cval) {
-			e.pcWriteOffset = int64(an.cval)
 			e.emit(vx64.Inst{Op: vx64.ADDri, Rd: uint16(vx64.RPC), Imm: int64(an.cval)})
 			return
 		}
@@ -716,7 +692,6 @@ func (e *Emitter) Jump(id gen.BlockRef) {
 
 // Branch implements gen.Emitter.
 func (e *Emitter) Branch(cond gen.Val, t, f gen.BlockRef) {
-	e.dynBranches++
 	e.flushPending(gen.NoVal)
 	c := e.matG(cond)
 	e.emit(vx64.Inst{Op: vx64.TESTrr, Rd: c, Rs: c})

@@ -121,6 +121,7 @@ type Engine struct {
 	nzcvOff int
 	xOff    int
 	fpOff   int // -1 when the guest has no FP bank
+	zeroGPR int // hardwired-zero GPR index, -1 when none
 
 	hooks port.Hooks
 
@@ -177,6 +178,7 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 	e.pcOff = module.Layout.PCOffset
 	e.nzcvOff = module.Registry.Bank(banks.Flags).Offset
 	e.xOff = module.Registry.Bank(banks.GPR).Offset
+	e.zeroGPR = banks.ZeroGPR
 	e.fpOff = -1
 	if banks.FP != "" {
 		e.fpOff = module.Registry.Bank(banks.FP).Offset
@@ -215,8 +217,13 @@ func (e *Engine) Reg(n int) uint64 {
 	return binary.LittleEndian.Uint64(e.regfile()[e.xOff+8*n:])
 }
 
-// SetReg sets guest register Xn.
+// SetReg sets guest register Xn. Writes to the guest's hardwired-zero
+// register (RISC-V x0) are dropped: the generated model relies on that bank
+// slot staying 0.
 func (e *Engine) SetReg(n int, v uint64) {
+	if n == e.zeroGPR {
+		return
+	}
 	binary.LittleEndian.PutUint64(e.regfile()[e.xOff+8*n:], v)
 }
 
@@ -325,7 +332,7 @@ func (e *Engine) Console() string { return e.vm.Bus.Console() }
 // LoadImage loads a guest image at a guest physical address and points the
 // guest PC at entry.
 func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
-	if err := e.vm.LoadGuestImage(data, gpa); err != nil {
+	if err := e.vm.RAM.Load(data, gpa); err != nil {
 		return err
 	}
 	e.SetPC(entry)
@@ -737,7 +744,7 @@ func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
 	}
 	e.rec.Emit(trace.MMIO, mmioArg(width, !load), e.VirtualTime(), e.cpu.R[vx64.RPC], gpa)
 	if load {
-		v := e.vm.MMIO(gpa, false, width, 0)
+		v := e.vm.Bus.Read(gpa-e.guest.DeviceBase(), width)
 		if in.Op == vx64.LOADS8 {
 			v = uint64(int64(int8(v)))
 		} else if in.Op == vx64.LOADS16 {
@@ -757,7 +764,7 @@ func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
 		} else {
 			v = e.cpu.R[in.Rs]
 		}
-		e.vm.MMIO(gpa, true, width, v)
+		e.vm.Bus.Write(gpa-e.guest.DeviceBase(), width, v)
 		// A device write may have armed, disarmed or retargeted the timer.
 		e.refreshIRQ()
 	}
@@ -929,20 +936,7 @@ func (e *Engine) Cycles() uint64 { return e.cpu.Stats.Cycles }
 // LoadUser copies additional image data (e.g. a user program) into guest
 // RAM without changing the PC.
 func (e *Engine) LoadUser(data []byte, gpa uint64) error {
-	return e.vm.LoadGuestImage(data, gpa)
-}
-
-// ReadRAM copies len(dst) bytes of guest physical memory starting at pa.
-// Guest RAM is identity-mapped at the bottom of host physical memory, so
-// this is a plain slice read. Differential harnesses use it to compare
-// memory images across engines.
-func (e *Engine) ReadRAM(pa uint64, dst []byte) error {
-	size := e.vm.Layout.GuestRAMSize
-	if pa > size || uint64(len(dst)) > size-pa {
-		return fmt.Errorf("core: ReadRAM [%#x, +%#x) exceeds guest RAM", pa, len(dst))
-	}
-	copy(dst, e.vm.Phys[pa:])
-	return nil
+	return e.vm.RAM.Load(data, gpa)
 }
 
 // RegState returns a copy of the architectural register file below the PC

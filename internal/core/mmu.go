@@ -135,11 +135,11 @@ func (m *hostMMU) protectPage(gpaPage uint64) {
 	}
 }
 
-// guestWalk walks the guest page tables through the guest port, using the
-// engine's physical memory accessor and charging the walk cost to the CPU.
+// guestWalk walks the guest page tables through the guest port, reading
+// guest RAM and charging the walk cost to the CPU.
 func (e *Engine) guestWalk(va uint64) port.WalkResult {
 	if e.sys.MMUOn() {
 		e.cpu.Stats.Cycles += 4 * vx64.CostGuestWalkStep
 	}
-	return e.sys.Walk(e.vm.GuestPhysRead64, va)
+	return e.sys.Walk(e.vm.RAM.Read64, va)
 }

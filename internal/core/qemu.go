@@ -212,26 +212,35 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	if e.guest.IsDevice(gpa) {
 		e.stats.MMIOEmulations++
 		e.rec.Emit(trace.MMIO, mmioArg(width, write), e.VirtualTime(), guestPC, gpa)
+		off := gpa - e.guest.DeviceBase()
 		if write {
-			e.vm.MMIO(gpa, true, width, val)
+			e.vm.Bus.Write(off, width, val)
 			// A device write may have armed, silenced or re-aimed the
 			// timer: recompute the block-entry injection deadline.
 			e.refreshIRQ()
 		} else {
-			e.setRet(e.vm.MMIO(gpa, false, width, 0))
+			e.setRet(e.vm.Bus.Read(off, width))
 		}
 		return vx64.HelperContinue
 	}
-	if gpa+uint64(width) > e.vm.Layout.GuestRAMSize {
+	// Perform the access; one not wholly inside guest RAM aborts.
+	var v uint64
+	var ok bool
+	if write {
+		ok = e.vm.RAM.Write(gpa, width, val)
+	} else {
+		v, ok = e.vm.RAM.Read(gpa, width)
+	}
+	if !ok {
 		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: va, PC: guestPC})
 		return vx64.HelperExit
 	}
-	// Self-modifying code: a store into a page with translations flushes
-	// them (QEMU-style dirty tracking). The store is performed contiguously
-	// from gpa, so a page-crossing write dirties the *last* byte's physical
-	// page too — checking only the first page would let stale translations
-	// of the next page keep running.
 	if write {
+		// Self-modifying code: a store into a page with translations
+		// flushes them (QEMU-style dirty tracking). The store went
+		// contiguously from gpa, so a page-crossing write dirties the
+		// *last* byte's physical page too — checking only the first page
+		// would let stale translations of the next page keep running.
 		endPage := (gpa + uint64(width) - 1) >> 12
 		for page := gpa >> 12; page <= endPage; page++ {
 			if e.cache.pageHasCode(page) {
@@ -240,6 +249,8 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 				e.cache.invalidatePage(page)
 			}
 		}
+	} else {
+		e.setRet(v)
 	}
 	// Fill the TLB entry.
 	vaPage := va &^ uint64(0xFFF)
@@ -253,33 +264,6 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 		e.vm.Phys.W64(pa+softTLBTagW, ^uint64(0))
 	}
 	e.vm.Phys.W64(pa+softTLBAddend, hvm.DirectVA(gpaPage)-vaPage)
-
-	// Perform the access.
-	if write {
-		switch width {
-		case 1:
-			e.vm.Phys.W8(gpa, uint8(val))
-		case 2:
-			e.vm.Phys.W16(gpa, uint16(val))
-		case 4:
-			e.vm.Phys.W32(gpa, uint32(val))
-		default:
-			e.vm.Phys.W64(gpa, val)
-		}
-		return vx64.HelperContinue
-	}
-	var v uint64
-	switch width {
-	case 1:
-		v = uint64(e.vm.Phys.R8(gpa))
-	case 2:
-		v = uint64(e.vm.Phys.R16(gpa))
-	case 4:
-		v = uint64(e.vm.Phys.R32(gpa))
-	default:
-		v = e.vm.Phys.R64(gpa)
-	}
-	e.setRet(v)
 	return vx64.HelperContinue
 }
 

@@ -144,7 +144,6 @@ type interval struct {
 
 // AllocStats reports allocator work for the JIT statistics.
 type AllocStats struct {
-	Vregs   int
 	Spilled int
 	Dead    int
 }
@@ -195,7 +194,6 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 
 	// --- live ranges over non-dead instructions ---
 	ranges := map[vregKey]*interval{}
-	uses := map[vregKey][]int{}
 	for idx := range lir {
 		if lir[idx].I.Dead {
 			continue
@@ -211,12 +209,8 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 				ranges[k] = iv
 			}
 			iv.end = idx
-			if o.use {
-				uses[k] = append(uses[k], idx)
-			}
 		}
 	}
-	stats.Vregs = len(ranges)
 
 	// --- linear scan ---
 	ivs := make([]*interval, 0, len(ranges))
@@ -367,6 +361,5 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 			out = append(out, LInst{I: inst, Target: noTarget})
 		}
 	}
-	_ = uses
 	return out, stats, nil
 }

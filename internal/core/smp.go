@@ -260,7 +260,7 @@ func (s *SMP) Run(budget uint64) error {
 
 // LoadImage copies an image into guest RAM and points every vCPU at entry.
 func (s *SMP) LoadImage(data []byte, gpa, entry uint64) error {
-	if err := s.vm.LoadGuestImage(data, gpa); err != nil {
+	if err := s.vm.RAM.Load(data, gpa); err != nil {
 		return err
 	}
 	for _, e := range s.sh.engines {
@@ -270,13 +270,13 @@ func (s *SMP) LoadImage(data []byte, gpa, entry uint64) error {
 }
 
 // LoadData copies bytes into guest RAM.
-func (s *SMP) LoadData(data []byte, gpa uint64) error { return s.vm.LoadGuestImage(data, gpa) }
+func (s *SMP) LoadData(data []byte, gpa uint64) error { return s.vm.RAM.Load(data, gpa) }
 
 // Exit reports whether every vCPU has halted, and vCPU 0's exit code.
 func (s *SMP) Exit() (bool, uint64) { return s.Halted() }
 
 // ReadRAM copies guest RAM starting at pa into dst.
-func (s *SMP) ReadRAM(pa uint64, dst []byte) error { return s.sh.engines[0].ReadRAM(pa, dst) }
+func (s *SMP) ReadRAM(pa uint64, dst []byte) error { return s.vm.RAM.Copy(dst, pa) }
 
 // Metrics returns the machine's metrics summed over its vCPUs.
 func (s *SMP) Metrics() metrics.Snapshot {

@@ -12,15 +12,6 @@ import (
 	"captive/internal/vx64"
 )
 
-// fetchRead reads one instruction word of guest RAM for the shared block
-// scanner; reads beyond guest RAM fail (the hUndef path).
-func (e *Engine) fetchRead(pa uint64) (uint32, bool) {
-	if pa+port.InstrBytes > e.vm.Layout.GuestRAMSize {
-		return 0, false
-	}
-	return e.vm.Phys.R32(pa), true
-}
-
 // translateBlock runs the four-phase online pipeline of Fig. 8 for one
 // guest basic block: Decode → Translate (generator functions over the
 // invocation DAG) → Register Allocation → Encode, then installs the code in
@@ -28,7 +19,7 @@ func (e *Engine) fetchRead(pa uint64) (uint32, bool) {
 func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	// --- decode (§2.3.1): the shared block-formation rules ---
 	t0 := time.Now()
-	decs, undef := port.ScanBlock(e.module, e.fetchRead, gpa, e.scanBuf[:0])
+	decs, undef := port.ScanBlock(e.module, e.vm.RAM.Fetch, gpa, e.scanBuf[:0])
 	e.scanBuf = decs
 	e.stats.DecodeNS += time.Since(t0).Nanoseconds()
 

@@ -40,7 +40,7 @@ func IsDevice(pa uint64) bool {
 type WalkResult = port.WalkResult
 
 // PhysRead64 reads a 64-bit word of guest physical memory; ok is false for
-// out-of-range addresses. Each engine supplies its own accessor.
+// out-of-range addresses (port.RAM.Read64 on every engine).
 type PhysRead64 = port.PhysRead64
 
 // Walk translates va under the system state. With the MMU off it is the

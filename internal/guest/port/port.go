@@ -16,8 +16,8 @@ import (
 )
 
 // PhysRead64 reads a 64-bit word of guest physical memory; ok is false for
-// out-of-range addresses. Each engine supplies its own accessor, so the
-// walker stays engine-agnostic.
+// out-of-range addresses. Every engine passes RAM.Read64, so the walker
+// never sees an engine.
 type PhysRead64 func(pa uint64) (uint64, bool)
 
 // WalkResult is the outcome of a guest page-table walk. Permissions may be

@@ -5,14 +5,27 @@
 // which it is free to build host page tables and run code in any protection
 // ring.
 //
-// Physical memory layout (Fig. 15, concretized):
+// Physical memory layout (Fig. 15, concretized), the same formula for every
+// vCPU count:
 //
-//	[0, GuestRAMSize)            emulated guest DRAM (GPA == HPA identity)
-//	[ga64.DeviceBase, +1 MiB)    guest MMIO window — never backed; accesses
-//	                             fault and are emulated by the hypervisor
-//	[CaptiveBase, ...)           the Captive area: engine state page, guest
-//	                             register file, stack, host page-table pool,
-//	                             code cache
+//	[0, GuestRAMSize)            emulated guest DRAM (GPA == HPA identity),
+//	                             VM.RAM
+//	[GuestRAMSize, CaptiveBase)  guard: the rest of guest RAM's last MiB,
+//	                             then one unused MiB
+//	[CaptiveBase, TotalPhys)     the Captive area: per vCPU, its state page,
+//	                             register file, stack and (QEMU baseline)
+//	                             softmmu TLB; then the host page-table pool;
+//	                             then the code cache
+//
+// Guest code never addresses the Captive area: the engines check guest
+// physical addresses against guest RAM before they reach host memory, and
+// the unikernel reaches its own structures through pinned registers and
+// the direct map. The guard keeps what a guest access can still touch past
+// the end of RAM — the rest of a partial last page, and the up to 7 bytes
+// a page-straddling load reads physically contiguous — off vCPU 0's state
+// page. The guest's MMIO window is the port's business
+// (port.Port.IsDevice/DeviceBase): its addresses are trapped and emulated
+// before they reach host memory, so it needs no hole here.
 //
 // The host virtual address space is split per §2.7.3: the low half holds
 // guest virtual addresses (mapped on demand from guest page tables); the
@@ -24,7 +37,7 @@ import (
 	"fmt"
 
 	"captive/internal/device"
-	"captive/internal/guest/ga64"
+	"captive/internal/guest/port"
 	"captive/internal/vx64"
 )
 
@@ -36,7 +49,7 @@ const LowHalfMask = 0x0000_7FFF_FFFF_FFFF
 
 // Config sizes the host virtual machine.
 type Config struct {
-	GuestRAMBytes  int // guest DRAM size (max 256 MiB, below the MMIO window)
+	GuestRAMBytes  int // guest DRAM size (max 256 MiB)
 	CodeCacheBytes int // translated-code cache
 	PTPoolBytes    int // host page-table pool
 	VCPUs          int // guest vCPU count; 0 means 1 (uniprocessor)
@@ -55,11 +68,12 @@ type Layout struct {
 }
 
 // cpuStride is the per-vCPU slice of the Captive area: state page, register
-// file, stack and (QEMU baseline) softmmu TLB, one slice per vCPU. With one
-// vCPU the layout collapses to the historical uniprocessor map, so every
-// physical address — and therefore the bit-exact cycle model — is unchanged
-// for existing single-core images.
+// file, stack and (QEMU baseline) softmmu TLB, one slice per vCPU.
 const cpuStride = 0x140000
+
+// guardSize is the unused gap between guest RAM (rounded up to a MiB) and
+// the Captive area.
+const guardSize = 1 << 20
 
 // StatePAOf returns the state page of vCPU i.
 func (l *Layout) StatePAOf(i int) uint64 { return l.CaptiveBase + uint64(i)*cpuStride }
@@ -71,10 +85,7 @@ func (l *Layout) RegFilePAOf(i int) uint64 { return l.StatePAOf(i) + 0x1000 }
 // growing down).
 func (l *Layout) StackTopOf(i int) uint64 { return l.StatePAOf(i) + 0x20000 }
 
-// SoftTLBOf returns the QEMU-baseline softmmu TLB base of vCPU i. For a
-// single vCPU this coincides with the page-table pool base (the baseline
-// never walks host page tables), matching the historical layout byte for
-// byte.
+// SoftTLBOf returns the QEMU-baseline softmmu TLB base of vCPU i.
 func (l *Layout) SoftTLBOf(i int) uint64 { return l.StatePAOf(i) + 0x100000 }
 
 // PTPoolOf returns the host page-table pool slice of vCPU i: each vCPU
@@ -101,7 +112,10 @@ const (
 
 // VM is the host virtual machine.
 type VM struct {
-	Phys   vx64.PhysMem
+	Phys vx64.PhysMem
+	// RAM is guest DRAM, Phys[:GuestRAMSize] with its capacity capped, so
+	// no slice of it reaches past guest RAM.
+	RAM    port.RAM
 	CPUs   []*vx64.CPU // one host CPU per guest vCPU
 	Bus    *device.Bus
 	Layout Layout
@@ -124,19 +138,10 @@ func New(cfg Config) (*VM, error) {
 	}
 	var l Layout
 	l.GuestRAMSize = uint64(cfg.GuestRAMBytes)
-	l.CaptiveBase = uint64(ga64.DeviceBase) + uint64(ga64.DeviceSize)
-	if l.GuestRAMSize > uint64(ga64.DeviceBase) {
-		return nil, fmt.Errorf("hvm: guest RAM overlaps the MMIO window")
-	}
+	// Guest RAM rounded up to a MiB, then the guard.
+	l.CaptiveBase = (l.GuestRAMSize+1<<20-1)&^(1<<20-1) + guardSize
 	l.VCPUs = n
-	if n == 1 {
-		// Historical uniprocessor map: the page-table pool starts right
-		// after the single vCPU's state/stack area, with the baseline's
-		// softmmu TLB overlaying its (never-walked) root pages.
-		l.PTPoolPA = l.CaptiveBase + 0x100000
-	} else {
-		l.PTPoolPA = l.CaptiveBase + uint64(n)*cpuStride
-	}
+	l.PTPoolPA = l.CaptiveBase + uint64(n)*cpuStride
 	l.PTPoolSize = uint64(cfg.PTPoolBytes)
 	l.CodePA = l.PTPoolPA + l.PTPoolSize
 	l.CodeSize = uint64(cfg.CodeCacheBytes)
@@ -151,7 +156,7 @@ func New(cfg Config) (*VM, error) {
 		cpus[i] = cpu
 	}
 
-	vm := &VM{Phys: phys, CPUs: cpus, Bus: &device.Bus{}, Layout: l}
+	vm := &VM{Phys: phys, RAM: port.RAM(phys[:l.GuestRAMSize:l.GuestRAMSize]), CPUs: cpus, Bus: &device.Bus{}, Layout: l}
 	vm.Bus.Cycles = func() uint64 { return cpus[0].Stats.Cycles / 10 }
 	return vm, nil
 }
@@ -159,31 +164,3 @@ func New(cfg Config) (*VM, error) {
 // DirectVA converts a host physical address to its direct-map virtual
 // address.
 func DirectVA(pa uint64) uint64 { return DirectBase + pa }
-
-// GuestPhysRead64 reads guest physical memory (RAM only; device addresses
-// return ok=false), for use by guest page-table walkers.
-func (vm *VM) GuestPhysRead64(gpa uint64) (uint64, bool) {
-	if gpa+8 > vm.Layout.GuestRAMSize {
-		return 0, false
-	}
-	return vm.Phys.R64(gpa), true
-}
-
-// LoadGuestImage copies a guest kernel image into guest DRAM.
-func (vm *VM) LoadGuestImage(data []byte, gpa uint64) error {
-	if size := vm.Layout.GuestRAMSize; gpa > size || uint64(len(data)) > size-gpa {
-		return fmt.Errorf("hvm: image of %d bytes at %#x exceeds guest RAM", len(data), gpa)
-	}
-	copy(vm.Phys[gpa:], data)
-	return nil
-}
-
-// MMIO dispatches an emulated device access at guest physical address gpa.
-func (vm *VM) MMIO(gpa uint64, write bool, size uint8, val uint64) uint64 {
-	off := gpa - uint64(ga64.DeviceBase)
-	if write {
-		vm.Bus.Write(off, size, val)
-		return 0
-	}
-	return vm.Bus.Read(off, size)
-}

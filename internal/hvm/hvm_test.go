@@ -1,35 +1,46 @@
 package hvm
 
-import (
-	"testing"
-
-	"captive/internal/guest/ga64"
-)
+import "testing"
 
 func TestLayout(t *testing.T) {
-	vm, err := New(Config{GuestRAMBytes: 64 << 20, CodeCacheBytes: 16 << 20, PTPoolBytes: 4 << 20})
+	cfg := Config{GuestRAMBytes: 64<<20 + 0x800, CodeCacheBytes: 16 << 20, PTPoolBytes: 4 << 20}
+	vm, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := vm.Layout
-	if l.GuestRAMSize != 64<<20 {
+	if l.GuestRAMSize != 64<<20+0x800 {
 		t.Errorf("ram = %d", l.GuestRAMSize)
 	}
-	// The Captive area starts above the MMIO window.
-	if l.CaptiveBase < uint64(ga64.DeviceBase)+uint64(ga64.DeviceSize) {
-		t.Errorf("captive area overlaps devices: %#x", l.CaptiveBase)
+	// The Captive area starts at least the guard above guest RAM.
+	if l.CaptiveBase < l.GuestRAMSize+guardSize {
+		t.Errorf("captive area %#x within the guard above guest RAM %#x", l.CaptiveBase, l.GuestRAMSize)
 	}
 	// Regions are ordered and within physical memory.
 	if !(l.StatePAOf(0) < l.RegFilePAOf(0) && l.RegFilePAOf(0) < l.StackTopOf(0) &&
-		l.StackTopOf(0) <= l.PTPoolPA && l.PTPoolPA < l.CodePA &&
+		l.StackTopOf(0) < l.SoftTLBOf(0) && l.SoftTLBOf(0) < l.StatePAOf(1) &&
+		l.StatePAOf(1) <= l.PTPoolPA && l.PTPoolPA < l.CodePA &&
 		l.CodePA+l.CodeSize == l.TotalPhys) {
 		t.Errorf("layout out of order: %+v", l)
 	}
 	if uint64(len(vm.Phys)) != l.TotalPhys {
 		t.Errorf("phys size %d != %d", len(vm.Phys), l.TotalPhys)
 	}
+	if uint64(len(vm.RAM)) != l.GuestRAMSize || cap(vm.RAM) != len(vm.RAM) || &vm.RAM[0] != &vm.Phys[0] {
+		t.Errorf("RAM is not Phys[:%#x] capped: len %#x cap %#x", l.GuestRAMSize, len(vm.RAM), cap(vm.RAM))
+	}
 	if len(vm.CPUs) != 1 || vm.CPUs[0].DirectBase != DirectBase {
 		t.Error("CPU not configured for the hypervisor environment")
+	}
+	// Two vCPUs: the same formula, one more per-vCPU slice before the pool.
+	cfg.VCPUs = 2
+	vm2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := vm2.Layout
+	if l2.CaptiveBase != l.CaptiveBase || l2.PTPoolPA != l.PTPoolPA+cpuStride || l2.PTPoolPA != l2.StatePAOf(2) {
+		t.Errorf("two-vCPU layout departs from the one-vCPU formula: %+v vs %+v", l2, l)
 	}
 }
 
@@ -38,7 +49,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero RAM must be rejected")
 	}
 	if _, err := New(Config{GuestRAMBytes: 512 << 20, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20}); err == nil {
-		t.Error("RAM over the MMIO window must be rejected")
+		t.Error("RAM over 256 MiB must be rejected")
 	}
 	if _, err := New(Config{GuestRAMBytes: 1 << 20, CodeCacheBytes: 0, PTPoolBytes: 1 << 20}); err == nil {
 		t.Error("tiny code cache must be rejected")
@@ -50,32 +61,18 @@ func TestGuestImageAndPhysRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.LoadGuestImage([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0x1000); err != nil {
+	if err := vm.RAM.Load([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0x1000); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := vm.GuestPhysRead64(0x1000)
-	if !ok || v != 0x0807060504030201 {
+	v, ok := vm.RAM.Read64(0x1000)
+	if !ok || v != 0x0807060504030201 || vm.Phys.R64(0x1000) != v {
 		t.Errorf("read = %#x ok=%v", v, ok)
 	}
-	if _, ok := vm.GuestPhysRead64(5 << 20); ok {
+	if _, ok := vm.RAM.Read64(4<<20 - 4); ok {
 		t.Error("read beyond guest RAM must fail")
 	}
-	if err := vm.LoadGuestImage(make([]byte, 1), 4<<20); err == nil {
+	if err := vm.RAM.Load(make([]byte, 1), 4<<20); err == nil {
 		t.Error("image beyond RAM must be rejected")
-	}
-}
-
-func TestMMIODispatch(t *testing.T) {
-	vm, err := New(Config{GuestRAMBytes: 4 << 20, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm.MMIO(uint64(ga64.UARTBase), true, 4, 'z')
-	if vm.Bus.Console() != "z" {
-		t.Errorf("console = %q", vm.Bus.Console())
-	}
-	if vm.MMIO(uint64(ga64.UARTBase)+0x04, false, 4, 0) != 1 {
-		t.Error("status read wrong")
 	}
 }
 

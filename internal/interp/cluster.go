@@ -110,24 +110,10 @@ func (cl *Cluster) LoadImage(data []byte, pa, entry uint64) error {
 }
 
 // LoadData copies bytes into guest RAM.
-func (cl *Cluster) LoadData(data []byte, pa uint64) error {
-	mem := cl.Machines[0].Mem
-	if pa > uint64(len(mem)) || uint64(len(data)) > uint64(len(mem))-pa {
-		return fmt.Errorf("interp: %d bytes at %#x exceed %d bytes of RAM", len(data), pa, len(mem))
-	}
-	copy(mem[pa:], data)
-	return nil
-}
+func (cl *Cluster) LoadData(data []byte, pa uint64) error { return cl.Machines[0].Mem.Load(data, pa) }
 
 // ReadRAM copies guest RAM starting at pa into dst.
-func (cl *Cluster) ReadRAM(pa uint64, dst []byte) error {
-	mem := cl.Machines[0].Mem
-	if pa > uint64(len(mem)) || uint64(len(dst)) > uint64(len(mem))-pa {
-		return fmt.Errorf("interp: ReadRAM [%#x, +%#x) exceeds guest RAM", pa, len(dst))
-	}
-	copy(dst, mem[pa:])
-	return nil
-}
+func (cl *Cluster) ReadRAM(pa uint64, dst []byte) error { return cl.Machines[0].Mem.Copy(dst, pa) }
 
 // Exit reports whether every hart has halted, and hart 0's exit code.
 func (cl *Cluster) Exit() (bool, uint64) {

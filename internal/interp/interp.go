@@ -32,7 +32,7 @@ import (
 // Machine is an interpreted guest machine for any ported architecture.
 type Machine struct {
 	Module *gen.Module
-	Mem    []byte // guest physical memory
+	Mem    port.RAM // guest physical memory
 	Bus    device.Bus
 
 	// RegFile is the guest register file, laid out per the module layout.
@@ -107,7 +107,7 @@ func New(g port.Port, module *gen.Module, ramBytes int) *Machine {
 	banks := g.Banks()
 	m := &Machine{
 		Module:  module,
-		Mem:     make([]byte, ramBytes),
+		Mem:     make(port.RAM, ramBytes),
 		RegFile: make([]byte, module.Layout.Size),
 		guest:   g,
 		sys:     g.NewSys(),
@@ -190,10 +190,9 @@ func (m *Machine) Sys() port.Sys { return m.sys }
 // LoadImage copies a program image into guest physical memory and points
 // the PC at its entry.
 func (m *Machine) LoadImage(data []byte, loadPA, entry uint64) error {
-	if size := uint64(len(m.Mem)); loadPA > size || uint64(len(data)) > size-loadPA {
-		return fmt.Errorf("interp: image of %d bytes at %#x exceeds %d bytes of RAM", len(data), loadPA, len(m.Mem))
+	if err := m.Mem.Load(data, loadPA); err != nil {
+		return err
 	}
-	copy(m.Mem[loadPA:], data)
 	m.SetPC(entry)
 	return nil
 }
@@ -252,22 +251,6 @@ func (m *Machine) RegState() []byte {
 	return out
 }
 
-// physRead64 reads guest physical memory for the page-table walker.
-func (m *Machine) physRead64(pa uint64) (uint64, bool) {
-	if pa+8 > uint64(len(m.Mem)) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(m.Mem[pa:]), true
-}
-
-// fetchRead reads one instruction word for the block scanner.
-func (m *Machine) fetchRead(pa uint64) (uint32, bool) {
-	if pa+port.InstrBytes > uint64(len(m.Mem)) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(m.Mem[pa:]), true
-}
-
 // raise injects a guest exception exactly as the engines do: vector to the
 // guest handler, or halt when the port terminates the machine.
 func (m *Machine) raise(ex port.Exception) {
@@ -288,7 +271,7 @@ func (m *Machine) raise(ex port.Exception) {
 // accesses spanning a page boundary proceed physically contiguous from it,
 // the engines' fast-path behaviour.
 func (m *Machine) translate(va uint64, write bool) (uint64, bool) {
-	w := m.sys.Walk(m.physRead64, va)
+	w := m.sys.Walk(m.Mem.Read64, va)
 	if !w.OK {
 		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: va, PC: m.curPC})
 		return 0, false
@@ -351,20 +334,11 @@ func (m *Machine) MemRead(width uint8, va uint64) (uint64, bool) {
 		m.rec.Emit(trace.MMIO, mmioArg(width, false), m.virtualTime(), m.curPC, pa)
 		return m.bus.Read(pa-m.devBase, width), true
 	}
-	if pa+uint64(width) > uint64(len(m.Mem)) {
+	v, ok := m.Mem.Read(pa, width)
+	if !ok {
 		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Addr: va, PC: m.curPC})
-		return 0, false
 	}
-	switch width {
-	case 1:
-		return uint64(m.Mem[pa]), true
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(m.Mem[pa:])), true
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(m.Mem[pa:])), true
-	default:
-		return binary.LittleEndian.Uint64(m.Mem[pa:]), true
-	}
+	return v, ok
 }
 
 // MemWrite implements ssa.State.
@@ -387,19 +361,9 @@ func (m *Machine) MemWrite(width uint8, va uint64, v uint64) bool {
 		m.bus.Write(pa-m.devBase, width, v)
 		return true
 	}
-	if pa+uint64(width) > uint64(len(m.Mem)) {
+	if !m.Mem.Write(pa, width, v) {
 		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: true, Addr: va, PC: m.curPC})
 		return false
-	}
-	switch width {
-	case 1:
-		m.Mem[pa] = uint8(v)
-	case 2:
-		binary.LittleEndian.PutUint16(m.Mem[pa:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(m.Mem[pa:], uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(m.Mem[pa:], v)
 	}
 	return true
 }
@@ -485,7 +449,7 @@ func (m *Machine) Intrinsic(id ssa.IntrID, args []uint64) (uint64, bool) {
 // engines' pre-translation abort or hUndef path).
 func (m *Machine) scanBlock() bool {
 	pc := m.PC()
-	w := m.sys.Walk(m.physRead64, pc)
+	w := m.sys.Walk(m.Mem.Read64, pc)
 	if !w.OK {
 		m.raise(port.Exception{Kind: port.ExcInsnAbort, Translation: true, Addr: pc, PC: pc})
 		return false
@@ -495,7 +459,7 @@ func (m *Machine) scanBlock() bool {
 		return false
 	}
 	var undef bool
-	m.block, undef = port.ScanBlock(m.Module, m.fetchRead, w.PA, m.block[:0])
+	m.block, undef = port.ScanBlock(m.Module, m.Mem.Fetch, w.PA, m.block[:0])
 	m.blockIdx = 0
 	if undef || len(m.block) == 0 {
 		m.raise(port.Exception{Kind: port.ExcUndefined, PC: pc})

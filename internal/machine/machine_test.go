@@ -356,6 +356,136 @@ func TestAddressWrap(t *testing.T) {
 	}
 }
 
+// TestWildAddress runs guest loads, stores and jumps at the top of the
+// address space with translation off, where pa+width wraps past zero, on
+// every engine at one and two harts. No engine may panic, and every hart
+// must end with the same exit code, retired count and registers as on the
+// interpreter: on RV64, which halts on an unvectored trap, a data abort
+// (after li, ld/sd and ecall retire) or an undefined-instruction fetch
+// (after li and jalr); on GA64 the sync vector at VBAR halts with ESR and
+// FAR in x4/x5.
+func TestWildAddress(t *testing.T) {
+	rv := func(access func(p *rvasm.Program)) []byte {
+		p := rvasm.New(org)
+		p.Li(5, ^uint64(7)) // -8
+		access(p)
+		p.Ecall()
+		return assemble(t, p)
+	}
+	ga := func(access func(p *gasm.Program)) []byte {
+		p := gasm.New(org)
+		p.Mrs(4, ga64.SysESR) // VBAR = org: the sync vector halts
+		p.Mrs(5, ga64.SysFAR)
+		p.Hlt(0xE)
+		p.MovI(1, org)
+		p.Msr(ga64.SysVBAR, 1)
+		p.MovI(2, ^uint64(7)) // -8
+		access(p)
+		p.Hlt(0)
+		return assemble(t, p)
+	}
+	const gaEntry = org + 12
+	cases := []struct {
+		name   string
+		guest  port.Port
+		img    []byte
+		entry  uint64
+		exit   uint64
+		instrs uint64 // per hart, 0 when not pinned
+	}{
+		{"rv64-ld", rv64.Port{}, rv(func(p *rvasm.Program) { p.Ld(6, 5, 0) }), org, rv64.ExitDataAbort, 3},
+		{"rv64-sd", rv64.Port{}, rv(func(p *rvasm.Program) { p.Sd(6, 5, 0) }), org, rv64.ExitDataAbort, 3},
+		{"rv64-jalr", rv64.Port{}, rv(func(p *rvasm.Program) { p.Jalr(rvasm.X0, 5, 4) }), org, rv64.ExitUndefined, 2},
+		{"ga64-ldr", ga64.Port{}, ga(func(p *gasm.Program) { p.Ldr(3, 2, 0) }), gaEntry, 0xE, 0},
+		{"ga64-str", ga64.Port{}, ga(func(p *gasm.Program) { p.Str(3, 2, 0) }), gaEntry, 0xE, 0},
+		{"ga64-br", ga64.Port{}, ga(func(p *gasm.Program) { p.AddI(2, 2, 4).Br(2) }), gaEntry, 0xE, 0},
+	}
+	type hartEnd struct {
+		exit, instrs uint64
+		regs         string
+	}
+	run := func(t *testing.T, kind machine.Kind, g port.Port, img []byte, entry uint64, harts int) (ends []hartEnd) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s x%d: panicked: %v", kind, harts, r)
+				ends = nil
+			}
+		}()
+		m, err := machine.New(machine.Spec{Kind: kind, Guest: g, RAMBytes: ram,
+			CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20, Harts: harts, Quantum: quantum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadImage(img, org, entry); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(budget); err != nil {
+			t.Errorf("%s x%d: %v", kind, harts, err)
+			return nil
+		}
+		for i := 0; i < harts; i++ {
+			_, code := m.HartExit(i)
+			ends = append(ends, hartEnd{code, m.GuestInstrs(i), string(m.RegState(i))})
+		}
+		return ends
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, harts := range []int{1, 2} {
+				want := run(t, machine.Interp, c.guest, c.img, c.entry, harts)
+				for i, e := range want {
+					if e.exit != c.exit || (c.instrs != 0 && e.instrs != c.instrs) {
+						t.Errorf("interp x%d hart %d: exit %#x after %d instructions, want %#x after %d",
+							harts, i, e.exit, e.instrs, c.exit, c.instrs)
+					}
+				}
+				for _, kind := range []machine.Kind{machine.Captive, machine.QEMU} {
+					got := run(t, kind, c.guest, c.img, c.entry, harts)
+					for i := range got {
+						if i < len(want) && got[i] != want[i] {
+							t.Errorf("%s x%d hart %d: exit %#x after %d instructions (registers equal: %v), interp %#x after %d",
+								kind, harts, i, got[i].exit, got[i].instrs, got[i].regs == want[i].regs, want[i].exit, want[i].instrs)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSetRegZero holds the port's ZeroGPR contract on every engine: a
+// host-side write to RV64's x0 is dropped, so x0 still reads 0 and
+// addi x1, x0, 1 yields 1.
+func TestSetRegZero(t *testing.T) {
+	p := rvasm.New(org)
+	p.Addi(1, rvasm.X0, 1)
+	p.Ecall()
+	img := assemble(t, p)
+	for _, kind := range []machine.Kind{machine.Interp, machine.Captive, machine.QEMU} {
+		for _, harts := range []int{1, 2} {
+			m, err := machine.New(machine.Spec{Kind: kind, Guest: rv64.Port{}, RAMBytes: ram,
+				CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20, Harts: harts, Quantum: quantum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadImage(img, org, org); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < harts; i++ {
+				m.SetReg(i, 0, 42)
+			}
+			if err := m.Run(budget); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < harts; i++ {
+				if x0, x1 := m.Reg(i, 0), m.Reg(i, 1); x0 != 0 || x1 != 1 {
+					t.Errorf("%s x%d hart %d: x0 = %#x, x1 = %#x after SetReg(x0, 42), want 0 and 1", kind, harts, i, x0, x1)
+				}
+			}
+		}
+	}
+}
+
 // liveHeap returns the Go heap still reachable after a full collection.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -364,19 +494,10 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// totalPhys returns the size of the flat physical memory hvm.New allocates
-// for cfg.
-func totalPhys(t *testing.T, cfg hvm.Config) uint64 {
-	t.Helper()
-	vm, err := hvm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vm.Layout.TotalPhys
-}
-
 // TestHeapBound holds the Go heap that machine.New adds for a DBT machine
-// to its flat physical memory (hvm Layout.TotalPhys) plus 1 MiB per hart.
+// to a stated function of its sizes: guest RAM + code cache + PT pool +
+// 2 MiB (hvm's guard and the rounding of guest RAM to a MiB) + 2.25 MiB per
+// hart (its 1.25 MiB slice of the Captive area plus 1 MiB of slack).
 // Everything else a machine allocates up front — the exit index over the
 // code cache, superblock tables, host MMU and system state — must stay
 // small and must not scale with the code cache's size.
@@ -385,15 +506,15 @@ func TestHeapBound(t *testing.T) {
 	if _, err := guest.Module(ssa.O4); err != nil { // cached per process: not the machine's
 		t.Fatal(err)
 	}
+	const pool = 4 << 20
 	for _, sz := range []struct{ ram, cache int }{{8 << 20, 4 << 20}, {64 << 20, 32 << 20}} {
 		for _, harts := range []int{1, 2, 4} {
-			cfg := hvm.Config{GuestRAMBytes: sz.ram, CodeCacheBytes: sz.cache, PTPoolBytes: 4 << 20, VCPUs: harts}
-			phys := totalPhys(t, cfg)
-			limit := phys + uint64(harts)<<20
+			sizes := uint64(sz.ram + sz.cache + pool)
+			limit := sizes + 2<<20 + uint64(harts)*(9<<20)/4
 			for _, kind := range []machine.Kind{machine.Captive, machine.QEMU} {
 				before := liveHeap()
-				m, err := machine.New(machine.Spec{Kind: kind, Guest: guest, RAMBytes: cfg.GuestRAMBytes,
-					CodeCacheBytes: cfg.CodeCacheBytes, PTPoolBytes: cfg.PTPoolBytes, Harts: harts})
+				m, err := machine.New(machine.Spec{Kind: kind, Guest: guest, RAMBytes: sz.ram,
+					CodeCacheBytes: sz.cache, PTPoolBytes: pool, Harts: harts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -401,10 +522,10 @@ func TestHeapBound(t *testing.T) {
 				runtime.KeepAlive(m)
 				name := fmt.Sprintf("%s x%d, %d MiB RAM, %d MiB cache", kind, harts, sz.ram>>20, sz.cache>>20)
 				if added > limit {
-					t.Errorf("%s: machine.New added %.1f MiB of heap, want at most %.1f (physical memory + 1 MiB per hart)",
+					t.Errorf("%s: machine.New added %.1f MiB of heap, want at most %.1f (RAM + cache + pool + 2 MiB + 2.25 MiB per hart)",
 						name, float64(added)/(1<<20), float64(limit)/(1<<20))
 				} else {
-					t.Logf("%s: %.2f MiB over physical memory", name, (float64(added)-float64(phys))/(1<<20))
+					t.Logf("%s: %.2f MiB over RAM + cache + pool", name, (float64(added)-float64(sizes))/(1<<20))
 				}
 			}
 		}
