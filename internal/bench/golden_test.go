@@ -27,9 +27,11 @@ const goldenPath = "testdata/model.golden"
 
 const goldenHeader = `# The simulated model, held by TestModelGolden (internal/bench). One row per
 # run: engine/guest/workload, retired guest instructions, checksum, simulated
-# deci-cycles. Truly parallel rows show "-" for cycles, which follow the host
-# schedule there; their instructions and checksum are still held. After a
-# declared model change, replace this file with the table the test logs.
+# deci-cycles, and the JIT code hash (CRC-32C of every installed block's
+# bytes, in install order; 0x0 on the interpreter). Truly parallel rows show
+# "-" for cycles and the hash, which follow the host schedule there; their
+# instructions and checksum are still held. After a declared model change,
+# replace this file with the table the test logs.
 `
 
 // goldenRow is one line of the golden.
@@ -38,7 +40,8 @@ type goldenRow struct {
 	Instrs   uint64 // retired guest instructions, summed over harts
 	Checksum uint64
 	Cycles   uint64 // simulated deci-cycles; 0 on the interpreter, which has no cycle model
-	Parallel bool   // truly parallel harts: Cycles is not held
+	CodeHash uint64 // metrics.Snapshot.JITCodeHash; 0 on the interpreter, which translates nothing
+	Parallel bool   // truly parallel harts: Cycles and CodeHash are not held
 }
 
 // cycles is the row's cycle field as the golden writes it.
@@ -49,12 +52,20 @@ func (r goldenRow) cycles() string {
 	return strconv.FormatUint(r.Cycles, 10)
 }
 
+// codeHash is the row's code-hash field as the golden writes it.
+func (r goldenRow) codeHash() string {
+	if r.Parallel {
+		return "-"
+	}
+	return fmt.Sprintf("%#x", r.CodeHash)
+}
+
 // formatGolden renders rows in the golden's format, header included.
 func formatGolden(rows []goldenRow) string {
 	var b strings.Builder
 	b.WriteString(goldenHeader)
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-28s %9d %#18x %10s\n", r.Key, r.Instrs, r.Checksum, r.cycles())
+		fmt.Fprintf(&b, "%-28s %9d %#18x %10s %10s\n", r.Key, r.Instrs, r.Checksum, r.cycles(), r.codeHash())
 	}
 	return b.String()
 }
@@ -68,16 +79,22 @@ func parseGolden(text string) ([]goldenRow, error) {
 			continue
 		}
 		var r goldenRow
-		var cycles string
-		if n := len(strings.Fields(line)); n != 4 {
-			return nil, fmt.Errorf("line %d: %d fields, want 4", i+1, n)
+		var cycles, hash string
+		if n := len(strings.Fields(line)); n != 5 {
+			return nil, fmt.Errorf("line %d: %d fields, want 5", i+1, n)
 		}
-		if _, err := fmt.Sscan(line, &r.Key, &r.Instrs, &r.Checksum, &cycles); err != nil {
+		if _, err := fmt.Sscan(line, &r.Key, &r.Instrs, &r.Checksum, &cycles, &hash); err != nil {
 			return nil, fmt.Errorf("line %d: %v", i+1, err)
 		}
-		if r.Parallel = cycles == "-"; !r.Parallel {
+		if r.Parallel = cycles == "-"; r.Parallel != (hash == "-") {
+			return nil, fmt.Errorf("line %d: cycles %s with code hash %s", i+1, cycles, hash)
+		}
+		if !r.Parallel {
 			var err error
 			if r.Cycles, err = strconv.ParseUint(cycles, 10, 64); err != nil {
+				return nil, fmt.Errorf("line %d: %v", i+1, err)
+			}
+			if r.CodeHash, err = strconv.ParseUint(hash, 0, 64); err != nil {
 				return nil, fmt.Errorf("line %d: %v", i+1, err)
 			}
 		}
@@ -91,8 +108,8 @@ func parseGolden(text string) ([]goldenRow, error) {
 }
 
 // compareGolden lists every way the rows a run produced depart from the
-// golden: a moved value (instructions and checksum on every row, cycles on
-// deterministic rows), a produced row the golden lacks and, when full, a
+// golden: a moved value (instructions and checksum on every row, cycles and
+// the code hash on deterministic rows), a produced row the golden lacks and, when full, a
 // golden row the run did not produce.
 func compareGolden(golden, produced []goldenRow, full bool) []string {
 	want := make(map[string]goldenRow, len(golden))
@@ -116,6 +133,9 @@ func compareGolden(golden, produced []goldenRow, full bool) []string {
 		}
 		if w.cycles() != got.cycles() {
 			diffs = append(diffs, fmt.Sprintf("%s: deci-cycles %s → %s", got.Key, w.cycles(), got.cycles()))
+		}
+		if w.codeHash() != got.codeHash() {
+			diffs = append(diffs, fmt.Sprintf("%s: code hash %s → %s", got.Key, w.codeHash(), got.codeHash()))
 		}
 	}
 	if full {
@@ -221,7 +241,7 @@ func TestModelGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				rows[i] = goldenRow{Key: c.key, Instrs: res.GuestInstrs, Checksum: res.Checksum,
-					Cycles: res.Metrics.SimDeciCycles, Parallel: c.parallel}
+					Cycles: res.Metrics.SimDeciCycles, CodeHash: res.Metrics.JITCodeHash, Parallel: c.parallel}
 			})
 		}
 	})
@@ -244,7 +264,7 @@ func TestModelGolden(t *testing.T) {
 
 // TestGoldenCompareRules pins the gate's rules without running an engine.
 func TestGoldenCompareRules(t *testing.T) {
-	det := goldenRow{Key: "captive/ga64/w", Instrs: 10, Checksum: 0xab, Cycles: 100}
+	det := goldenRow{Key: "captive/ga64/w", Instrs: 10, Checksum: 0xab, Cycles: 100, CodeHash: 0x1f}
 	par := goldenRow{Key: "captive/rv64/smp", Instrs: 20, Checksum: 0xcd, Parallel: true}
 	golden := []goldenRow{det, par}
 	moved := func(r goldenRow, move func(*goldenRow)) goldenRow { move(&r); return r }
@@ -259,7 +279,12 @@ func TestGoldenCompareRules(t *testing.T) {
 			"captive/ga64/w: deci-cycles 100 → 101"},
 		{"parallel cycles moved", []goldenRow{det, moved(par, func(r *goldenRow) { r.Cycles = 999 })}, true, ""},
 		{"run mode moved", []goldenRow{det, moved(par, func(r *goldenRow) { r.Parallel = false })}, true,
-			"captive/rv64/smp: deci-cycles - → 0"},
+			"captive/rv64/smp: deci-cycles - → 0; captive/rv64/smp: code hash - → 0x0"},
+		{"deterministic code hash moved", []goldenRow{moved(det, func(r *goldenRow) { r.CodeHash = 0x2f }), par}, true,
+			"captive/ga64/w: code hash 0x1f → 0x2f"},
+		{"deterministic code hash cleared", []goldenRow{moved(det, func(r *goldenRow) { r.CodeHash = 0 }), par}, true,
+			"captive/ga64/w: code hash 0x1f → 0x0"},
+		{"parallel code hash moved", []goldenRow{det, moved(par, func(r *goldenRow) { r.CodeHash = 0x3f })}, true, ""},
 		{"deterministic instructions moved", []goldenRow{moved(det, func(r *goldenRow) { r.Instrs = 11 }), par}, true,
 			"captive/ga64/w: guest instructions 10 → 11"},
 		{"parallel instructions moved", []goldenRow{det, moved(par, func(r *goldenRow) { r.Instrs = 21 })}, true,
@@ -283,7 +308,8 @@ func TestGoldenCompareRules(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(back, golden) {
 		t.Errorf("format/parse round trip: got %+v, %v; want %+v", back, err, golden)
 	}
-	for _, bad := range []string{"k 1 0x2", "k 1 0x2 3 4", "k x 0x2 3", "k 1 0x2 ?", "k 1 0x2 3\nk 1 0x2 3"} {
+	for _, bad := range []string{"k 1 0x2 3", "k 1 0x2 3 0x4 5", "k x 0x2 3 0x4", "k 1 0x2 ? 0x4", "k 1 0x2 3 ?",
+		"k 1 0x2 - 0x4", "k 1 0x2 3 -", "k 1 0x2 3 0x4\nk 1 0x2 3 0x4"} {
 		if _, err := parseGolden(bad); err == nil {
 			t.Errorf("parseGolden(%q): no error", bad)
 		}

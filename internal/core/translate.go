@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"captive/internal/gen"
@@ -113,6 +114,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 		}
 	}
 	copy(e.vm.Phys[pa:], code)
+	e.stats.JITCodeHash = uint64(crc32.Update(uint32(e.stats.JITCodeHash), castagnoli, code))
 	e.cache.invalidateCode(pa, uint64(len(code)))
 	e.stats.EncodeNS += time.Since(t3).Nanoseconds()
 
@@ -168,6 +170,10 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	e.rec.Emit(trace.Translate, uint8(el), e.VirtualTime(), pc, uint64(len(code)))
 	return blk, nil
 }
+
+// castagnoli is the CRC-32C table behind Snapshot.JITCodeHash (hardware-
+// accelerated on amd64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // flushTranslations empties the code cache and forgets every hart's last
 // exit, which pointed into it.

@@ -50,6 +50,10 @@ type Snapshot struct {
 	JITDeadInsts   int    `json:"jit_dead_insts,omitempty"`
 	JITSpills      int    `json:"jit_spills,omitempty"`
 	CacheFlushes   uint64 `json:"cache_flushes,omitempty"`
+	// JITCodeHash is the CRC-32C of every installed block's encoded bytes,
+	// in install order. Sum adds the harts' hashes; with truly parallel
+	// harts, which hart translates a block follows the host schedule.
+	JITCodeHash uint64 `json:"jit_code_hash,omitempty"`
 
 	// Simulated host CPU counters (deterministic).
 	HostInsts     uint64 `json:"host_insts,omitempty"`
