@@ -78,11 +78,14 @@ type eblock struct {
 }
 
 // Emitter implements gen.Emitter with an invocation DAG collapsing to LIR.
+// Each engine owns one and resets it per guest block: every buffer keeps its
+// capacity, and blocks[len:cap] pools the emitter blocks of earlier
+// translations, each keeping its instruction buffer.
 type Emitter struct {
 	eng *Engine
 
 	nodes  []node
-	blocks []*eblock
+	blocks []*eblock // indexed by gen.BlockRef
 	layout []*eblock // main-stream order (fall-through semantics)
 	cold   []*eblock // out-of-line slow paths, appended after the stream
 	cur    *eblock
@@ -108,27 +111,48 @@ type Emitter struct {
 	// unused materializations are Pure and dead-code-eliminated.
 	pendingLazy []gen.Val
 
-	// Stats for §3.4.
-	DAGNodes int
-
 	// pcWriteConstOnly reports whether every WritePC was PC+const (the
 	// block's exit is direct, so it may be chained).
 	pcWriteConstOnly bool
+
+	lir []LInst // Finalize's result
 }
 
-// newEmitter creates an emitter for one guest block translation.
-func newEmitter(eng *Engine) *Emitter {
-	e := &Emitter{eng: eng, nextGPR: firstVreg, nextFPR: firstVreg, pcWriteConstOnly: true}
-	entry := &eblock{id: 0, placed: true}
-	e.blocks = append(e.blocks, entry)
-	e.layout = append(e.layout, entry)
-	e.cur = entry
-	return e
+// reset starts the translation of a guest block.
+func (e *Emitter) reset() {
+	e.nodes = e.nodes[:0]
+	e.blocks = e.blocks[:0]
+	e.layout = e.layout[:0]
+	e.cold = e.cold[:0]
+	e.nextGPR, e.nextFPR = firstVreg, firstVreg
+	e.locals = e.locals[:0]
+	e.pendingBankLoads = e.pendingBankLoads[:0]
+	e.pendingLazy = e.pendingLazy[:0]
+	e.pcWriteConstOnly = true
+	e.cur = e.newBlock(true)
+	e.layout = append(e.layout, e.cur)
+}
+
+// newBlock returns a new empty emitter block, taken from the pool when it
+// has one.
+func (e *Emitter) newBlock(placed bool) *eblock {
+	n := len(e.blocks)
+	if n < cap(e.blocks) {
+		e.blocks = e.blocks[:n+1]
+	} else {
+		e.blocks = append(e.blocks, nil)
+	}
+	b := e.blocks[n]
+	if b == nil {
+		b = new(eblock)
+		e.blocks[n] = b
+	}
+	*b = eblock{id: gen.BlockRef(n), insts: b.insts[:0], placed: placed}
+	return b
 }
 
 func (e *Emitter) newNode(n node) gen.Val {
 	e.nodes = append(e.nodes, n)
-	e.DAGNodes++
 	v := gen.Val(len(e.nodes) - 1)
 	if n.gpr == 0 && n.fpr == 0 {
 		e.pendingLazy = append(e.pendingLazy, v)
@@ -141,8 +165,10 @@ func (e *Emitter) newNode(n node) gen.Val {
 // names a value deliberately kept lazy (WritePC's PC+const specialization
 // pattern-matches on the unmaterialized shape).
 func (e *Emitter) flushPending(except gen.Val) {
+	// Filtered in place: matG creates no nodes, so nothing is appended
+	// behind the read position.
 	pending := e.pendingLazy
-	e.pendingLazy = nil
+	e.pendingLazy = pending[:0]
 	for _, v := range pending {
 		if v == except {
 			e.pendingLazy = append(e.pendingLazy, v)
@@ -172,8 +198,7 @@ func (e *Emitter) emitBr(i vx64.Inst, t gen.BlockRef) {
 // splitHere starts a new fall-through block in the main stream and returns
 // it (used as the join point after an out-of-line slow path).
 func (e *Emitter) splitHere() *eblock {
-	b := &eblock{id: gen.BlockRef(len(e.blocks)), placed: true}
-	e.blocks = append(e.blocks, b)
+	b := e.newBlock(true)
 	e.layout = append(e.layout, b)
 	e.cur = b
 	return b
@@ -181,8 +206,7 @@ func (e *Emitter) splitHere() *eblock {
 
 // coldBlock creates an out-of-line block placed after the main stream.
 func (e *Emitter) coldBlock() *eblock {
-	b := &eblock{id: gen.BlockRef(len(e.blocks)), placed: true}
-	e.blocks = append(e.blocks, b)
+	b := e.newBlock(true)
 	e.cold = append(e.cold, b)
 	return b
 }
@@ -363,17 +387,19 @@ func fitsImm32(v uint64) bool {
 	return s >= -(1<<31) && s < 1<<31
 }
 
-var riForm = map[ssa.BinOp]vx64.Op{
+// riForm, rrForm and cmpCond are indexed by ssa.BinOp; a zero riForm or
+// rrForm entry means the operator has no such form.
+var riForm = [1 << 8]vx64.Op{
 	ssa.BinAdd: vx64.ADDri, ssa.BinSub: vx64.SUBri,
 	ssa.BinAnd: vx64.ANDri, ssa.BinOr: vx64.ORri, ssa.BinXor: vx64.XORri,
 }
 
-var rrForm = map[ssa.BinOp]vx64.Op{
+var rrForm = [1 << 8]vx64.Op{
 	ssa.BinAdd: vx64.ADDrr, ssa.BinSub: vx64.SUBrr, ssa.BinMul: vx64.MULrr,
 	ssa.BinAnd: vx64.ANDrr, ssa.BinOr: vx64.ORrr, ssa.BinXor: vx64.XORrr,
 }
 
-var cmpCond = map[ssa.BinOp]vx64.Cond{
+var cmpCond = [1 << 8]vx64.Cond{
 	ssa.BinCmpEQ: vx64.CondEQ, ssa.BinCmpNE: vx64.CondNE,
 	ssa.BinCmpLTu: vx64.CondB, ssa.BinCmpLTs: vx64.CondLT,
 	ssa.BinCmpLEu: vx64.CondBE, ssa.BinCmpLEs: vx64.CondLE,
@@ -387,7 +413,8 @@ func (e *Emitter) collapseBin(v gen.Val) uint16 {
 	op, ty := n.binOp, n.ty
 
 	// Comparison: CMP + SETcc.
-	if cond, isCmp := cmpCond[op]; isCmp {
+	if op.IsCompare() {
+		cond := cmpCond[op]
 		a := e.matG(n.a)
 		d := e.newG()
 		if bn := e.nodes[n.b]; bn.kind == nConst && fitsImm32(bn.cval) {
@@ -440,8 +467,8 @@ func (e *Emitter) collapseBin(v gen.Val) uint16 {
 		e.emitPure(vx64.Inst{Op: riForm[op], Rd: d, Imm: int64(bn.cval)})
 	} else {
 		b := e.matG(n.b)
-		rr, ok := rrForm[op]
-		if !ok {
+		rr := rrForm[op]
+		if rr == 0 {
 			panic(fmt.Sprintf("core: no rr form for %v", op))
 		}
 		e.emitPure(vx64.Inst{Op: rr, Rd: d, Rs: b})
@@ -667,9 +694,7 @@ func (e *Emitter) IncPC(n uint64) {
 
 // NewBlock implements gen.Emitter.
 func (e *Emitter) NewBlock() gen.BlockRef {
-	b := &eblock{id: gen.BlockRef(len(e.blocks))}
-	e.blocks = append(e.blocks, b)
-	return b.id
+	return e.newBlock(false).id
 }
 
 // SetBlock implements gen.Emitter. Any values still lazy are materialized

@@ -349,24 +349,21 @@ func (e *Emitter) fpCvtZS(a gen.Val) gen.Val {
 // carrying the block ref as Target) that survives register allocation, so
 // the encoder can resolve branch targets after spill insertion and
 // dead-code removal shift positions.
+//
+// The result is valid until the emitter's next reset.
 func (e *Emitter) Finalize() []LInst {
-	var out []LInst
-	placed := make(map[gen.BlockRef]bool, len(e.blocks))
-	place := func(b *eblock) {
-		out = append(out, LInst{I: vx64.Inst{Op: vx64.NOP}, Target: b.id, Label: true})
-		out = append(out, b.insts...)
-		placed[b.id] = true
-	}
-	for _, b := range e.layout {
-		place(b)
-	}
-	for _, b := range e.cold {
-		place(b)
+	out := e.lir[:0]
+	for _, bs := range [2][]*eblock{e.layout, e.cold} {
+		for _, b := range bs {
+			out = append(out, LInst{I: vx64.Inst{Op: vx64.NOP}, Target: b.id, Label: true})
+			out = append(out, b.insts...)
+		}
 	}
 	for i := range out {
-		if !out[i].Label && out[i].Target != noTarget && !placed[out[i].Target] {
+		if !out[i].Label && out[i].Target != noTarget && !e.blocks[out[i].Target].placed {
 			panic("core: branch to unplaced emitter block")
 		}
 	}
+	e.lir = out
 	return out
 }

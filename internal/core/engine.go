@@ -81,10 +81,17 @@ type Engine struct {
 	mmu   *hostMMU
 	cache *codeCache
 
-	// scanBuf is the reusable decode buffer of the shared block scanner
+	// The JIT's scratch, reset (not reallocated) per translated block:
+	// scanBuf is the decode buffer of the shared block scanner
 	// (port.ScanBlock) — block formation itself lives in the port layer so
-	// every engine and the golden interpreter cut blocks identically.
+	// every engine and the golden interpreter cut blocks identically — then
+	// the partial evaluator, the emitter, the register allocator and the
+	// encoder (translate.go).
 	scanBuf []gen.Decoded
+	tr      gen.Translator
+	em      Emitter
+	ra      allocator
+	enc     encoder
 
 	curMode uint64 // 0 = low half, 1 = high half
 
@@ -169,6 +176,7 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 		regFilePA: l.RegFilePAOf(id),
 		sliceEnd:  ^uint64(0),
 	}
+	e.em.eng = e
 	e.clearITLB()
 	poolBase, poolSize := l.PTPoolOf(id)
 	e.mmu = newHostMMU(vm.Phys, e.cpu, poolBase, poolSize)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"captive/internal/vx64"
 )
@@ -34,11 +35,18 @@ type opnd struct {
 	def   bool
 }
 
-// operands enumerates the register operands of an instruction, with their
-// def/use roles and register class.
-func operands(li *LInst) []opnd {
+// class is the operand's register class: 0 for GPRs, 1 for FP registers.
+func (o opnd) class() int {
+	if o.fp {
+		return 1
+	}
+	return 0
+}
+
+// appendOperands appends the register operands of an instruction, with
+// their def/use roles and register class, to out.
+func appendOperands(out []opnd, li *LInst) []opnd {
 	i := &li.I
-	var out []opnd
 	add := func(f *uint16, fp, use, def bool) {
 		if *f != 0 || def || use {
 			out = append(out, opnd{field: f, fp: fp, use: use, def: def})
@@ -130,14 +138,9 @@ func operands(li *LInst) []opnd {
 	return out
 }
 
-type vregKey struct {
-	id uint16
-	fp bool
-}
-
+// interval is one virtual register's live range and assignment.
 type interval struct {
-	key        vregKey
-	start, end int
+	start, end int    // first and last non-dead instruction; start < 0 when the vreg has no range
 	reg        uint16 // assigned physical register
 	slot       int    // spill slot index, -1 when in a register
 }
@@ -148,20 +151,58 @@ type AllocStats struct {
 	Dead    int
 }
 
+// allocator is one engine's register-allocation scratch, reset (not
+// reallocated) per block. Virtual registers are dense from firstVreg in each
+// class, so per-vreg state lives in slices indexed by id − firstVreg, one
+// per class (0 GPR, 1 FP).
+type allocator struct {
+	ops    []opnd        // every instruction's operands, in instruction order
+	opOff  []int32       // lir[i]'s operands are ops[opOff[i]:opOff[i+1]]
+	uses   [2][]int32    // use count per vreg
+	ivs    [2][]interval // live interval per vreg
+	order  [2][]int32    // vregs with an interval, by (start, vreg id)
+	active []int32       // vregs holding a register at the scan position
+	free   []uint16      // unassigned registers of the class being scanned
+	out    []LInst       // the rewritten block
+}
+
+// operands returns lir[idx]'s operands as computed at the start of allocate.
+func (a *allocator) operands(idx int) []opnd { return a.ops[a.opOff[idx]:a.opOff[idx+1]] }
+
 // allocate performs dead-code marking, liveness analysis, linear-scan
-// assignment and the rewrite to physical registers. It returns the rewritten
-// instruction list (with spill code inserted) and statistics. slotBase is
-// the number of spill slots already in use (0).
-func allocate(lir []LInst) ([]LInst, AllocStats, error) {
+// assignment and the rewrite to physical registers, which it makes in lir
+// itself. It returns the rewritten instruction list (with spill code
+// inserted), valid until the next call, and statistics.
+func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 	var stats AllocStats
 
-	// --- dead-code marking (backward, with use counts) ---
-	useCount := map[vregKey]int{}
+	// --- operands, once per block; vreg counts per class ---
+	a.ops = a.ops[:0]
+	a.opOff = append(a.opOff[:0], 0)
 	for idx := range lir {
-		for _, o := range operands(&lir[idx]) {
-			if *o.field >= firstVreg && o.use {
-				useCount[vregKey{*o.field, o.fp}]++
-			}
+		a.ops = appendOperands(a.ops, &lir[idx])
+		a.opOff = append(a.opOff, int32(len(a.ops)))
+	}
+	var nv [2]int
+	for _, o := range a.ops {
+		if *o.field >= firstVreg {
+			nv[o.class()] = max(nv[o.class()], int(*o.field-firstVreg)+1)
+		}
+	}
+	for c, n := range nv {
+		a.uses[c] = slices.Grow(a.uses[c][:0], n)[:n]
+		clear(a.uses[c])
+		a.ivs[c] = slices.Grow(a.ivs[c][:0], n)[:n]
+		for v := range a.ivs[c] {
+			a.ivs[c][v] = interval{start: -1, slot: -1}
+		}
+		a.order[c] = a.order[c][:0]
+	}
+
+	// --- dead-code marking (backward, with use counts) ---
+	for _, o := range a.ops {
+		if *o.field >= firstVreg && o.use {
+			a.uses[o.class()][*o.field-firstVreg]++
 		}
 	}
 	for idx := len(lir) - 1; idx >= 0; idx-- {
@@ -169,11 +210,11 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 		if !li.Pure || li.Target != noTarget {
 			continue
 		}
-		ops := operands(li)
+		ops := a.operands(idx)
 		deadOK := false
 		for _, o := range ops {
 			if o.def && *o.field >= firstVreg {
-				if useCount[vregKey{*o.field, o.fp}] == 0 {
+				if a.uses[o.class()][*o.field-firstVreg] == 0 {
 					deadOK = true
 				} else {
 					deadOK = false
@@ -186,93 +227,82 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 			stats.Dead++
 			for _, o := range ops {
 				if o.use && *o.field >= firstVreg {
-					useCount[vregKey{*o.field, o.fp}]--
+					a.uses[o.class()][*o.field-firstVreg]--
 				}
 			}
 		}
 	}
 
 	// --- live ranges over non-dead instructions ---
-	ranges := map[vregKey]*interval{}
 	for idx := range lir {
 		if lir[idx].I.Dead {
 			continue
 		}
-		for _, o := range operands(&lir[idx]) {
+		for _, o := range a.operands(idx) {
 			if *o.field < firstVreg {
 				continue
 			}
-			k := vregKey{*o.field, o.fp}
-			iv, ok := ranges[k]
-			if !ok {
-				iv = &interval{key: k, start: idx, end: idx, slot: -1}
-				ranges[k] = iv
+			c, v := o.class(), *o.field-firstVreg
+			iv := &a.ivs[c][v]
+			if iv.start < 0 {
+				iv.start = idx
+				a.order[c] = append(a.order[c], int32(v))
 			}
 			iv.end = idx
 		}
 	}
 
-	// --- linear scan ---
-	ivs := make([]*interval, 0, len(ranges))
-	for _, iv := range ranges {
-		ivs = append(ivs, iv)
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
-		}
-		return ivs[i].key.id < ivs[j].key.id
-	})
-
+	// --- linear scan, GPRs then FP registers ---
 	nextSlot := 0
-	for _, fp := range []bool{false, true} {
-		pool := gprPool
-		if fp {
-			pool = fprPool
-		}
-		free := append([]uint16(nil), pool...)
-		var active []*interval
-		for _, iv := range ivs {
-			if iv.key.fp != fp {
-				continue
+	for c, pool := range [2][]uint16{gprPool, fprPool} {
+		ivs := a.ivs[c]
+		slices.SortFunc(a.order[c], func(x, y int32) int {
+			if d := cmp.Compare(ivs[x].start, ivs[y].start); d != 0 {
+				return d
 			}
+			return cmp.Compare(x, y)
+		})
+		a.free = append(a.free[:0], pool...)
+		a.active = a.active[:0]
+		for _, v := range a.order[c] {
+			iv := &ivs[v]
 			// Expire.
-			keep := active[:0]
-			for _, a := range active {
-				if a.end < iv.start {
-					free = append(free, a.reg)
+			keep := a.active[:0]
+			for _, x := range a.active {
+				if ivs[x].end < iv.start {
+					a.free = append(a.free, ivs[x].reg)
 				} else {
-					keep = append(keep, a)
+					keep = append(keep, x)
 				}
 			}
-			active = keep
-			if len(free) > 0 {
-				iv.reg = free[len(free)-1]
-				free = free[:len(free)-1]
-				active = append(active, iv)
+			a.active = keep
+			if len(a.free) > 0 {
+				iv.reg = a.free[len(a.free)-1]
+				a.free = a.free[:len(a.free)-1]
+				a.active = append(a.active, v)
 				continue
 			}
 			// Spill the interval with the farthest end.
-			victim := iv
-			for _, a := range active {
-				if a.end > victim.end {
-					victim = a
+			victim := v
+			for _, x := range a.active {
+				if ivs[x].end > ivs[victim].end {
+					victim = x
 				}
 			}
-			if victim == iv {
+			if victim == v {
 				iv.slot = nextSlot
 				nextSlot++
 				stats.Spilled++
 				continue
 			}
-			iv.reg = victim.reg
-			victim.slot = nextSlot
-			victim.reg = 0
+			iv.reg = ivs[victim].reg
+			ivs[victim].slot = nextSlot
+			ivs[victim].reg = 0
 			nextSlot++
 			stats.Spilled++
-			for i, a := range active {
-				if a == victim {
-					active[i] = iv
+			for i, x := range a.active {
+				if x == victim {
+					a.active[i] = v
 					break
 				}
 			}
@@ -280,29 +310,28 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 	}
 
 	// --- rewrite ---
-	var out []LInst
+	a.out = a.out[:0]
 	for idx := range lir {
-		li := lir[idx]
+		li := &lir[idx]
 		if li.I.Dead {
 			continue
 		}
 		hadBaseV := li.I.MBaseV != 0
 		hadIndexV := li.I.MIndexV != 0
-		ops := operands(&li)
 		gprS, fprS := 0, 0
 		type deferred struct {
 			reg  uint16
 			slot int
 			fp   bool
 		}
-		var defStores []deferred
-		for _, o := range ops {
+		var defStores [3]deferred // an instruction has at most three register operands
+		nDefs := 0
+		for _, o := range a.operands(idx) {
 			if *o.field < firstVreg {
 				continue
 			}
-			k := vregKey{*o.field, o.fp}
-			iv := ranges[k]
-			if iv == nil {
+			iv := &a.ivs[o.class()][*o.field-firstVreg]
+			if iv.start < 0 {
 				return nil, stats, fmt.Errorf("core: vreg %d used without range", *o.field)
 			}
 			if iv.slot < 0 {
@@ -330,11 +359,12 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 				if o.fp {
 					ld = vx64.FLD
 				}
-				out = append(out, LInst{I: vx64.Inst{Op: ld, Rd: sh,
+				a.out = append(a.out, LInst{I: vx64.Inst{Op: ld, Rd: sh,
 					M: vx64.Mem{Base: vx64.RSP, Index: vx64.NoReg, Scale: 1, Disp: disp}}, Target: noTarget})
 			}
 			if o.def {
-				defStores = append(defStores, deferred{reg: sh, slot: iv.slot, fp: o.fp})
+				defStores[nDefs] = deferred{reg: sh, slot: iv.slot, fp: o.fp}
+				nDefs++
 			}
 			*o.field = sh
 		}
@@ -348,8 +378,8 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 			li.I.M.Index = vx64.Reg(li.I.MIndexV)
 			li.I.MIndexV = 0
 		}
-		out = append(out, li)
-		for _, d := range defStores {
+		a.out = append(a.out, *li)
+		for _, d := range defStores[:nDefs] {
 			st := vx64.STORE64
 			rd := d.reg
 			inst := vx64.Inst{Op: st, Rs: rd,
@@ -358,8 +388,8 @@ func allocate(lir []LInst) ([]LInst, AllocStats, error) {
 				inst = vx64.Inst{Op: vx64.FST, Rs: rd,
 					M: vx64.Mem{Base: vx64.RSP, Index: vx64.NoReg, Scale: 1, Disp: int32(-8 * (d.slot + 1))}}
 			}
-			out = append(out, LInst{I: inst, Target: noTarget})
+			a.out = append(a.out, LInst{I: inst, Target: noTarget})
 		}
 	}
-	return out, stats, nil
+	return a.out, stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"captive/internal/gen"
@@ -26,7 +27,8 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 
 	// --- translate (§2.3.2) ---
 	t1 := time.Now()
-	em := newEmitter(e)
+	em := &e.em
+	em.reset()
 	// Instrumentation prologue: retire-count the block's guest instructions.
 	n := len(decs)
 	if n > 0 {
@@ -62,7 +64,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 		em.emit(vx64.Inst{Op: vx64.HELPER, Imm: int64(hUndef)})
 	} else {
 		for _, d := range decs {
-			if err := gen.Translate(d, em); err != nil {
+			if err := e.tr.Translate(d, em); err != nil {
 				return nil, fmt.Errorf("core: translating %s at %#x: %w", d.Info.Name, pc, err)
 			}
 			if !d.Info.Action.WritesPC {
@@ -82,11 +84,11 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	em.emitBr(vx64.Inst{Op: vx64.JMP}, epi.id)
 	lir := em.Finalize()
 	e.stats.TranslateNS += time.Since(t1).Nanoseconds()
-	e.stats.JITDAGNodes += em.DAGNodes
+	e.stats.JITDAGNodes += len(em.nodes)
 
 	// --- register allocation (§2.3.3) ---
 	t2 := time.Now()
-	alloc, astats, err := allocate(lir)
+	alloc, astats, err := e.ra.allocate(lir)
 	if err != nil {
 		return nil, fmt.Errorf("core: block at %#x: %w", pc, err)
 	}
@@ -96,7 +98,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 
 	// --- encode (§2.3.4) ---
 	t3 := time.Now()
-	code, labels, err := encodeLIR(alloc)
+	code, err := e.enc.encode(alloc, len(em.blocks))
 	if err != nil {
 		return nil, fmt.Errorf("core: block at %#x: %w", pc, err)
 	}
@@ -125,7 +127,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	gpaPage := gpa >> 12
 	blk := &Block{
 		GPA: key, EL: el, PhysPage: gpaPage,
-		Entry: hvm.DirectVA(pa), epiPA: pa + uint64(labels[epi.id]),
+		Entry: hvm.DirectVA(pa), epiPA: pa + uint64(e.enc.labels[epi.id]),
 		DirectExit: em.pcWriteConstOnly,
 		Valid:      true,
 	}
@@ -185,22 +187,36 @@ func (e *Engine) flushTranslations() {
 	}
 }
 
-// encodeLIR encodes allocated LIR into machine code, resolving emitter-block
-// branch targets via the label pseudo-instructions (the final patch pass of
-// §2.3.4).
-func encodeLIR(lir []LInst) ([]byte, map[gen.BlockRef]int, error) {
-	var buf []byte
-	labels := make(map[gen.BlockRef]int)
-	type patch struct {
-		immPos int // byte position of the rel32 field
-		end    int // byte position the displacement is relative to
-		target gen.BlockRef
+// encoder is one engine's encode scratch, reset (not reallocated) per
+// block.
+type encoder struct {
+	code    []byte
+	labels  []int // code offset per emitter block (gen.BlockRef); -1 until its label is encoded
+	patches []patch
+}
+
+// patch is a branch whose rel32 awaits its target block's offset.
+type patch struct {
+	immPos int // byte position of the rel32 field
+	end    int // byte position the displacement is relative to
+	target gen.BlockRef
+}
+
+// encode encodes allocated LIR over blocks emitter blocks into machine
+// code, resolving emitter-block branch targets via the label
+// pseudo-instructions (the final patch pass of §2.3.4). The code and labels
+// are valid until the next call.
+func (c *encoder) encode(lir []LInst, blocks int) ([]byte, error) {
+	buf := c.code[:0]
+	c.labels = slices.Grow(c.labels[:0], blocks)[:blocks]
+	for i := range c.labels {
+		c.labels[i] = -1
 	}
-	var patches []patch
+	c.patches = c.patches[:0]
 	for i := range lir {
 		li := &lir[i]
 		if li.Label {
-			labels[li.Target] = len(buf)
+			c.labels[li.Target] = len(buf)
 			continue
 		}
 		if li.I.Dead {
@@ -216,21 +232,25 @@ func encodeLIR(lir []LInst) ([]byte, map[gen.BlockRef]int, error) {
 			case vx64.JMP:
 				immPos = start + 1
 			default:
-				return nil, nil, fmt.Errorf("core: target on non-branch %v", li.I.Op)
+				return nil, fmt.Errorf("core: target on non-branch %v", li.I.Op)
 			}
-			patches = append(patches, patch{immPos: immPos, end: len(buf), target: li.Target})
+			c.patches = append(c.patches, patch{immPos: immPos, end: len(buf), target: li.Target})
 		}
 	}
-	for _, p := range patches {
-		off, ok := labels[p.target]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unresolved branch target b%d", p.target)
+	c.code = buf
+	for _, p := range c.patches {
+		off := -1
+		if int(p.target) < len(c.labels) {
+			off = c.labels[p.target]
+		}
+		if off < 0 {
+			return nil, fmt.Errorf("core: unresolved branch target b%d", p.target)
 		}
 		rel := int64(off) - int64(p.end)
 		if rel < -(1<<31) || rel >= 1<<31 {
-			return nil, nil, fmt.Errorf("core: branch displacement overflow")
+			return nil, fmt.Errorf("core: branch displacement overflow")
 		}
 		binary.LittleEndian.PutUint32(buf[p.immPos:], uint32(int32(rel)))
 	}
-	return buf, labels, nil
+	return buf, nil
 }

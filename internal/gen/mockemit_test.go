@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"captive/internal/adl"
@@ -111,7 +112,7 @@ func (m *mockEmitter) ReadPC() Val    { return m.rec(mop{kind: mReadPC}) }
 func (m *mockEmitter) WritePC(v Val)  { m.rec(mop{kind: mWritePC, a: v}) }
 func (m *mockEmitter) IncPC(n uint64) { m.rec(mop{kind: mIncPC, imm: n}) }
 func (m *mockEmitter) Intrinsic(intr *ssa.Intrinsic, args []Val) Val {
-	return m.rec(mop{kind: mIntrinsic, intr: intr, args: args})
+	return m.rec(mop{kind: mIntrinsic, intr: intr, args: slices.Clone(args)})
 }
 func (m *mockEmitter) NewBlock() BlockRef {
 	m.blocks = append(m.blocks, nil)
@@ -318,7 +319,7 @@ func TestTranslateMatchesInterp(t *testing.T) {
 				}
 
 				em := newMockEmitter()
-				if err := Translate(d, em); err != nil {
+				if err := new(Translator).Translate(d, em); err != nil {
 					t.Fatalf("%s O%d: translate: %v", info.Name, level, err)
 				}
 				em.run(t, st2)
@@ -348,7 +349,7 @@ func TestTranslateFoldsFixedWork(t *testing.T) {
 		t.Fatal("decode addi failed")
 	}
 	em := newMockEmitter()
-	if err := Translate(d, em); err != nil {
+	if err := new(Translator).Translate(d, em); err != nil {
 		t.Fatal(err)
 	}
 	for _, blk := range em.blocks {
@@ -372,7 +373,7 @@ func TestTranslateDynamicBranch(t *testing.T) {
 		t.Fatal("decode cmovz failed")
 	}
 	em := newMockEmitter()
-	if err := Translate(d, em); err != nil {
+	if err := new(Translator).Translate(d, em); err != nil {
 		t.Fatal(err)
 	}
 	found := false

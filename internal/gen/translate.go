@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"captive/internal/adl"
@@ -49,6 +50,7 @@ type Emitter interface {
 	WritePC(v Val)
 	IncPC(n uint64)
 
+	// Intrinsic's args are valid only during the call.
 	Intrinsic(intr *ssa.Intrinsic, args []Val) Val
 
 	NewBlock() BlockRef
@@ -64,6 +66,7 @@ type Emitter interface {
 // peVal is a partially-evaluated value: either a translation-time constant
 // (fixed, §2.2.2) or an emitter value.
 type peVal struct {
+	set   bool // the statement has been translated
 	known bool
 	c     uint64
 	v     Val
@@ -71,6 +74,7 @@ type peVal struct {
 
 // varState tracks a DSL variable during partial evaluation.
 type varState struct {
+	sym   *ssa.Symbol
 	ty    adl.TypeName
 	known bool
 	c     uint64
@@ -79,29 +83,43 @@ type varState struct {
 	mat   bool // materialized into an emitter local
 }
 
+// Translator runs generator functions. It keeps its scratch across calls,
+// reset rather than reallocated, so each engine (one per hart) owns one; the
+// zero value is ready to use.
+type Translator struct {
+	d  Decoded
+	em Emitter
+	a  *ssa.Action
+
+	vals []peVal    // indexed by statement ID
+	vars []varState // the variables accessed so far, in first-access order
+	args []Val      // an intrinsic's arguments
+
+	// Dynamic-region scratch; inRegion, indeg and ebs are indexed by
+	// ssa.Block.ID.
+	region   []*ssa.Block
+	inRegion []bool
+	indeg    []int32
+	ebs      []BlockRef
+	ready    []*ssa.Block
+	order    []*ssa.Block
+}
+
 // Translate runs the generator function for a decoded instruction: it
 // partially evaluates the optimized SSA action, computing fixed statements
 // from the instruction fields and emitting dynamic statements through em.
 // This is the exact mechanism of Fig. 7, with the offline stage's
 // specialization done lazily instead of via generated C++ source.
-func Translate(d Decoded, em Emitter) error {
-	t := &translator{
-		d: d, em: em, a: d.Info.Action,
-		vals: make(map[int]peVal),
-		vars: make(map[*ssa.Symbol]*varState),
-	}
+func (t *Translator) Translate(d Decoded, em Emitter) error {
+	t.d, t.em, t.a = d, em, d.Info.Action
+	n := t.a.StmtIDBound()
+	t.vals = slices.Grow(t.vals[:0], n)[:n]
+	clear(t.vals)
+	t.vars = t.vars[:0]
 	return t.run()
 }
 
-type translator struct {
-	d    Decoded
-	em   Emitter
-	a    *ssa.Action
-	vals map[int]peVal
-	vars map[*ssa.Symbol]*varState
-}
-
-func (t *translator) run() error {
+func (t *Translator) run() error {
 	blk := t.a.Entry
 	for {
 		next, done, err := t.fixedBlock(blk)
@@ -118,7 +136,7 @@ func (t *translator) run() error {
 // fixedBlock translates a block reached through fixed control flow. It
 // returns the next block, or done=true if the action returned or control
 // entered (and fully translated) a dynamic region.
-func (t *translator) fixedBlock(b *ssa.Block) (next *ssa.Block, done bool, err error) {
+func (t *Translator) fixedBlock(b *ssa.Block) (next *ssa.Block, done bool, err error) {
 	for _, s := range b.Stmts {
 		switch s.Op {
 		case ssa.OpBranch:
@@ -148,49 +166,41 @@ func (t *translator) fixedBlock(b *ssa.Block) (next *ssa.Block, done bool, err e
 // variables are materialized into emitter locals first, each SSA block gets
 // an emitter block, and blocks are translated once in topological order
 // (the behaviour DSL has no loops, so the CFG is acyclic).
-func (t *translator) dynamicRegion(br *ssa.Stmt) error {
+func (t *Translator) dynamicRegion(br *ssa.Stmt) error {
 	cond := t.value(br.Args[0])
 
 	// Collect the region.
-	region := map[*ssa.Block]bool{}
-	var stack []*ssa.Block
-	push := func(b *ssa.Block) {
-		if !region[b] {
-			region[b] = true
-			stack = append(stack, b)
-		}
-	}
-	push(br.Targets[0])
-	push(br.Targets[1])
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs() {
-			push(s)
+	t.region = t.region[:0]
+	t.push(br.Targets[0])
+	t.push(br.Targets[1])
+	for i := 0; i < len(t.region); i++ {
+		for _, s := range t.region[i].Succs() {
+			t.push(s)
 		}
 	}
 
 	// Materialize every variable the region accesses.
 	for _, sym := range t.a.Symbols {
-		if !regionUsesSym(region, sym) {
+		if !regionUsesSym(t.region, sym) {
 			continue
 		}
-		t.materialize(sym)
+		t.materialize(t.varState(sym))
 	}
 
-	// Topological order (Kahn over region-internal edges).
-	order := topoOrder(region, br.Targets[0], br.Targets[1])
+	t.topoOrder()
+	for _, b := range t.region {
+		t.inRegion[b.ID] = false
+	}
 
-	ebs := make(map[*ssa.Block]BlockRef, len(region))
-	for _, b := range order {
-		ebs[b] = t.em.NewBlock()
+	for _, b := range t.order {
+		t.ebs[b.ID] = t.em.NewBlock()
 	}
 	exit := t.em.NewBlock()
 
-	t.em.Branch(t.toVal(cond, br.Args[0].Type), ebs[br.Targets[0]], ebs[br.Targets[1]])
+	t.em.Branch(t.toVal(cond, br.Args[0].Type), t.ebs[br.Targets[0].ID], t.ebs[br.Targets[1].ID])
 
-	for _, b := range order {
-		t.em.SetBlock(ebs[b])
+	for _, b := range t.order {
+		t.em.SetBlock(t.ebs[b.ID])
 		for _, s := range b.Stmts {
 			switch s.Op {
 			case ssa.OpBranch:
@@ -200,12 +210,12 @@ func (t *translator) dynamicRegion(br *ssa.Stmt) error {
 					if c.c != 0 {
 						target = s.Targets[0]
 					}
-					t.em.Jump(ebs[target])
+					t.em.Jump(t.ebs[target.ID])
 				} else {
-					t.em.Branch(t.toVal(c, s.Args[0].Type), ebs[s.Targets[0]], ebs[s.Targets[1]])
+					t.em.Branch(t.toVal(c, s.Args[0].Type), t.ebs[s.Targets[0].ID], t.ebs[s.Targets[1].ID])
 				}
 			case ssa.OpJump:
-				t.em.Jump(ebs[s.Targets[0]])
+				t.em.Jump(t.ebs[s.Targets[0].ID])
 			case ssa.OpReturn:
 				t.em.Jump(exit)
 			default:
@@ -219,8 +229,21 @@ func (t *translator) dynamicRegion(br *ssa.Stmt) error {
 	return nil
 }
 
-func regionUsesSym(region map[*ssa.Block]bool, sym *ssa.Symbol) bool {
-	for b := range region {
+// push adds b to the region being collected, once.
+func (t *Translator) push(b *ssa.Block) {
+	if n := b.ID + 1; n > len(t.inRegion) {
+		t.inRegion = append(t.inRegion, make([]bool, n-len(t.inRegion))...)
+		t.indeg = append(t.indeg, make([]int32, n-len(t.indeg))...)
+		t.ebs = append(t.ebs, make([]BlockRef, n-len(t.ebs))...)
+	}
+	if !t.inRegion[b.ID] {
+		t.inRegion[b.ID] = true
+		t.region = append(t.region, b)
+	}
+}
+
+func regionUsesSym(region []*ssa.Block, sym *ssa.Symbol) bool {
+	for _, b := range region {
 		for _, s := range b.Stmts {
 			if (s.Op == ssa.OpVarRead || s.Op == ssa.OpVarWrite) && s.Sym == sym {
 				return true
@@ -230,64 +253,54 @@ func regionUsesSym(region map[*ssa.Block]bool, sym *ssa.Symbol) bool {
 	return false
 }
 
-func topoOrder(region map[*ssa.Block]bool, entries ...*ssa.Block) []*ssa.Block {
-	indeg := make(map[*ssa.Block]int, len(region))
-	for b := range region {
-		indeg[b] += 0
+// topoOrder orders the region into t.order: Kahn over region-internal
+// edges, taking the ready block with the smallest ID first.
+func (t *Translator) topoOrder() {
+	for _, b := range t.region {
+		t.indeg[b.ID] = 0
+	}
+	for _, b := range t.region {
 		for _, s := range b.Succs() {
-			if region[s] {
-				indeg[s]++
+			if t.inRegion[s.ID] {
+				t.indeg[s.ID]++
 			}
 		}
 	}
 	// Entries may have region-external predecessors only.
-	var ready []*ssa.Block
-	for b := range region {
-		ext := indeg[b]
-		for _, e := range entries {
-			if e == b {
-				// entry reached from the dynamic branch itself
-				_ = e
-			}
-		}
-		if ext == 0 {
-			ready = append(ready, b)
+	t.ready = t.ready[:0]
+	for _, b := range t.region {
+		if t.indeg[b.ID] == 0 {
+			t.ready = append(t.ready, b)
 		}
 	}
-	// Deterministic order.
-	sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
-	var order []*ssa.Block
-	for len(ready) > 0 {
-		b := ready[0]
-		ready = ready[1:]
-		order = append(order, b)
+	sort.Slice(t.ready, func(i, j int) bool { return t.ready[i].ID < t.ready[j].ID })
+	t.order = t.order[:0]
+	for len(t.ready) > 0 {
+		b := t.ready[0]
+		t.ready = append(t.ready[:0], t.ready[1:]...)
+		t.order = append(t.order, b)
 		for _, s := range b.Succs() {
-			if !region[s] {
+			if !t.inRegion[s.ID] {
 				continue
 			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-				sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
+			t.indeg[s.ID]--
+			if t.indeg[s.ID] == 0 {
+				t.ready = append(t.ready, s)
+				sort.Slice(t.ready, func(i, j int) bool { return t.ready[i].ID < t.ready[j].ID })
 			}
 		}
 	}
-	if len(order) != len(region) {
+	if len(t.order) != len(t.region) {
 		// Cycle (should not happen: the DSL has no loops); fall back to
-		// arbitrary order to avoid an infinite loop — the emitter will
-		// still wire branches correctly.
-		order = order[:0]
-		for b := range region {
-			order = append(order, b)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
+		// block order to avoid an infinite loop — the emitter will still
+		// wire branches correctly.
+		t.order = append(t.order[:0], t.region...)
+		sort.Slice(t.order, func(i, j int) bool { return t.order[i].ID < t.order[j].ID })
 	}
-	return order
 }
 
 // materialize moves a variable's current value into an emitter local.
-func (t *translator) materialize(sym *ssa.Symbol) {
-	vs := t.varState(sym)
+func (t *Translator) materialize(vs *varState) {
 	if vs.mat {
 		return
 	}
@@ -303,26 +316,29 @@ func (t *translator) materialize(sym *ssa.Symbol) {
 	}
 }
 
-func (t *translator) varState(sym *ssa.Symbol) *varState {
-	vs, ok := t.vars[sym]
-	if !ok {
-		vs = &varState{ty: sym.Type, v: NoVal}
-		t.vars[sym] = vs
+// varState returns sym's state, adding it on first access. The pointer is
+// valid until the next first access of another variable.
+func (t *Translator) varState(sym *ssa.Symbol) *varState {
+	for i := range t.vars {
+		if t.vars[i].sym == sym {
+			return &t.vars[i]
+		}
 	}
-	return vs
+	t.vars = append(t.vars, varState{sym: sym, ty: sym.Type, v: NoVal})
+	return &t.vars[len(t.vars)-1]
 }
 
 // value returns the partially-evaluated value of a statement.
-func (t *translator) value(s *ssa.Stmt) peVal {
-	v, ok := t.vals[s.ID]
-	if !ok {
+func (t *Translator) value(s *ssa.Stmt) peVal {
+	v := t.vals[s.ID]
+	if !v.set {
 		panic(fmt.Sprintf("gen: %s: use of untranslated statement s_%d (%s)", t.a.Name, s.ID, s))
 	}
 	return v
 }
 
 // toVal lowers a peVal to an emitter value, materializing constants.
-func (t *translator) toVal(v peVal, ty adl.TypeName) Val {
+func (t *Translator) toVal(v peVal, ty adl.TypeName) Val {
 	if v.known {
 		return t.em.Const(ty, v.c)
 	}
@@ -331,10 +347,10 @@ func (t *translator) toVal(v peVal, ty adl.TypeName) Val {
 
 // stmt translates one non-terminator statement. In dynamic regions
 // (inRegion), variable accesses go through emitter locals.
-func (t *translator) stmt(s *ssa.Stmt, inRegion bool) error {
+func (t *Translator) stmt(s *ssa.Stmt, inRegion bool) error {
 	em := t.em
-	setK := func(c uint64) { t.vals[s.ID] = peVal{known: true, c: c} }
-	setV := func(v Val) { t.vals[s.ID] = peVal{v: v} }
+	setK := func(c uint64) { t.vals[s.ID] = peVal{set: true, known: true, c: c} }
+	setV := func(v Val) { t.vals[s.ID] = peVal{set: true, v: v} }
 	argV := func(i int) Val { return t.toVal(t.value(s.Args[i]), s.Args[i].Type) }
 
 	switch s.Op {
@@ -373,9 +389,7 @@ func (t *translator) stmt(s *ssa.Stmt, inRegion bool) error {
 		vs := t.varState(s.Sym)
 		val := t.value(s.Args[0])
 		if inRegion || vs.mat {
-			if !vs.mat {
-				t.materialize(s.Sym)
-			}
+			t.materialize(vs)
 			em.WriteLocal(vs.local, t.toVal(val, vs.ty))
 		} else if val.known {
 			vs.known, vs.c, vs.v = true, val.c, NoVal
@@ -423,11 +437,11 @@ func (t *translator) stmt(s *ssa.Stmt, inRegion bool) error {
 	case ssa.OpWritePC:
 		em.WritePC(argV(0))
 	case ssa.OpIntrinsic:
-		args := make([]Val, len(s.Args))
+		t.args = t.args[:0]
 		for i := range s.Args {
-			args[i] = argV(i)
+			t.args = append(t.args, argV(i))
 		}
-		setV(em.Intrinsic(s.Intr, args))
+		setV(em.Intrinsic(s.Intr, t.args))
 	case ssa.OpPhi:
 		return fmt.Errorf("gen: %s: phi survived to translation (O4 phi-elim required)", t.a.Name)
 	default:

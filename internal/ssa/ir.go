@@ -235,7 +235,8 @@ func (b *Block) Terminator() *Stmt {
 	return nil
 }
 
-// Succs returns the block's successors.
+// Succs returns the block's successors. The slice is the terminator's
+// Targets, so it costs no allocation; callers must not modify it.
 func (b *Block) Succs() []*Block {
 	t := b.Terminator()
 	if t == nil {
@@ -243,9 +244,9 @@ func (b *Block) Succs() []*Block {
 	}
 	switch t.Op {
 	case OpBranch:
-		return []*Block{t.Targets[0], t.Targets[1]}
+		return t.Targets[:2:2]
 	case OpJump:
-		return []*Block{t.Targets[0]}
+		return t.Targets[:1:1]
 	}
 	return nil
 }
@@ -288,6 +289,10 @@ func (a *Action) NewStmt(b *Block, op Op, ty adl.TypeName, args ...*Stmt) *Stmt 
 	b.Stmts = append(b.Stmts, s)
 	return s
 }
+
+// StmtIDBound returns one more than the largest statement ID the action has
+// handed out, so per-statement state can be a slice indexed by Stmt.ID.
+func (a *Action) StmtIDBound() int { return a.nextStmtID }
 
 // StmtCount returns the number of statements, the "generated lines" metric
 // used for the §3.6.1 offline-optimization comparison.
