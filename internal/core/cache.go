@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"captive/internal/vx64"
@@ -13,9 +14,9 @@ import (
 // page. Invalidation happens only when self-modifying code is detected via
 // host write protection, or when the cache region fills. The cache holds
 // every record of translated code, and a flush clears them all. The block
-// and page indexes hold valid blocks only; the exit and chain indexes may
-// also name blocks invalidated since the last flush, which is why chaining
-// checks Block.Valid.
+// and page indexes hold valid blocks only; the install-ordered block list
+// and the chain links may also name blocks invalidated since the last
+// flush, which is why chaining checks Block.Valid.
 
 // Block is one translated guest basic block.
 type Block struct {
@@ -38,7 +39,8 @@ type Block struct {
 	slots []uint64
 
 	// incoming lists the blocks chained into this one, one entry per
-	// slot; their chains are undone when this block is invalidated.
+	// slot; their chains are undone when this block is invalidated. A
+	// translation change undoes every chain and empties every list.
 	incoming []*Block
 
 	Valid bool
@@ -64,19 +66,17 @@ type codeCache struct {
 	// the baseline's dirty tracking both read it (pageHasCode).
 	byPage map[uint64][]*Block
 
-	// Exit resolution: exitByPA maps each code-region offset at which a
-	// block's dispatch TRAP can sit to 1+index into exitArena, which holds
-	// one entry per block (0: no TRAP there). Its length is the high-water
-	// mark of the offsets written since the last flush, which clears every
-	// written entry (listed in exitOffs) and truncates it, so entries past
-	// the length are zero.
-	exitByPA  []int32
-	exitArena []*Block
-	exitOffs  []uint64
-	// chained holds the source block of every installed chain slot, one
-	// entry per slot, for translationChanged to undo.
-	chained []*Block
+	// installed lists every block installed since the last flush in
+	// install order, which is address order: alloc is a bump allocator.
+	// exitAt searches it.
+	installed []*Block
+	// chained holds every installed chain slot, one entry per slot, for
+	// translationChanged to undo.
+	chained []chainLink
 }
+
+// chainLink is one installed chain slot: from's exit jumps to to.
+type chainLink struct{ from, to *Block }
 
 func newCodeCache(phys vx64.PhysMem, cpus []*vx64.CPU, base, size uint64) *codeCache {
 	return &codeCache{
@@ -109,35 +109,36 @@ func (c *codeCache) lookup(gpa uint64, el uint8) *Block {
 	return c.blocks[cacheKey{gpa, el}]
 }
 
-// insert registers a block in the key, page and exit indexes.
+// insert registers a block in the key and page indexes and the install
+// list.
 func (c *codeCache) insert(b *Block) {
 	c.blocks[cacheKey{b.GPA, b.EL}] = b
 	// A block may span into the next page only if translation stopped at
 	// the boundary, which the translator guarantees; one page entry
 	// suffices.
 	c.byPage[b.PhysPage] = append(c.byPage[b.PhysPage], b)
-	c.exitArena = append(c.exitArena, b)
-	// The dispatch TRAP sits after 0, 1 or 2 installed chain slots.
-	for i := uint64(0); i <= maxChainSlots; i++ {
-		off := b.epiPA + i*chainSlotSize - c.base
-		if off >= uint64(len(c.exitByPA)) {
-			// Entries past the length are zero (see exitByPA).
-			c.exitByPA = slices.Grow(c.exitByPA, int(off)+1-len(c.exitByPA))[:off+1]
-		}
-		c.exitByPA[off] = int32(len(c.exitArena))
-		c.exitOffs = append(c.exitOffs, off)
-	}
+	c.installed = append(c.installed, b)
 }
 
 // exitAt returns the block whose dispatch TRAP sits at host-physical pa, or
-// nil.
+// nil. The TRAP sits after 0, 1 or 2 installed chain slots, inside the
+// block's own epilogue, so only the last block whose epilogue starts at or
+// below pa can own it.
 func (c *codeCache) exitAt(pa uint64) *Block {
-	if off := pa - c.base; off < uint64(len(c.exitByPA)) {
-		if id := c.exitByPA[off]; id != 0 {
-			return c.exitArena[id-1]
+	i, found := slices.BinarySearchFunc(c.installed, pa, func(b *Block, pa uint64) int {
+		return cmp.Compare(b.epiPA, pa)
+	})
+	if !found {
+		if i == 0 {
+			return nil
 		}
+		i--
 	}
-	return nil
+	b := c.installed[i]
+	if d := pa - b.epiPA; d%chainSlotSize != 0 || d > maxChainSlots*chainSlotSize {
+		return nil
+	}
+	return b
 }
 
 // pageHasCode reports whether any translation came from the guest
@@ -166,14 +167,9 @@ func (c *codeCache) invalidatePage(gpaPage uint64) {
 func (c *codeCache) flush() {
 	c.blocks = make(map[cacheKey]*Block)
 	c.byPage = make(map[uint64][]*Block)
-	for _, off := range c.exitOffs {
-		c.exitByPA[off] = 0
-	}
-	c.exitByPA = c.exitByPA[:0]
-	c.exitOffs = c.exitOffs[:0]
 	// Cleared before truncation so the flushed blocks can be collected.
-	clear(c.exitArena)
-	c.exitArena = c.exitArena[:0]
+	clear(c.installed)
+	c.installed = c.installed[:0]
 	clear(c.chained)
 	c.chained = c.chained[:0]
 	c.next = 0

@@ -80,7 +80,7 @@ func (c *codeCache) chain(b, to *Block, pc uint64) bool {
 
 	b.slots = append(b.slots, pc)
 	to.incoming = append(to.incoming, b)
-	c.chained = append(c.chained, b)
+	c.chained = append(c.chained, chainLink{b, to})
 	return true
 }
 

@@ -105,7 +105,8 @@ type Engine struct {
 	iTLBOver map[uint64]itlbEntry
 
 	// lastExit is the block whose dispatch TRAP ended the most recent
-	// execution (codeCache.exitAt), or nil.
+	// execution (codeCache.exitAt), or nil. It is resolved only for
+	// chaining, so it stays nil with ChainingOff.
 	lastExit *Block
 
 	halted   bool
@@ -387,9 +388,11 @@ func (e *Engine) translationChanged() {
 	e.mmu.reset()
 	// Chain links compare guest PCs, so a regime change on any hart drops
 	// them all (SMP machines never install any: chaining is off for N > 1).
-	for _, b := range e.cache.chained {
-		e.rec.Emit(trace.ChainUnpatch, 0, e.VirtualTime(), 0, b.GPA)
-		e.cache.unchain(b)
+	// Every live chain is a link, so this empties every incoming list.
+	for _, l := range e.cache.chained {
+		e.rec.Emit(trace.ChainUnpatch, 0, e.VirtualTime(), 0, l.from.GPA)
+		e.cache.unchain(l.from)
+		l.to.incoming = l.to.incoming[:0]
 	}
 	e.cache.chained = e.cache.chained[:0]
 }
@@ -518,9 +521,9 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	}
 	blk := e.cache.lookup(key, el)
 	if blk == nil {
-		// Translation mutates the shared cache and exit tables: in
-		// parallel mode it runs with every sibling parked (a concurrent
-		// translator may install the same key first — re-probe inside).
+		// Translation mutates the shared code cache: in parallel mode it
+		// runs with every sibling parked (a concurrent translator may
+		// install the same key first — re-probe inside).
 		var err error
 		e.sh.exclusive(e, func() {
 			if blk = e.cache.lookup(key, el); blk == nil {
@@ -600,7 +603,11 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 				// Normal exit to dispatcher.
 				e.rec.Emit(trace.BlockExit, 0, e.VirtualTime(), cpu.R[vx64.RPC], 0)
 				e.SetPC(cpu.R[vx64.RPC])
-				e.lastExit = e.cache.exitAt(e.trapPA(trap))
+				// Only chaining reads the exit. Resolve it here: a
+				// translation before the next dispatch may flush.
+				if !e.ChainingOff {
+					e.lastExit = e.cache.exitAt(e.trapPA(trap))
+				}
 				return nil
 			}
 			return fmt.Errorf("core: unexpected soft trap %d at rip %#x", trap.Vec, trap.RIP)

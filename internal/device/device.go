@@ -58,9 +58,6 @@ type Bus struct {
 
 	// Cycles returns the current virtual time; supplied by the engine.
 	Cycles func() uint64
-
-	// MMIOAccesses counts device accesses for the statistics.
-	MMIOAccesses uint64
 }
 
 // UARTBase-relative, TimerBase-relative and IPI dispatch offsets within the
@@ -84,7 +81,6 @@ func sizeMask(size uint8) uint64 {
 func (b *Bus) Read(off uint64, size uint8) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.MMIOAccesses++
 	var v uint64
 	switch off {
 	case uartOff + UARTStatus:
@@ -119,7 +115,6 @@ func (b *Bus) Read(off uint64, size uint8) uint64 {
 func (b *Bus) Write(off uint64, size uint8, v uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.MMIOAccesses++
 	mask := sizeMask(size)
 	switch off {
 	case uartOff + UARTTx:

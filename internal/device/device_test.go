@@ -17,9 +17,6 @@ func TestUART(t *testing.T) {
 	if b.Read(UARTRx, 1) != 0x41 || b.Read(UARTRx, 1) != 0x42 || b.Read(UARTRx, 1) != 0 {
 		t.Error("rx queue wrong")
 	}
-	if b.MMIOAccesses == 0 {
-		t.Error("accesses not counted")
-	}
 }
 
 func TestTimer(t *testing.T) {

@@ -117,7 +117,7 @@ type VM struct {
 	// no slice of it reaches past guest RAM.
 	RAM    port.RAM
 	CPUs   []*vx64.CPU // one host CPU per guest vCPU
-	Bus    *device.Bus
+	Bus    *device.Bus // its clock (Cycles) is wired by the engine to guest virtual time
 	Layout Layout
 }
 
@@ -157,7 +157,6 @@ func New(cfg Config) (*VM, error) {
 	}
 
 	vm := &VM{Phys: phys, RAM: port.RAM(phys[:l.GuestRAMSize:l.GuestRAMSize]), CPUs: cpus, Bus: &device.Bus{}, Layout: l}
-	vm.Bus.Cycles = func() uint64 { return cpus[0].Stats.Cycles / 10 }
 	return vm, nil
 }
 

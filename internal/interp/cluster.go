@@ -18,9 +18,9 @@ import (
 // exact interleaving the DBT engines produce under the same scheduler; that
 // is what lets the SMP difftest lane compare multi-vCPU runs bit-for-bit.
 //
-// Only hart 0's Bus is live (every member's accesses route to it); the
-// other machines' Bus fields are unused. Per-hart system state (CSRs,
-// privilege mode) stays private to each Machine.
+// The cluster allocates guest RAM and the bus once and hands them to every
+// hart. Per-hart system state (CSRs, privilege mode) stays private to each
+// Machine.
 //
 // Cluster implements the machine seam (internal/machine). A one-hart cluster
 // is a uniprocessor: its hart is a standalone Machine, which idle-skips or
@@ -41,25 +41,19 @@ type Cluster struct {
 }
 
 // NewCluster creates an n-hart cluster for the guest architecture described
-// by g. All harts share hart 0's memory and device bus; each has its own
+// by g. All harts share one guest memory and device bus; each has its own
 // register file and system state. n=1 degenerates to a standalone machine
 // (its wfi idle-skips or halts instead of parking).
 func NewCluster(g port.Port, module *gen.Module, ramBytes, n int) *Cluster {
-	cl := &Cluster{}
+	cl := &Cluster{bus: new(device.Bus)}
+	mem := make(port.RAM, ramBytes)
 	for i := 0; i < n; i++ {
-		m := New(g, module, ramBytes)
+		m := newHart(g, module, mem, cl.bus, i)
 		if n > 1 {
 			m.cl = cl
 		}
-		m.hartID = i
-		m.hooks.HartID = i
-		if i > 0 {
-			m.Mem = cl.Machines[0].Mem
-			m.bus = cl.Machines[0].bus
-		}
 		cl.Machines = append(cl.Machines, m)
 	}
-	cl.bus = cl.Machines[0].bus
 	return cl
 }
 

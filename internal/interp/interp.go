@@ -33,7 +33,6 @@ import (
 type Machine struct {
 	Module *gen.Module
 	Mem    port.RAM // guest physical memory
-	Bus    device.Bus
 
 	// RegFile is the guest register file, laid out per the module layout.
 	RegFile []byte
@@ -69,7 +68,7 @@ type Machine struct {
 	Waiting bool
 
 	// bus is the device bus every access goes through: the machine's own
-	// Bus for a uniprocessor, hart 0's for a cluster member. hartID is this
+	// for a standalone machine, the cluster's for a member. hartID is this
 	// machine's index in the SMP topology, and cl the owning cluster (nil
 	// for a standalone machine, including the hart of a one-hart cluster).
 	bus    *device.Bus
@@ -104,11 +103,19 @@ type Machine struct {
 // compatible with) g.Module — difftest builds modules per offline level and
 // passes them in directly.
 func New(g port.Port, module *gen.Module, ramBytes int) *Machine {
+	return newHart(g, module, make(port.RAM, ramBytes), new(device.Bus), 0)
+}
+
+// newHart creates hart hartID over the given guest RAM and device bus.
+// Hart 0's virtual time drives the bus's clock.
+func newHart(g port.Port, module *gen.Module, mem port.RAM, bus *device.Bus, hartID int) *Machine {
 	banks := g.Banks()
 	m := &Machine{
 		Module:  module,
-		Mem:     make(port.RAM, ramBytes),
+		Mem:     mem,
 		RegFile: make([]byte, module.Layout.Size),
+		bus:     bus,
+		hartID:  hartID,
 		guest:   g,
 		sys:     g.NewSys(),
 		interp:  ssa.NewInterp(),
@@ -116,7 +123,6 @@ func New(g port.Port, module *gen.Module, ramBytes int) *Machine {
 		zeroGPR: banks.ZeroGPR,
 		devBase: g.DeviceBase(),
 	}
-	m.bus = &m.Bus
 	m.gprBank = module.Registry.Bank(banks.GPR)
 	m.flagsBank = module.Registry.Bank(banks.Flags)
 	if banks.FP != "" {
@@ -126,13 +132,15 @@ func New(g port.Port, module *gen.Module, ramBytes int) *Machine {
 	// block-granularly at entry, exactly like the engines' instrumentation
 	// prologue — a mid-block read must see the same value everywhere) plus
 	// the time skipped while idle in wfi.
-	m.Bus.Cycles = m.virtualTime
+	if hartID == 0 {
+		bus.Cycles = m.virtualTime
+	}
 	// Nothing is cached across accesses (the walker runs fresh every time;
 	// a scanned block never outlives a regime-changing instruction, which
 	// ends its block per the shared rules), so translation changes need no
-	// action here. The closures read bus/hartID at call time, so cluster
-	// construction can rewire them after New.
+	// action here.
 	m.hooks = port.Hooks{
+		HartID:             hartID,
 		CycleCount:         m.virtualTime,
 		TranslationChanged: func() {},
 		TimerLine:          m.timerLine,
