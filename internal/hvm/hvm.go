@@ -147,7 +147,7 @@ func New(cfg Config) (*VM, error) {
 	l.CodeSize = uint64(cfg.CodeCacheBytes)
 	l.TotalPhys = l.CodePA + l.CodeSize
 
-	phys := make(vx64.PhysMem, l.TotalPhys)
+	phys := newPhys(l.TotalPhys)
 	cpus := make([]*vx64.CPU, n)
 	for i := range cpus {
 		cpu := vx64.NewCPU(phys)
