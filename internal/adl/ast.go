@@ -113,12 +113,20 @@ func (f *Format) TotalBits() int {
 
 // Field returns the named field, or nil.
 func (f *Format) Field(name string) *Field {
-	for i := range f.Fields {
-		if f.Fields[i].Name == name {
-			return &f.Fields[i]
-		}
+	if i := f.FieldIndex(name); i >= 0 {
+		return &f.Fields[i]
 	}
 	return nil
+}
+
+// FieldIndex returns the position of the named field in f.Fields, or -1.
+func (f *Format) FieldIndex(name string) int {
+	for i := range f.Fields {
+		if f.Fields[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Param is a helper parameter.

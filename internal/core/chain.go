@@ -35,15 +35,28 @@ const epilogueSize = maxChainSlots*chainSlotSize + 4
 // dispatchTrapVec is the TRAP vector meaning "return to dispatcher".
 const dispatchTrapVec = 1
 
-// writeEpilogue resets an epilogue to its unchained state.
-func writeEpilogue(phys vx64.PhysMem, pa uint64) {
+// dispatchTrapSize is the encoded size of the dispatcher TRAP.
+const dispatchTrapSize = 2
+
+// epilogueLIR is what an epilogue counts as in the JIT's charge and
+// statistics: the TRAP and its NOP padding, one LIR instruction each, as
+// the pipeline once emitted them. translateBlock appends the bytes instead,
+// so the cycle model prices the same output it always has.
+const epilogueLIR = 1 + epilogueSize - dispatchTrapSize
+
+// unchainedEpilogue is an exit epilogue with no chain slot: the dispatcher
+// TRAP, then NOP padding to epilogueSize. translateBlock appends it to every
+// block, and unchain restores it.
+var unchainedEpilogue = func() (epi [epilogueSize]byte) {
 	tr := vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec}
-	buf := vx64.Encode(nil, &tr)
-	for len(buf) < epilogueSize {
-		buf = append(buf, byte(vx64.NOP))
+	if len(vx64.Encode(epi[:0], &tr)) != dispatchTrapSize {
+		panic("core: dispatcher TRAP size drifted")
 	}
-	copy(phys[pa:], buf)
-}
+	for i := dispatchTrapSize; i < epilogueSize; i++ {
+		epi[i] = byte(vx64.NOP)
+	}
+	return epi
+}()
 
 // chain installs a chain slot in b's exit for target pc -> to. It reports
 // whether a new slot was installed.
@@ -57,9 +70,10 @@ func (c *codeCache) chain(b, to *Block, pc uint64) bool {
 		}
 	}
 	off := b.epiPA + uint64(len(b.slots))*chainSlotSize
-	var buf []byte
+	// The slot, then the terminal TRAP re-installed after it.
+	var patch [chainSlotSize + dispatchTrapSize]byte
 	mov := vx64.Inst{Op: vx64.MOVI64, Rd: uint16(vx64.RTMP), Imm: int64(pc)}
-	buf = vx64.Encode(buf, &mov)
+	buf := vx64.Encode(patch[:0], &mov)
 	cmp := vx64.Inst{Op: vx64.CMPrr, Rd: uint16(vx64.RPC), Rs: uint16(vx64.RTMP)}
 	buf = vx64.Encode(buf, &cmp)
 	jne := vx64.Inst{Op: vx64.JCC, Cond: vx64.CondNE, Imm: 5}
@@ -70,12 +84,8 @@ func (c *codeCache) chain(b, to *Block, pc uint64) bool {
 	if len(buf) != chainSlotSize {
 		panic("core: chain slot size drifted")
 	}
+	buf = append(buf, unchainedEpilogue[:dispatchTrapSize]...)
 	copy(c.phys[off:], buf)
-	// Re-install the terminal TRAP after the new slot.
-	next := off + chainSlotSize
-	tr := vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec}
-	tb := vx64.Encode(nil, &tr)
-	copy(c.phys[next:], tb)
 	c.invalidateCode(b.epiPA, epilogueSize)
 
 	b.slots = append(b.slots, pc)
@@ -89,7 +99,7 @@ func (c *codeCache) unchain(b *Block) {
 	if len(b.slots) == 0 {
 		return
 	}
-	writeEpilogue(c.phys, b.epiPA)
+	copy(c.phys[b.epiPA:], unchainedEpilogue[:])
 	c.invalidateCode(b.epiPA, epilogueSize)
 	b.slots = nil
 }

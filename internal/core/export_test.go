@@ -47,3 +47,7 @@ func (e *Engine) ChainRecords() (incoming, slots int) {
 	}
 	return incoming, slots
 }
+
+// UnchainedEpilogue is a block's exit epilogue while no chain slot is
+// installed.
+var UnchainedEpilogue = unchainedEpilogue[:]

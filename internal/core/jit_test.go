@@ -186,3 +186,48 @@ func TestTranslateAllocBound(t *testing.T) {
 		})
 	}
 }
+
+// TestEpilogueBytes translates 300 blocks of random GA64 code on each
+// engine. Every block must end in the unchained exit epilogue, at the
+// address its Block records. The pipeline appends those bytes instead of
+// allocating and encoding them as LIR, but the JIT charge, the LIR count and
+// the code stay what they were when it did: the pinned figures are those of
+// the LIR pipeline for the same batch.
+func TestEpilogueBytes(t *testing.T) {
+	for _, kind := range []struct {
+		name         string
+		qemu         bool
+		lir          int
+		cycles, hash uint64
+	}{
+		{"captive", false, 52262, 5549580, 0x5395f9a0},
+		{"qemu", true, 62432, 2494120, 0xd1203ac0},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			const blocks = 300
+			m := ga64.MustModule()
+			e := newJITEngine(t, ga64.Port{}, m, kind.qemu)
+			if err := e.LoadImage(randomCode(m, 29, blocks), jitBase, jitBase); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < blocks; i++ {
+				code, err := e.TranslateAt(jitBase + 4*uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				installed := e.Installed()
+				b := installed[len(installed)-1]
+				epi := code[b.EpiloguePA()-(b.Entry-hvm.DirectBase):]
+				if !slices.Equal(epi, core.UnchainedEpilogue) {
+					t.Fatalf("block %d: code from its epilogue address is % x, want the unchained epilogue % x",
+						i, epi, core.UnchainedEpilogue)
+				}
+			}
+			s := e.Metrics()
+			if s.JITLIRInsts != kind.lir || s.SimDeciCycles != kind.cycles || s.JITCodeHash != kind.hash {
+				t.Errorf("LIR %d, cycles %d, code hash %#x; want %d, %d, %#x",
+					s.JITLIRInsts, s.SimDeciCycles, s.JITCodeHash, kind.lir, kind.cycles, kind.hash)
+			}
+		})
+	}
+}

@@ -73,14 +73,10 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 		}
 	}
 
-	// Exit epilogue: a chainable TRAP-to-dispatcher region (chain.go).
+	// Exit epilogue: a chainable TRAP-to-dispatcher region (chain.go). Its
+	// emitter block stays empty and last in layout, so its label marks
+	// where encode leaves off; the constant bytes are appended there.
 	epi := em.coldBlock()
-	em.inBlock(epi, func() {
-		em.emit(vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec})
-		for i := 0; i < epilogueSize-2; i++ {
-			em.emit(vx64.Inst{Op: vx64.NOP})
-		}
-	})
 	em.emitBr(vx64.Inst{Op: vx64.JMP}, epi.id)
 	lir := em.Finalize()
 	e.stats.TranslateNS += time.Since(t1).Nanoseconds()
@@ -102,6 +98,8 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: block at %#x: %w", pc, err)
 	}
+	code = append(code, unchainedEpilogue[:]...)
+	e.enc.code = code
 	pa, ok := e.cache.alloc(len(code))
 	if !ok {
 		if e.sh.parallel {
@@ -156,7 +154,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	// observability machinery, not of the translated guest code, and
 	// charging them would shift the calibrated cycle model of every
 	// pre-observability program.
-	charged := uint64(len(alloc))
+	charged := uint64(len(alloc) + epilogueLIR)
 	if n > 0 {
 		charged -= 2
 	}
@@ -167,7 +165,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	}
 	e.stats.JITBlocks++
 	e.stats.JITGuestInstrs += n
-	e.stats.JITLIRInsts += len(alloc)
+	e.stats.JITLIRInsts += len(alloc) + epilogueLIR
 	e.stats.JITCodeBytes += len(code)
 	e.rec.Emit(trace.Translate, uint8(el), e.VirtualTime(), pc, uint64(len(code)))
 	return blk, nil

@@ -193,9 +193,17 @@ func TestFieldExtraction(t *testing.T) {
 	if d.Field("rd") != 31 || d.Field("rn") != 7 || d.Field("rm") != 15 || d.Field("sh") != 42 {
 		t.Errorf("fields: rd=%d rn=%d rm=%d sh=%d", d.Field("rd"), d.Field("rn"), d.Field("rm"), d.Field("sh"))
 	}
-	f := d.FieldsInto(nil)
-	if f["op"] != 1 || f["fn"] != 0 {
-		t.Errorf("FieldsInto: %v", f)
+	// By index, in format order, as OpReadField and the interpreter read
+	// them.
+	f := d.AppendFields(nil)
+	for i, fl := range d.Info.Format.Fields {
+		if f[i] != d.Field(fl.Name) || d.FieldAt(i) != f[i] {
+			t.Errorf("field %d (%s): AppendFields %d, FieldAt %d, Field %d",
+				i, fl.Name, f[i], d.FieldAt(i), d.Field(fl.Name))
+		}
+	}
+	if f[0] != 1 || f[len(f)-1] != 0 {
+		t.Errorf("AppendFields: %v, want op 1 first and fn 0 last", f)
 	}
 }
 

@@ -313,7 +313,7 @@ func TestTranslateMatchesInterp(t *testing.T) {
 				}
 				st2 := st1.clone()
 
-				ok1, err := interp.Run(info.Action, d.FieldsInto(nil), st1)
+				ok1, err := interp.Run(info.Action, d.AppendFields(nil), st1)
 				if err != nil || !ok1 {
 					t.Fatalf("%s O%d: interp failed: %v", info.Name, level, err)
 				}

@@ -32,8 +32,8 @@ type InstrInfo struct {
 	Action *ssa.Action
 	Mask   uint64 // decode mask from the when-clause equality constraints
 	Match  uint64
-	Pred   adl.Expr // residual non-equality decode predicate (may be nil)
-	fields []fieldDesc
+	Pred   adl.Expr    // residual non-equality decode predicate (may be nil)
+	fields []fieldDesc // in format order, so OpReadField's FieldIdx indexes it
 }
 
 type fieldDesc struct {
@@ -188,14 +188,18 @@ func (d Decoded) Field(name string) uint64 {
 	panic(fmt.Sprintf("gen: instruction %s has no field %s", d.Info.Name, name))
 }
 
-// FieldsInto fills dst with all field values (reusing the map) and returns
-// it; used by the interpreter engine.
-func (d Decoded) FieldsInto(dst map[string]uint64) map[string]uint64 {
-	if dst == nil {
-		dst = make(map[string]uint64, len(d.Info.fields))
-	}
+// FieldAt extracts the i-th field in format order, the field an
+// OpReadField with FieldIdx i reads.
+func (d Decoded) FieldAt(i int) uint64 {
+	f := &d.Info.fields[i]
+	return d.Word >> f.shift & f.mask
+}
+
+// AppendFields appends every field value, in format order, to dst: the
+// fields argument of ssa.Interp.Run.
+func (d Decoded) AppendFields(dst []uint64) []uint64 {
 	for _, f := range d.Info.fields {
-		dst[f.name] = d.Word >> f.shift & f.mask
+		dst = append(dst, d.Word>>f.shift&f.mask)
 	}
 	return dst
 }

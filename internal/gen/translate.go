@@ -357,7 +357,7 @@ func (t *Translator) stmt(s *ssa.Stmt, inRegion bool) error {
 	case ssa.OpConst:
 		setK(s.Const)
 	case ssa.OpReadField:
-		setK(t.d.Field(s.Field))
+		setK(t.d.FieldAt(s.FieldIdx))
 	case ssa.OpBankRead:
 		idx := t.value(s.Args[0])
 		if idx.known {

@@ -78,7 +78,7 @@ type Machine struct {
 	guest   port.Port
 	sys     port.Sys
 	interp  *ssa.Interp
-	fields  map[string]uint64
+	fields  []uint64 // the current instruction's field values
 	hooks   port.Hooks
 	wrotePC bool
 	curPC   uint64
@@ -119,7 +119,6 @@ func newHart(g port.Port, module *gen.Module, mem port.RAM, bus *device.Bus, har
 		guest:   g,
 		sys:     g.NewSys(),
 		interp:  ssa.NewInterp(),
-		fields:  make(map[string]uint64),
 		zeroGPR: banks.ZeroGPR,
 		devBase: g.DeviceBase(),
 	}
@@ -514,7 +513,8 @@ func (m *Machine) Step() (bool, error) {
 	m.curPC = pc
 	m.wrotePC = false
 	m.pending.redirect = false
-	ok, err := m.interp.Run(d.Info.Action, d.FieldsInto(m.fields), m)
+	m.fields = d.AppendFields(m.fields[:0])
+	ok, err := m.interp.Run(d.Info.Action, m.fields, m)
 	if err != nil {
 		return false, fmt.Errorf("interp: %s at pc %#x (%s): %w", m.Module.Arch, pc, d.Info.Name, err)
 	}

@@ -328,11 +328,12 @@ func (b *builder) expr(e adl.Expr) (*Stmt, error) {
 		r.Sym = sym
 		return r, nil
 	case *adl.FieldExpr:
-		if b.action.Format.Field(ex.Field) == nil {
+		idx := b.action.Format.FieldIndex(ex.Field)
+		if idx < 0 {
 			return nil, adl.Errorf(ex.Pos, "format %s has no field %s", b.action.Format.Name, ex.Field)
 		}
 		s := b.action.NewStmt(b.cur, OpReadField, adl.TypeU64)
-		s.Field = ex.Field
+		s.Field, s.FieldIdx = ex.Field, idx
 		return s, nil
 	case *adl.UnaryExpr:
 		x, err := b.expr(ex.X)

@@ -24,9 +24,9 @@ type State interface {
 	Intrinsic(id IntrID, args []uint64) (val uint64, ok bool)
 }
 
-// Interp executes an action against state. fields maps decoded instruction
-// field names to values. It returns false if execution aborted (fault or
-// block-ending intrinsic that redirects control).
+// Interp executes an action against state, given the decoded instruction's
+// field values in format order. It returns false if execution aborted
+// (fault or block-ending intrinsic that redirects control).
 //
 // The same walker doubles as the reference ("golden model") executor used
 // by differential tests and by the interpreter engine.
@@ -46,7 +46,7 @@ const maxSteps = 100000
 
 // Run interprets the action. It returns ok=false when the instruction was
 // aborted mid-way by a faulting memory access or halting intrinsic.
-func (in *Interp) Run(a *Action, fields map[string]uint64, st State) (ok bool, err error) {
+func (in *Interp) Run(a *Action, fields []uint64, st State) (ok bool, err error) {
 	if cap(in.vals) < a.nextStmtID {
 		in.vals = make([]uint64, a.nextStmtID)
 		in.set = make([]bool, a.nextStmtID)
@@ -70,11 +70,10 @@ func (in *Interp) Run(a *Action, fields map[string]uint64, st State) (ok bool, e
 			case OpConst:
 				in.vals[s.ID] = s.Const
 			case OpReadField:
-				v, okf := fields[s.Field]
-				if !okf {
+				if s.FieldIdx >= len(fields) {
 					return false, fmt.Errorf("ssa: %s: missing field %s", a.Name, s.Field)
 				}
-				in.vals[s.ID] = v
+				in.vals[s.ID] = fields[s.FieldIdx]
 			case OpBankRead:
 				in.vals[s.ID] = Canonicalize(st.ReadBank(s.Bank, in.vals[s.Args[0].ID]), s.Type)
 			case OpBankWrite:
@@ -190,15 +189,16 @@ func PureIntrinsic(id IntrID, args []uint64) (uint64, bool) {
 }
 
 // Fields decodes an instruction word against a format, returning the field
-// values (most significant field first). This is the semantic contract the
-// generated decoder implements with a decision tree; the plain version here
-// is the oracle it is tested against.
-func Fields(f *adl.Format, word uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(f.Fields))
+// values in format order (most significant field first), as Interp.Run
+// takes them. This is the semantic contract the generated decoder
+// implements with a decision tree; the plain version here is the oracle it
+// is tested against.
+func Fields(f *adl.Format, word uint64) []uint64 {
+	out := make([]uint64, len(f.Fields))
 	shift := f.TotalBits()
-	for _, fl := range f.Fields {
+	for i, fl := range f.Fields {
 		shift -= fl.Bits
-		out[fl.Name] = word >> uint(shift) & (1<<uint(fl.Bits) - 1)
+		out[i] = word >> uint(shift) & (1<<uint(fl.Bits) - 1)
 	}
 	return out
 }

@@ -186,6 +186,7 @@ type Stmt struct {
 
 	Const    uint64
 	Field    string
+	FieldIdx int // OpReadField: Field's position in the instruction's format
 	Bank     *Bank
 	Sym      *Symbol
 	BinOp    BinOp

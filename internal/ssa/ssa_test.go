@@ -309,7 +309,7 @@ func TestInterpAdd(t *testing.T) {
 	st := newFakeState()
 	st.banks["X"][1] = 30
 	st.banks["X"][2] = 12
-	fields := map[string]uint64{"op": 1, "rd": 3, "rn": 1, "rm": 2, "sh": 0, "fn": 0}
+	fields := fieldVals(a, map[string]uint64{"op": 1, "rd": 3, "rn": 1, "rm": 2, "sh": 0, "fn": 0})
 	ok, err := NewInterp().Run(a, fields, st)
 	if err != nil || !ok {
 		t.Fatalf("interp: ok=%v err=%v", ok, err)
@@ -324,7 +324,7 @@ func TestInterpSignExtension(t *testing.T) {
 	st := newFakeState()
 	st.banks["X"][1] = 0x1000
 	st.mem[0x1004] = 0x80 // -128 as s8
-	fields := map[string]uint64{"op": 5, "rd": 2, "rn": 1, "imm": 4}
+	fields := fieldVals(a, map[string]uint64{"op": 5, "rd": 2, "rn": 1, "imm": 4})
 	ok, err := NewInterp().Run(a, fields, st)
 	if err != nil || !ok {
 		t.Fatalf("interp: ok=%v err=%v", ok, err)
@@ -340,7 +340,7 @@ func TestInterpSubsFlags(t *testing.T) {
 	st := newFakeState()
 	st.banks["X"][1] = 5
 	st.banks["X"][2] = 7
-	fields := map[string]uint64{"op": 4, "rd": 3, "rn": 1, "rm": 2, "sh": 0, "fn": 0}
+	fields := fieldVals(a, map[string]uint64{"op": 4, "rd": 3, "rn": 1, "rm": 2, "sh": 0, "fn": 0})
 	ok, err := NewInterp().Run(a, fields, st)
 	if err != nil || !ok {
 		t.Fatalf("interp: ok=%v err=%v", ok, err)
@@ -393,8 +393,8 @@ func TestOptimizationEquivalence(t *testing.T) {
 				}
 				st2 := st1.clone()
 
-				ok1, err1 := NewInterp().Run(ref, fields, st1)
-				ok2, err2 := NewInterp().Run(opt, fields, st2)
+				ok1, err1 := NewInterp().Run(ref, fieldVals(ref, fields), st1)
+				ok2, err2 := NewInterp().Run(opt, fieldVals(opt, fields), st2)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s O%d: interp errors %v / %v", instr.Name, level, err1, err2)
 				}
@@ -405,6 +405,16 @@ func TestOptimizationEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fieldVals orders named field values by a's format, as Interp.Run takes
+// them; an absent name reads 0.
+func fieldVals(a *Action, named map[string]uint64) []uint64 {
+	vals := make([]uint64, len(a.Format.Fields))
+	for i, fl := range a.Format.Fields {
+		vals[i] = named[fl.Name]
+	}
+	return vals
 }
 
 func instr_rnGuess(fields map[string]uint64) uint64 {
@@ -422,8 +432,8 @@ func TestFieldsDecoding(t *testing.T) {
 	f := Fields(r, word)
 	want := map[string]uint64{"op": 0xAB, "rd": 0x1F, "rn": 3, "rm": 7, "sh": 0x15, "fn": 5}
 	for k, v := range want {
-		if f[k] != v {
-			t.Errorf("field %s = %#x, want %#x", k, f[k], v)
+		if got := f[r.FieldIndex(k)]; got != v {
+			t.Errorf("field %s = %#x, want %#x", k, got, v)
 		}
 	}
 }

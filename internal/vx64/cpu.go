@@ -260,17 +260,16 @@ type CPU struct {
 	Kick atomic.Bool
 
 	// Superblock execution state (superblock.go): a direct-mapped cache of
-	// predecoded straight-line runs keyed by code-region offset, and a
-	// per-page generation counter bumped by InvalidateCode so stale
-	// superblocks are rebuilt on next entry. No live superblock extends
-	// past code-region offset sbHigh.
+	// predecoded straight-line runs keyed by code-region offset, their ops
+	// in an arena filled from index sbNext, and a per-page generation
+	// counter bumped by InvalidateCode so stale superblocks are rebuilt on
+	// next entry. No live superblock extends past code-region offset
+	// sbHigh.
 	sbTab     []sbSlot
+	sbArena   *sbArena
+	sbNext    int
 	sbPageGen []uint32
 	sbHigh    uint64
-	// Reusable decode buffers for buildSuperblock, so cached runs hold
-	// exact-length slices.
-	sbScratch     []Inst
-	sbScratchLens []uint8
 }
 
 // NewCPU creates a CPU over the given physical memory.
@@ -297,6 +296,13 @@ func (c *CPU) ProfPause() {
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
 	c.codeLo, c.codeHi = lo, hi
 	c.sbTab = make([]sbSlot, sbTableSize)
+	// A zeroed slot reads as a run at offset 0 built on generation-0
+	// pages, so the slot offset 0 hashes to starts with a key no run has.
+	c.sbTab[sbHash(0)].off = ^uint64(0)
+	if c.sbArena == nil {
+		c.sbArena = new(sbArena)
+	}
+	c.sbNext = 0
 	c.sbPageGen = make([]uint32, (hi-lo+PageSize-1)/PageSize)
 	c.sbHigh = 0
 }

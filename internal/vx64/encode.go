@@ -71,7 +71,7 @@ func appendMem(buf []byte, m Mem) []byte {
 func Encode(buf []byte, inst *Inst) []byte {
 	ck := func(r uint16) byte {
 		if r >= 16 {
-			panic(fmt.Sprintf("vx64: unallocated virtual register %d in %v", r, inst))
+			panic(fmt.Sprintf("vx64: unallocated virtual register %d in %v", r, *inst))
 		}
 		return byte(r)
 	}
@@ -174,13 +174,24 @@ var errTruncated = fmt.Errorf("vx64: truncated instruction")
 // Decode decodes one instruction from buf starting at off. It returns the
 // instruction and its encoded length.
 func Decode(buf []byte, off int) (Inst, int, error) {
-	if off >= len(buf) {
-		return Inst{}, 0, errTruncated
-	}
 	var inst Inst
+	n, err := decode(&inst, buf, off)
+	if err != nil {
+		return Inst{}, 0, err
+	}
+	return inst, n, nil
+}
+
+// decode decodes one instruction from buf starting at off into *inst and
+// returns its encoded length.
+func decode(inst *Inst, buf []byte, off int) (int, error) {
+	if off >= len(buf) {
+		return 0, errTruncated
+	}
+	*inst = Inst{}
 	op := Op(buf[off])
 	if op >= opCount {
-		return Inst{}, 0, fmt.Errorf("vx64: invalid opcode %#x at %#x", buf[off], off)
+		return 0, fmt.Errorf("vx64: invalid opcode %#x at %#x", buf[off], off)
 	}
 	inst.Op = op
 	i := off + 1
@@ -307,7 +318,7 @@ func Decode(buf []byte, off int) (Inst, int, error) {
 		}
 	}
 	if err != nil {
-		return Inst{}, 0, err
+		return 0, err
 	}
-	return inst, i - off, nil
+	return i - off, nil
 }

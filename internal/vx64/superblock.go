@@ -26,6 +26,12 @@ package vx64
 // (core/cache.go). Invalidation is lazy — a per-page generation counter is
 // bumped and stale superblocks rebuild on next entry — so patching one
 // epilogue does not scan the superblock cache.
+//
+// Memory: the cache is a table of pointer-free value slots, and the ops of
+// every cached run live in one fixed-size arena per CPU, written by index.
+// Building allocates nothing. A full arena is recycled only after every
+// superblock backed by it has been made stale, so no slot ever reaches an
+// overwritten op.
 
 const (
 	// sbMaxOps caps a superblock's length. Generated blocks are bounded by
@@ -39,19 +45,29 @@ const (
 	// benign: the colliding entry is rebuilt on next entry.
 	sbTableBits = 14
 	sbTableSize = 1 << sbTableBits
+
+	// sbArenaOps sizes each CPU's op arena (512 KiB of ops). Builds fill
+	// it front to back; a build that might not fit recycles it from index
+	// 0 (buildSuperblock).
+	sbArenaOps = 1 << 14
 )
 
-// superblock is one predecoded straight-line run.
-type superblock struct {
-	ops  []Inst  // predecoded instructions (only the last may end the run)
-	lens []uint8 // encoded length of each instruction
+// sbSlot is one direct-mapped cache slot: the key and the precomputed
+// fields of one predecoded straight-line run, whose ops sit in the arena
+// at [start, start+n). It holds no pointer, so the table costs the
+// collector nothing.
+type sbSlot struct {
+	off uint64 // code-region offset of the run's first instruction
 
 	// worst bounds the deci-cycles the whole run can consume before its
 	// last instruction completes (base costs plus a TLB-miss allowance per
-	// memory access and the taken-branch premium). If the budget clears
-	// this bound at entry, no per-op budget check is needed: the original
-	// Step loop would not have stopped mid-run either.
-	worst uint64
+	// memory access and the taken-branch premium; at most sbMaxOps times
+	// about 1,250). If the budget clears this bound at entry, no per-op
+	// budget check is needed: the original Step loop would not have
+	// stopped mid-run either.
+	worst uint32
+	start uint16
+	n     uint8
 
 	// pg0/pg1 are the first and last code-region pages the run's bytes
 	// touch; gen0/gen1 the generations captured at build time.
@@ -59,10 +75,11 @@ type superblock struct {
 	gen0, gen1 uint32
 }
 
-// sbSlot is one direct-mapped cache slot.
-type sbSlot struct {
-	off uint64
-	sb  *superblock
+// sbArena holds the predecoded ops of the cached superblocks and the
+// encoded length of each, a run's at consecutive indexes.
+type sbArena struct {
+	ops  [sbArenaOps]Inst
+	lens [sbArenaOps]uint8
 }
 
 // sbHash maps a code-region offset to a cache slot (Fibonacci hashing;
@@ -98,51 +115,6 @@ func opWorstCost(op Op) uint64 {
 	return w
 }
 
-// buildSuperblock decodes the straight-line run starting at code-region
-// offset off from physical memory and raises sbHigh to the run's end.
-// Decoding goes through a reusable scratch buffer so the cached superblock
-// holds exact-length slices (many runs are short — a memory op through a
-// HELPER ends one after a few ops — and a warm 16k-slot table would
-// otherwise pin full-capacity slices). It returns nil when the first
-// instruction does not decode (the Step slow path reports the fault).
-func (c *CPU) buildSuperblock(off uint64) *superblock {
-	if c.sbScratch == nil {
-		c.sbScratch = make([]Inst, 0, sbMaxOps)
-		c.sbScratchLens = make([]uint8, 0, sbMaxOps)
-	}
-	ops, lens := c.sbScratch[:0], c.sbScratchLens[:0]
-	var worst uint64
-	pa := c.codeLo + off
-	for len(ops) < sbMaxOps && pa < c.codeHi {
-		inst, n, err := Decode(c.Phys, int(pa))
-		if err != nil {
-			break
-		}
-		ops = append(ops, inst)
-		lens = append(lens, uint8(n))
-		worst += opWorstCost(inst.Op)
-		pa += uint64(n)
-		if endsSuperblock(inst.Op) {
-			break
-		}
-	}
-	c.sbScratch, c.sbScratchLens = ops[:0], lens[:0]
-	if len(ops) == 0 {
-		return nil
-	}
-	sb := &superblock{
-		ops:   append([]Inst(nil), ops...),
-		lens:  append([]uint8(nil), lens...),
-		worst: worst,
-		pg0:   uint32(off >> PageShift),
-		pg1:   uint32((pa - 1 - c.codeLo) >> PageShift),
-	}
-	sb.gen0 = c.sbPageGen[sb.pg0]
-	sb.gen1 = c.sbPageGen[sb.pg1]
-	c.sbHigh = max(c.sbHigh, pa-c.codeLo)
-	return sb
-}
-
 // runSuperblock executes the superblock starting at code-region offset off
 // (which the caller has resolved from a direct-map RIP). It returns
 // stop=true with the trap when execution must return to the embedder;
@@ -150,21 +122,18 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 // (RIP is at its successor) or the budget expired (Run re-checks and
 // reports TrapBudget), exactly as the stepped loop would.
 func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
-	slot := &c.sbTab[sbHash(off)]
-	sb := slot.sb
-	if sb == nil || slot.off != off ||
-		sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
-		sb = c.buildSuperblock(off)
-		if sb == nil {
-			// Undecodable entry: Step raises the same bus fault stepping
-			// would.
+	sb := &c.sbTab[sbHash(off)]
+	if sb.off != off || sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
+		if !c.buildSuperblock(sb, off) {
+			// Step raises the same bus fault stepping would, or runs the
+			// instruction that ends past the code region.
 			t := c.Step()
 			return t, t.Kind != TrapNone
 		}
-		slot.off, slot.sb = off, sb
 	}
-	ops, lens := sb.ops, sb.lens
-	if c.Stats.Cycles+sb.worst < limit {
+	ops := c.sbArena.ops[sb.start:][:sb.n]
+	lens := c.sbArena.lens[sb.start:][:len(ops)]
+	if c.Stats.Cycles+uint64(sb.worst) < limit {
 		// The budget cannot expire before the run's last instruction
 		// starts: dispatch with no per-op checks at all.
 		for i := range ops {
@@ -191,4 +160,52 @@ func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
 		}
 	}
 	return Trap{}, false
+}
+
+// buildSuperblock decodes the straight-line run starting at code-region
+// offset off from physical memory straight into the arena, by index, fills
+// sb with it and raises sbHigh to the run's end. It reports false, leaving sb
+// alone, when the first instruction does not decode or ends past the code
+// region (Step runs it and reports any fault); a later such instruction
+// ends the run before it.
+//
+// A run that might not fit behind the arena's last one recycles the arena
+// from index 0. Every live superblock's ops are in the arena, and every one
+// ends at or below sbHigh, so bumping the generation of each page below
+// sbHigh first drops them all: none can run ops a later build overwrites.
+func (c *CPU) buildSuperblock(sb *sbSlot, off uint64) bool {
+	if c.sbNext > sbArenaOps-sbMaxOps {
+		for p := uint64(0); p<<PageShift < c.sbHigh; p++ {
+			c.sbPageGen[p]++
+		}
+		c.sbHigh, c.sbNext = 0, 0
+	}
+	a, start := c.sbArena, c.sbNext
+	i := start
+	var worst uint64
+	pa := c.codeLo + off
+	for i-start < sbMaxOps && pa < c.codeHi {
+		inst := &a.ops[i]
+		n, err := decode(inst, c.Phys, int(pa))
+		if err != nil || pa+uint64(n) > c.codeHi {
+			break
+		}
+		a.lens[i] = uint8(n)
+		i++
+		worst += opWorstCost(inst.Op)
+		pa += uint64(n)
+		if endsSuperblock(inst.Op) {
+			break
+		}
+	}
+	if i == start {
+		return false
+	}
+	c.sbNext = i
+	end := pa - c.codeLo
+	pg0, pg1 := uint32(off>>PageShift), uint32((end-1)>>PageShift)
+	*sb = sbSlot{off: off, worst: uint32(worst), start: uint16(start), n: uint8(i - start),
+		pg0: pg0, pg1: pg1, gen0: c.sbPageGen[pg0], gen1: c.sbPageGen[pg1]}
+	c.sbHigh = max(c.sbHigh, end)
+	return true
 }

@@ -294,3 +294,104 @@ func TestSuperblockSetCodeRegionResets(t *testing.T) {
 	}
 	_ = end
 }
+
+// TestSuperblockEndsBeforeCodeHi runs code whose last instruction inside
+// the code region ends past it: the superblock ends before that
+// instruction, and Step runs it, as in the stepped loop. Entered at the
+// instruction itself, no superblock is built at all.
+func TestSuperblockEndsBeforeCodeHi(t *testing.T) {
+	const movAt = PageSize - 6 // a 10-byte MOVI64 ends 4 bytes past the region
+	for _, entry := range []uint64{movAt - 3, movAt} {
+		setup := func() *CPU {
+			c := newTestCPU()
+			c.SetCodeRegion(0, PageSize)
+			asm(c.Phys, movAt-3, Inst{Op: MOVI8, Rd: 1, Imm: 7})
+			asm(c.Phys, movAt, Inst{Op: MOVI64, Rd: 0, Imm: 0x1122334455667788}, Inst{Op: HLT})
+			c.RIP = directBase + entry
+			return c
+		}
+		a, b := setup(), setup()
+		trA, trB := a.Run(1_000_000), runStepped(b, 1_000_000)
+		if trA != trB || a.R != b.R || a.RIP != b.RIP || a.Stats != b.Stats {
+			t.Fatalf("entry %#x: run %v r0=%#x stats %+v; stepped %v r0=%#x stats %+v",
+				entry, trA, a.R[0], a.Stats, trB, b.R[0], b.Stats)
+		}
+		if trA.Kind != TrapHlt || a.R[0] != 0x1122334455667788 {
+			t.Fatalf("entry %#x: %v, r0 = %#x, want hlt after the MOVI64", entry, trA, a.R[0])
+		}
+	}
+}
+
+// sbChainProgram writes n straight-line runs from code-region offset 0,
+// each adding its index+1 to r0, mixing its index into r1 and jumping to
+// the next, then a HLT. It returns each run's offset.
+func sbChainProgram(c *CPU, n int) []uint64 {
+	starts := make([]uint64, n)
+	at := uint64(0)
+	for i := range starts {
+		starts[i] = at
+		at = asm(c.Phys, at,
+			Inst{Op: ADDri, Rd: 0, Imm: int64(i + 1)},
+			Inst{Op: XORri, Rd: 1, Imm: int64(i)},
+			Inst{Op: JMP, Imm: 0},
+		)
+	}
+	asm(c.Phys, at, Inst{Op: HLT})
+	return starts
+}
+
+// TestSuperblockArenaRecycle runs more distinct runs than the op arena
+// holds, so builds recycle it, and checks every pass against the stepped
+// loop. A slot built before a recycle must not survive it: its ops have
+// been overwritten by later runs, which add other numbers to r0. Then an
+// early run is patched and invalidated, and its new bytes must run.
+func TestSuperblockArenaRecycle(t *testing.T) {
+	const runs = sbArenaOps/3 + 2000 // three ops a run
+	a, b := newTestCPU(), newTestCPU()
+	starts := sbChainProgram(a, runs)
+	sbChainProgram(b, runs)
+	compare := func(pass string) {
+		t.Helper()
+		a.RIP, b.RIP = directBase, directBase
+		trA, _ := runToCompletion(t, a, (*CPU).Run, 1<<30)
+		trB, _ := runToCompletion(t, b, runStepped, 1<<30)
+		if trA != trB || a.R != b.R || a.F != b.F || a.RIP != b.RIP || a.Stats != b.Stats {
+			t.Fatalf("%s: run r0=%d r1=%d stats %+v; stepped r0=%d r1=%d stats %+v",
+				pass, a.R[0], a.R[1], a.Stats, b.R[0], b.R[1], b.Stats)
+		}
+	}
+	compare("first pass")
+	compare("second pass")
+
+	for _, c := range []*CPU{a, b} {
+		asm(c.Phys, starts[1], Inst{Op: ADDri, Rd: 0, Imm: 1_000_000})
+		c.InvalidateCode(starts[1], starts[2]-starts[1])
+	}
+	r0 := a.R[0]
+	compare("after patching run 1")
+	if got, want := a.R[0]-r0, uint64(runs*(runs+1)/2-2+1_000_000); got != want {
+		t.Errorf("after patching run 1: r0 grew by %d, want %d", got, want)
+	}
+}
+
+// TestSuperblockBuildAllocFree runs more distinct runs than the superblock
+// table and the op arena hold, on a warm CPU: nearly every entry rebuilds,
+// and building allocates nothing.
+func TestSuperblockBuildAllocFree(t *testing.T) {
+	const runs = sbTableSize + sbArenaOps/3
+	c := newTestCPU()
+	sbChainProgram(c, runs)
+	gen0 := c.sbPageGen[0]
+	allocs := testing.AllocsPerRun(3, func() {
+		c.RIP = directBase
+		if tr := c.Run(1 << 30); tr.Kind != TrapHlt {
+			t.Fatalf("expected hlt, got %v", tr)
+		}
+	})
+	if c.sbPageGen[0] == gen0 {
+		t.Fatal("the arena never recycled: the program is too small to test building")
+	}
+	if allocs != 0 {
+		t.Errorf("running %d freshly built superblocks allocates %.1f times, want 0", runs, allocs)
+	}
+}
