@@ -66,8 +66,8 @@ type sbSlot struct {
 	// budget check is needed: the original Step loop would not have
 	// stopped mid-run either.
 	worst uint32
-	start uint16
-	n     uint8
+	start uint16 // arena index of the first op (sbArenaOps fits)
+	n     uint8  // ops in the run (sbMaxOps fits)
 
 	// pg0/pg1 are the first and last code-region pages the run's bytes
 	// touch; gen0/gen1 the generations captured at build time.
