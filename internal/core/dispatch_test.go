@@ -79,14 +79,21 @@ const dispatchSlice = 500_000
 
 // TestDispatchSteadyStateAllocFree is the allocation gate: once the loop is
 // warm, a full budget slice through dispatcher, chains and superblocks must
-// not allocate — on the Captive engine and the QEMU baseline.
+// not allocate — on the Captive engine and the QEMU baseline. The unchained
+// cases make every loop iteration a dispatcher round trip, as on an SMP
+// guest (chaining is off for N > 1).
 func TestDispatchSteadyStateAllocFree(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
+		name      string
+		qemu      bool
+		unchained bool
+	}{
+		{"captive", false, false}, {"qemu", true, false},
+		{"captive-unchained", false, true}, {"qemu-unchained", true, true},
+	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newKindEngine(t, cfg.qemu)
+			e.ChainingOff = cfg.unchained
 			loadHotLoop(t, e)
 			allocs := testing.AllocsPerRun(50, func() {
 				if err := e.Run(dispatchSlice); err != core.ErrBudget {
@@ -104,17 +111,26 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 // introspection layer: with a recorder *attached but with no hot-path kinds
 // enabled* the steady-state slice must still not allocate (the disabled path
 // is a nil hook plus a masked Emit), and with full tracing into the
-// preallocated ring sink it must not allocate either.
+// preallocated ring sink it must not allocate either. The unchained cases
+// pass every block exit through the dispatcher's trace sites.
 func TestDispatchTracingAllocFree(t *testing.T) {
+	disabled, all := trace.KindMask(trace.Translate), trace.AllKinds
 	for _, cfg := range []struct {
-		name string
-		mask uint32
+		name      string
+		qemu      bool
+		unchained bool
+		mask      uint32
 	}{
-		{"attached-disabled", trace.KindMask(trace.Translate)},
-		{"enabled-ring", trace.AllKinds},
+		{"attached-disabled", false, false, disabled},
+		{"enabled-ring", false, false, all},
+		{"captive-unchained-attached-disabled", false, true, disabled},
+		{"captive-unchained-enabled-ring", false, true, all},
+		{"qemu-unchained-attached-disabled", true, true, disabled},
+		{"qemu-unchained-enabled-ring", true, true, all},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, false)
+			e := newKindEngine(t, cfg.qemu)
+			e.ChainingOff = cfg.unchained
 			e.SetTrace(trace.NewRecorder(trace.NewRing(4096), cfg.mask))
 			loadHotLoop(t, e)
 			allocs := testing.AllocsPerRun(50, func() {
@@ -187,6 +203,29 @@ func BenchmarkDispatchChained(b *testing.B) {
 	retired := e.Metrics().HostInsts - start
 	if b.N > 0 {
 		b.ReportMetric(float64(retired)/float64(b.N), "host-instrs/op")
+	}
+}
+
+// BenchmarkDispatchUnchained reports the dispatcher round trip itself: with
+// chaining off every loop iteration returns to the dispatcher, as on an SMP
+// guest. One op is a 500k deci-cycle budget slice; ns/dispatch divides the
+// wall time by the round trips taken. The CI dispatch-alloc-gate job fails
+// the build on a non-zero allocs/op here.
+func BenchmarkDispatchUnchained(b *testing.B) {
+	e := newKindEngine(b, false)
+	e.ChainingOff = true
+	loadHotLoop(b, e)
+	start := e.Metrics().DispatchLoops
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Run(dispatchSlice); err != core.ErrBudget {
+			b.Fatalf("run: %v", err)
+		}
+	}
+	b.StopTimer()
+	if n := e.Metrics().DispatchLoops - start; n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/dispatch")
 	}
 }
 

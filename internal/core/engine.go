@@ -71,7 +71,8 @@ type Engine struct {
 	ChainingOff bool
 
 	// rec is the attached trace recorder; nil (the default) records
-	// nothing, and every emission site is a nil compare in that state.
+	// nothing, and every emission site (record) is a nil compare in that
+	// state.
 	rec *trace.Recorder
 
 	// softTLBOff is the R13-relative offset of the baseline's softmmu TLB.
@@ -353,7 +354,7 @@ func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
 // raise injects a guest exception through the port: full-system guests
 // vector to their handler; user-level guests halt with the port's exit code.
 func (e *Engine) raise(ex port.Exception) {
-	e.rec.Emit(trace.Exception, uint8(ex.Kind), e.VirtualTime(), ex.PC, ex.Addr)
+	e.record(trace.Exception, uint8(ex.Kind), ex.PC, ex.Addr)
 	e.stats.GuestFaults++
 	e.cpu.Stats.Cycles += costInjectExc
 	entry := e.sys.Take(ex, e.NZCV(), &e.hooks)
@@ -373,7 +374,7 @@ func (e *Engine) raise(ex port.Exception) {
 // translation cache of *code* is retained because it is indexed by guest
 // physical address (§2.6) — only the chain links are reset.
 func (e *Engine) translationChanged() {
-	e.rec.Emit(trace.TLBFlush, 0, e.VirtualTime(), e.cpu.R[vx64.RPC], 0)
+	e.record(trace.TLBFlush, 0, e.cpu.R[vx64.RPC], 0)
 	e.stats.TransFlushes++
 	e.clearITLB()
 	if e.Kind == BackendQEMU {
@@ -390,7 +391,7 @@ func (e *Engine) translationChanged() {
 	// them all (SMP machines never install any: chaining is off for N > 1).
 	// Every live chain is a link, so this empties every incoming list.
 	for _, l := range e.cache.chained {
-		e.rec.Emit(trace.ChainUnpatch, 0, e.VirtualTime(), 0, l.from.GPA)
+		e.record(trace.ChainUnpatch, 0, 0, l.from.GPA)
 		e.cache.unchain(l.from)
 		l.to.incoming = l.to.incoming[:0]
 	}
@@ -490,7 +491,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	// IRQCHK prologue check observe, which is what pins delivery to the
 	// same retired-instruction count on every engine.
 	if line := e.timerLine(); e.sys.PendingIRQ(line, &e.hooks) {
-		e.rec.Emit(trace.IRQ, boolArg(line), e.VirtualTime(), pc, 0)
+		e.record(trace.IRQ, boolArg(line), pc, 0)
 		e.stats.IRQsDelivered++
 		e.cpu.Stats.Cycles += costInjectExc
 		entry := e.sys.TakeIRQ(pc, line, e.NZCV(), &e.hooks)
@@ -542,7 +543,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 		if le.Valid && le.EL == el && (e.Kind != BackendQEMU || le.DirectExit) {
 			if e.cache.chain(le, blk, pc) {
 				e.stats.BlockChains++
-				e.rec.Emit(trace.ChainPatch, 0, e.VirtualTime(), pc, le.GPA)
+				e.record(trace.ChainPatch, 0, pc, le.GPA)
 			}
 		}
 	}
@@ -601,7 +602,7 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 		case vx64.TrapSoft:
 			if trap.Vec == dispatchTrapVec {
 				// Normal exit to dispatcher.
-				e.rec.Emit(trace.BlockExit, 0, e.VirtualTime(), cpu.R[vx64.RPC], 0)
+				e.record(trace.BlockExit, 0, cpu.R[vx64.RPC], 0)
 				e.SetPC(cpu.R[vx64.RPC])
 				// Only chaining reads the exit. Resolve it here: a
 				// translation before the next dispatch may flush.
@@ -644,7 +645,7 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 
 // trapPA converts the RIP of a dispatch TRAP back to the epilogue's
 // physical address (RIP points just past the 2-byte TRAP).
-func (e *Engine) trapPA(trap vx64.Trap) uint64 {
+func (e *Engine) trapPA(trap *vx64.Trap) uint64 {
 	return trap.RIP - 2 - hvm.DirectBase
 }
 
@@ -670,7 +671,7 @@ func (e *Engine) unmask(va uint64) uint64 {
 // code: demand-populate the host page tables from the guest's (§2.7.3),
 // emulate MMIO, detect self-modifying code (§2.6), or inject a guest
 // exception. It returns done=true when a guest exception was injected.
-func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
+func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 	e.stats.HostFaults++
 	va := trap.Addr
 	if va > hvm.LowHalfMask {
@@ -713,7 +714,7 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 		// generations, so it runs with siblings parked in parallel mode; a
 		// sibling's stale read-only mapping re-faults once, finds no code
 		// on the page and reinstalls writable.
-		e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, gpaPage<<12)
+		e.record(trace.SMCInval, 0, guestPC, gpaPage<<12)
 		e.stats.SMCInvals++
 		e.sh.exclusive(e, func() { e.cache.invalidatePage(gpaPage) })
 	}
@@ -726,7 +727,7 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 // emulateMMIO performs a trapped device access using the decoded faulting
 // instruction, then resumes past it — the classic trap-and-emulate path of a
 // hardware hypervisor.
-func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
+func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 	e.stats.MMIOEmulations++
 	e.cpu.Stats.Cycles += costMMIOEmulate
 	in := trap.Inst
@@ -757,7 +758,7 @@ func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
 	default:
 		return fmt.Errorf("core: MMIO fault from non-memory instruction %v", in)
 	}
-	e.rec.Emit(trace.MMIO, mmioArg(width, !load), e.VirtualTime(), e.cpu.R[vx64.RPC], gpa)
+	e.record(trace.MMIO, mmioArg(width, !load), e.cpu.R[vx64.RPC], gpa)
 	if load {
 		v := e.vm.Bus.Read(gpa-e.guest.DeviceBase(), width)
 		if in.Op == vx64.LOADS8 {
@@ -878,7 +879,7 @@ func (e *Engine) registerHelpers() {
 					// virtual time forward to the deadline instead of
 					// spinning, then resume (the line is high now).
 					skipped := cmp - e.VirtualTime()
-					e.rec.Emit(trace.WFIIdle, 0, e.VirtualTime(), c.R[vx64.RPC], skipped)
+					e.record(trace.WFIIdle, 0, c.R[vx64.RPC], skipped)
 					e.sh.idleOff += skipped
 					e.refreshIRQ()
 					return vx64.HelperContinue

@@ -22,10 +22,22 @@ func (e *Engine) SetTrace(r *trace.Recorder) {
 	e.rec = r
 	if r.Wants(trace.BlockEnter) {
 		e.cpu.TraceBlock = func() {
-			e.rec.Emit(trace.BlockEnter, 0, e.VirtualTime(), e.cpu.R[vx64.RPC], 0)
+			e.record(trace.BlockEnter, 0, e.cpu.R[vx64.RPC], 0)
 		}
 	} else {
 		e.cpu.TraceBlock = nil
+	}
+}
+
+// record emits a trace event stamped with the virtual clock. Every trace
+// site in the engine goes through it, so the clock is read only when the
+// recorder wants the kind: in parallel mode VirtualTime loads every
+// sibling's published retire count, which that sibling rewrites on every
+// dispatcher round trip, and a disabled recorder must not make the harts
+// share those lines.
+func (e *Engine) record(k trace.Kind, arg uint8, pc, addr uint64) {
+	if e.rec.Wants(k) {
+		e.rec.Emit(k, arg, e.VirtualTime(), pc, addr)
 	}
 }
 

@@ -211,7 +211,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	gpa := w.PA
 	if e.guest.IsDevice(gpa) {
 		e.stats.MMIOEmulations++
-		e.rec.Emit(trace.MMIO, mmioArg(width, write), e.VirtualTime(), guestPC, gpa)
+		e.record(trace.MMIO, mmioArg(width, write), guestPC, gpa)
 		off := gpa - e.guest.DeviceBase()
 		if write {
 			e.vm.Bus.Write(off, width, val)
@@ -244,7 +244,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 		endPage := (gpa + uint64(width) - 1) >> 12
 		for page := gpa >> 12; page <= endPage; page++ {
 			if e.cache.pageHasCode(page) {
-				e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, page<<12)
+				e.record(trace.SMCInval, 0, guestPC, page<<12)
 				e.stats.SMCInvals++
 				e.cache.invalidatePage(page)
 			}

@@ -22,6 +22,12 @@ package core
 //     (vx64.CPU.Kick makes the next block-entry IRQCHK trap out), waits for
 //     them to park at their dispatcher checkpoint, and mutates alone.
 //
+// Outside stop-the-world, a parallel dispatcher round trip touches no line
+// a sibling writes: it reads the interrupt lines from lock-free atomics on
+// the device bus, its trace sites read the shared virtual clock only when a
+// recorder wants the event (Engine.record), and its one store that
+// siblings may read is its own published retire count.
+//
 // Cross-block chaining is disabled for N > 1: chain slots compare the guest
 // *virtual* PC, which is only sound when every hart shares one translation
 // regime — per-hart page tables could send hart B through a chain installed
@@ -32,6 +38,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"captive/internal/gen"
 	"captive/internal/guest/port"
@@ -101,12 +108,16 @@ func (sh *shared) checkpoint() {
 // in this same function waiting for the lock — concurrent mutators
 // serialize). The caller must hold a running slot. In deterministic or
 // single-vCPU mode one goroutine drives every hart, so fn runs directly.
+// In parallel mode the caller's metrics count the pause and the host time
+// from its kick until every sibling parked; this is the only place the
+// dispatcher reads the host clock.
 func (sh *shared) exclusive(self *Engine, fn func()) {
 	if !sh.parallel {
 		fn()
 		return
 	}
 	sh.mu.Lock()
+	kicked := time.Now()
 	sh.running-- // release own slot
 	sh.stw++
 	sh.stwFlag.Store(1)
@@ -118,6 +129,8 @@ func (sh *shared) exclusive(self *Engine, fn func()) {
 	for sh.running != 0 {
 		sh.quiesce.Wait()
 	}
+	self.stats.STWPauses++
+	self.stats.STWWaitNS += int64(time.Since(kicked))
 	fn()
 	sh.stw--
 	if sh.stw == 0 {
@@ -424,7 +437,7 @@ func (c smpClock) TimerDeadline() (uint64, bool) {
 func (c smpClock) Skip(delta uint64) {
 	sh := c.s.sh
 	for _, e := range sh.engines {
-		e.rec.Emit(trace.WFIIdle, 0, e.VirtualTime(), e.PC(), delta)
+		e.record(trace.WFIIdle, 0, e.PC(), delta)
 	}
 	sh.idleOff += delta
 	for _, e := range sh.engines {

@@ -9,6 +9,7 @@ package core_test
 // race-clean and live.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ const (
 	ipiPendPA  = rv64.DeviceBase + 0x2000 + device.IPIPend
 )
 
-func newRV64SMP(t *testing.T, vcpus int, qemu bool) *core.SMP {
+func newRV64SMP(t testing.TB, vcpus int, qemu bool) *core.SMP {
 	t.Helper()
 	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20,
 		PTPoolBytes: 2 << 20, VCPUs: vcpus})
@@ -47,7 +48,7 @@ func newRV64SMP(t *testing.T, vcpus int, qemu bool) *core.SMP {
 }
 
 // loadSMP assembles the two-hart program and points every hart at its entry.
-func loadSMP(t *testing.T, s *core.SMP, p *rvasm.Program) {
+func loadSMP(t testing.TB, s *core.SMP, p *rvasm.Program) {
 	t.Helper()
 	img, err := p.Assemble()
 	if err != nil {
@@ -76,7 +77,7 @@ func rvAddi(rd, rs1 uint32, imm int32) uint64 {
 }
 
 // TestSMPParallelIPIHandshake runs two truly-parallel harts that synchronize
-// only through the mutexed device bus: hart 0 computes 12! and raises
+// only through the device bus: hart 0 computes 12! and raises
 // hart 1's IPI line; hart 1 polls the pending mask over MMIO until the bit
 // appears, then acknowledges. Guest RAM stays disjoint per hart, so a clean
 // -race run here means the engine's own shared state (cache, clock, bus) is
@@ -168,6 +169,109 @@ func TestSMPParallelSMCShootdown(t *testing.T) {
 	}
 	if got := s.VCPU(1).Reg(13); got != 0x222 {
 		t.Errorf("hart 1 never observed the patched F: x13=%#x, want 0x222", got)
+	}
+}
+
+// privateCodeProgram sends each hart through its own code: a short counted
+// loop, then a chain of 64 blocks no other hart executes, then ecall. Every
+// block is translated by the hart that runs it.
+func privateCodeProgram() *rvasm.Program {
+	p := rvasm.New(0x1000)
+	hartDispatch(p)
+	privateRun(p, "h0")
+	p.Label("hart1")
+	privateRun(p, "h1")
+	return p
+}
+
+func privateRun(p *rvasm.Program, tag string) {
+	p.Li(6, 2000)
+	p.Label(tag + "loop")
+	p.Addi(6, 6, -1)
+	p.Bne(6, rvasm.X0, tag+"loop")
+	for i := 0; i < 64; i++ {
+		next := fmt.Sprintf("%s.%d", tag, i)
+		p.Addi(10, 10, 1)
+		p.Jal(rvasm.X0, next)
+		p.Label(next)
+	}
+	p.Ecall()
+}
+
+// TestSMPStopTheWorldMetrics checks the stop-the-world fields of the
+// metrics snapshot. Two truly-parallel harts translating their own code
+// stop each other, so both the pause count and the kick-to-park wait are
+// positive; the deterministic scheduler and a uniprocessor never stop the
+// world and report 0.
+func TestSMPStopTheWorldMetrics(t *testing.T) {
+	run := func(harts int, quantum uint64) *core.SMP {
+		s := newRV64SMP(t, harts, false)
+		loadSMP(t, s, privateCodeProgram())
+		var err error
+		switch {
+		case harts == 1:
+			err = s.VCPU(0).Run(4_000_000_000)
+		case quantum > 0:
+			err = s.RunDet(4_000_000_000, quantum)
+		default:
+			err = s.RunParallel(4_000_000_000)
+		}
+		if err != nil {
+			t.Fatalf("%d harts, quantum %d: %v", harts, quantum, err)
+		}
+		for i := 0; i < harts; i++ {
+			if got := s.VCPU(i).Reg(10); got != 64 {
+				t.Errorf("%d harts, quantum %d: hart %d x10 = %d, want 64", harts, quantum, i, got)
+			}
+		}
+		return s
+	}
+	par := run(2, 0)
+	if m := par.Metrics(); m.STWPauses == 0 || m.STWWaitNS <= 0 {
+		t.Errorf("RunParallel: stw_pauses %d, stw_wait_ns %d, want both > 0", m.STWPauses, m.STWWaitNS)
+	}
+	det, uni := run(2, 64), run(1, 0)
+	for name, s := range map[string]*core.SMP{"RunDet": det, "uniprocessor": uni} {
+		if m := s.Metrics(); m.STWPauses != 0 || m.STWWaitNS != 0 {
+			t.Errorf("%s: stw_pauses %d, stw_wait_ns %d, want 0", name, m.STWPauses, m.STWWaitNS)
+		}
+	}
+}
+
+// BenchmarkParallelRoundTrip reports the dispatcher round trip under two
+// truly-parallel harts running one shared loop with chaining off, the
+// shape of perfbench smp2's hot phase. One op is a RunParallel call of 2M
+// deci-cycles per hart; ns/dispatch is the wall time per round trip of one
+// hart. RunParallel starts a goroutine per hart, so this is not one of the
+// allocation-gated BenchmarkDispatch* benchmarks.
+func BenchmarkParallelRoundTrip(b *testing.B) {
+	p := rvasm.New(0x1000)
+	p.Li(24, 6364136223846793005)
+	p.Li(25, 1442695040888963407)
+	p.Label("loop") // x22 counts down from 0: the loop never ends
+	p.Mul(23, 23, 24)
+	p.Add(23, 23, 25)
+	p.Addi(22, 22, -1)
+	p.Bne(22, rvasm.X0, "loop")
+	p.Ecall()
+	s := newRV64SMP(b, 2, false)
+	loadSMP(b, s, p)
+	const slice = 2_000_000
+	for i := 0; i < 16; i++ { // warm up until translation stops
+		if err := s.RunParallel(slice); err != core.ErrBudget {
+			b.Fatalf("warmup: %v", err)
+		}
+	}
+	start := s.Metrics().DispatchLoops
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.RunParallel(slice); err != core.ErrBudget {
+			b.Fatalf("run: %v", err)
+		}
+	}
+	b.StopTimer()
+	if n := s.Metrics().DispatchLoops - start; n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(s.N())/float64(n), "ns/dispatch")
 	}
 }
 

@@ -8,6 +8,7 @@ package device
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 )
 
 // UART register offsets (from ga64.UARTBase).
@@ -42,19 +43,24 @@ const (
 )
 
 // Bus is the MMIO device bus of the guest machine. It is shared by every
-// vCPU of an SMP guest, so all access goes through an internal mutex; the
-// lock is uncontended (and the behaviour bit-identical) in uniprocessor and
-// deterministic-scheduler runs.
+// vCPU of an SMP guest. The interrupt lines every dispatcher round trip
+// reads (IRQPending, SoftPending, TimerState) are lock-free: the timer
+// compare, the timer enable and the IPI mask are atomics, so parallel harts
+// polling their lines take no lock and write nothing. Every write, and
+// every other access (the UART, MMIO reads), takes mu; writers merge
+// sub-word writes under it and store the whole new value. A uniprocessor
+// or deterministic-scheduler run has one goroutine, so the behaviour there
+// is bit-identical to a fully locked bus.
 type Bus struct {
 	mu      sync.Mutex
 	uartOut bytes.Buffer
 	uartIn  []byte
 
-	TimerCmpVal uint64
-	TimerEnable bool
+	timerCmp    atomic.Uint64
+	timerEnable atomic.Bool
 
 	// softPend is the per-hart software-interrupt (IPI) line bitmask.
-	softPend uint64
+	softPend atomic.Uint64
 
 	// Cycles returns the current virtual time; supplied by the engine.
 	Cycles func() uint64
@@ -99,13 +105,13 @@ func (b *Bus) Read(off uint64, size uint8) uint64 {
 			v = b.Cycles()
 		}
 	case timerOff + TimerCmp:
-		v = b.TimerCmpVal
+		v = b.timerCmp.Load()
 	case timerOff + TimerCtrl:
-		if b.TimerEnable {
+		if b.timerEnable.Load() {
 			v = 1
 		}
 	case ipiOff + IPIPend:
-		v = b.softPend
+		v = b.softPend.Load()
 	}
 	return v & sizeMask(size)
 }
@@ -120,16 +126,16 @@ func (b *Bus) Write(off uint64, size uint8, v uint64) {
 	case uartOff + UARTTx:
 		b.uartOut.WriteByte(byte(v))
 	case timerOff + TimerCmp:
-		b.TimerCmpVal = b.TimerCmpVal&^mask | v&mask
+		b.timerCmp.Store(b.timerCmp.Load()&^mask | v&mask)
 	case timerOff + TimerCtrl:
-		b.TimerEnable = v&mask&1 != 0
+		b.timerEnable.Store(v&mask&1 != 0)
 	case ipiOff + IPISet:
 		if h := v & mask; h < 64 {
-			b.softPend |= 1 << h
+			b.softPend.Store(b.softPend.Load() | 1<<h)
 		}
 	case ipiOff + IPIClear:
 		if h := v & mask; h < 64 {
-			b.softPend &^= 1 << h
+			b.softPend.Store(b.softPend.Load() &^ (1 << h))
 		}
 	}
 }
@@ -148,26 +154,19 @@ func (b *Bus) FeedInput(p []byte) {
 	b.uartIn = append(b.uartIn, p...)
 }
 
-// IRQPending reports whether the timer compare has fired.
+// IRQPending reports whether the timer compare has fired. It takes no lock.
 func (b *Bus) IRQPending() bool {
-	b.mu.Lock()
-	en, cmp := b.TimerEnable, b.TimerCmpVal
-	b.mu.Unlock()
-	return en && b.Cycles != nil && b.Cycles() >= cmp
+	return b.timerEnable.Load() && b.Cycles != nil && b.Cycles() >= b.timerCmp.Load()
 }
 
 // SoftPending reports whether the given hart's software-interrupt (IPI)
-// line is raised.
+// line is raised. It takes no lock.
 func (b *Bus) SoftPending(hart int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return hart >= 0 && hart < 64 && b.softPend&(1<<hart) != 0
+	return hart >= 0 && hart < 64 && b.softPend.Load()&(1<<hart) != 0
 }
 
-// TimerState returns the timer compare value and enable bit under the bus
-// lock, for engines that fold the timer deadline into generated code.
+// TimerState returns the timer compare value and enable bit, for engines
+// that fold the timer deadline into generated code. It takes no lock.
 func (b *Bus) TimerState() (cmp uint64, enabled bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.TimerCmpVal, b.TimerEnable
+	return b.timerCmp.Load(), b.timerEnable.Load()
 }

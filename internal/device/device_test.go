@@ -1,6 +1,11 @@
 package device
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
 
 func TestUART(t *testing.T) {
 	var b Bus
@@ -63,16 +68,16 @@ func TestAccessSizeMaskMerge(t *testing.T) {
 	// Writes merge into the low size bytes of the register.
 	b.Write(0x1000+TimerCmp, 8, 0x1122334455667788)
 	b.Write(0x1000+TimerCmp, 4, 0xAAAAAAAACAFEBABE)
-	if b.TimerCmpVal != 0x11223344CAFEBABE {
-		t.Errorf("4-byte merge: cmp = %#x", b.TimerCmpVal)
+	if cmp, _ := b.TimerState(); cmp != 0x11223344CAFEBABE {
+		t.Errorf("4-byte merge: cmp = %#x", cmp)
 	}
 	b.Write(0x1000+TimerCmp, 1, 0xFF00)
-	if b.TimerCmpVal != 0x11223344CAFEBA00 {
-		t.Errorf("1-byte merge: cmp = %#x", b.TimerCmpVal)
+	if cmp, _ := b.TimerState(); cmp != 0x11223344CAFEBA00 {
+		t.Errorf("1-byte merge: cmp = %#x", cmp)
 	}
 	b.Write(0x1000+TimerCmp, 2, 0xBEEF)
-	if b.TimerCmpVal != 0x11223344CAFEBEEF {
-		t.Errorf("2-byte merge: cmp = %#x", b.TimerCmpVal)
+	if cmp, _ := b.TimerState(); cmp != 0x11223344CAFEBEEF {
+		t.Errorf("2-byte merge: cmp = %#x", cmp)
 	}
 	// Reads return only the low size bytes.
 	if v := b.Read(0x1000+TimerCmp, 4); v != 0xCAFEBEEF {
@@ -87,11 +92,11 @@ func TestAccessSizeMaskMerge(t *testing.T) {
 	// The enable bit honors the write size: a wide value whose low byte
 	// is clear must not enable through a 1-byte write.
 	b.Write(0x1000+TimerCtrl, 1, 0x100)
-	if b.TimerEnable {
+	if _, en := b.TimerState(); en {
 		t.Error("1-byte ctrl write of 0x100 must not enable")
 	}
 	b.Write(0x1000+TimerCtrl, 2, 0x101)
-	if !b.TimerEnable {
+	if _, en := b.TimerState(); !en {
 		t.Error("2-byte ctrl write of 0x101 must enable")
 	}
 }
@@ -101,14 +106,14 @@ func TestTimerEdge(t *testing.T) {
 	b := Bus{Cycles: func() uint64 { return now }}
 	b.Write(0x1000+TimerCmp, 8, 100)
 	b.Write(0x1000+TimerCtrl, 8, 1)
-	// The compare is inclusive: Cycles == TimerCmpVal fires.
+	// The compare is inclusive: Cycles == cmp fires.
 	now = 99
 	if b.IRQPending() {
 		t.Error("pending one cycle early")
 	}
 	now = 100
 	if !b.IRQPending() {
-		t.Error("not pending at Cycles == TimerCmpVal")
+		t.Error("not pending at Cycles == cmp")
 	}
 	// Level-triggered: the line stays high until cmp moves or the timer
 	// is disabled — there is no edge latch to clear.
@@ -133,5 +138,117 @@ func TestTimerEdge(t *testing.T) {
 	b.Write(0x1000+TimerCtrl, 8, 1)
 	if !b.IRQPending() {
 		t.Error("enable after expiry must assert the line")
+	}
+}
+
+// TestLineReadsLockFree pins that the interrupt-line reads every dispatcher
+// round trip makes take no lock: with the bus mutex held, IRQPending,
+// SoftPending and TimerState must still return. A locked read deadlocks,
+// which the timeout reports.
+func TestLineReadsLockFree(t *testing.T) {
+	b := Bus{Cycles: func() uint64 { return 500 }}
+	b.Write(0x1000+TimerCmp, 8, 400)
+	b.Write(0x1000+TimerCtrl, 8, 1)
+	b.Write(0x2000+IPISet, 8, 3)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	done := make(chan [3]bool, 1)
+	go func() {
+		cmp, en := b.TimerState()
+		done <- [3]bool{b.IRQPending(), b.SoftPending(3), cmp == 400 && en}
+	}()
+	select {
+	case got := <-done:
+		if got != [3]bool{true, true, true} {
+			t.Errorf("irq, soft(3), timer state = %v, want all true", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a line read blocked on the bus mutex")
+	}
+}
+
+// TestLinesConcurrentCoherent has per-hart goroutines raise and clear their
+// own IPI bits while a writer rewrites the timer compare (whole and
+// sub-word) and enable, and readers poll every line. Writes to different
+// bits of one register must not lose each other: at the end every bit and
+// register equals its last write. The race lane runs it under -race.
+func TestLinesConcurrentCoherent(t *testing.T) {
+	const harts, rounds = 8, 20000
+	b := Bus{Cycles: func() uint64 { return ^uint64(0) }}
+	var writers, readers sync.WaitGroup
+	start, stop := make(chan struct{}), make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for h := 0; h < harts; h++ {
+					b.SoftPending(h)
+				}
+				b.IRQPending()
+				b.TimerState()
+				runtime.Gosched() // leave the CPUs to the writers
+			}
+		}()
+	}
+	for h := 0; h < harts; h++ {
+		writers.Add(1)
+		go func(h int) {
+			defer writers.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				b.Write(0x2000+IPISet, 8, uint64(h))
+				if !b.SoftPending(h) {
+					t.Errorf("hart %d: own IPI bit lost after set", h)
+					return
+				}
+				b.Write(0x2000+IPIClear, 8, uint64(h))
+				if b.SoftPending(h) {
+					t.Errorf("hart %d: own IPI bit set after clear", h)
+					return
+				}
+			}
+			// Odd harts end raised, even harts cleared.
+			if h%2 == 1 {
+				b.Write(0x2000+IPISet, 4, uint64(h))
+			}
+		}(h)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		<-start
+		for i := uint64(0); i < rounds; i++ {
+			b.Write(0x1000+TimerCmp, 8, i<<32|i)
+			b.Write(0x1000+TimerCmp, 2, 0xBEEF)
+			b.Write(0x1000+TimerCtrl, 1, i&1)
+		}
+		b.Write(0x1000+TimerCmp, 8, 0x1122334455667788)
+		b.Write(0x1000+TimerCmp, 4, 0xCAFEBABE)
+		b.Write(0x1000+TimerCmp, 1, 0x11)
+		b.Write(0x1000+TimerCtrl, 8, 1)
+	}()
+	close(start)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	for h := 0; h < harts; h++ {
+		if got, want := b.SoftPending(h), h%2 == 1; got != want {
+			t.Errorf("hart %d line = %v, want %v", h, got, want)
+		}
+	}
+	if got := b.Read(0x2000+IPIPend, 8); got != 0xAA {
+		t.Errorf("pending mask = %#x, want 0xaa", got)
+	}
+	if cmp, en := b.TimerState(); cmp != 0x11223344CAFEBA11 || !en {
+		t.Errorf("timer = %#x enabled=%v, want 0x11223344cafeba11 enabled", cmp, en)
+	}
+	if !b.IRQPending() {
+		t.Error("timer line low with cmp below Cycles and the timer enabled")
 	}
 }

@@ -431,8 +431,8 @@ func (m *Machine) Intrinsic(id ssa.IntrID, args []uint64) (uint64, bool) {
 			m.pending.pc = m.curPC
 			return 0, false
 		}
-		if m.bus.TimerEnable && m.sys.WFIWake(true, &m.hooks) {
-			if dl := m.bus.TimerCmpVal; dl > m.virtualTime() {
+		if dl, armed := m.bus.TimerState(); armed && m.sys.WFIWake(true, &m.hooks) {
+			if dl > m.virtualTime() {
 				// Timer armed and its interrupt enabled: skip virtual
 				// time forward to the deadline instead of spinning.
 				skipped := dl - m.virtualTime()

@@ -20,9 +20,9 @@ import "reflect"
 // *deterministic* fields (instruction counts, simulated deci-cycles, event
 // counters, JIT size counters) are bit-identical across runs of the same
 // program and may be compared or regression-gated; the *wall-clock-derived*
-// fields (the *_ns translation times) measure the real host and must be
-// ignored by any baseline comparison — the model golden of internal/bench
-// holds deterministic fields only.
+// fields (the *_ns times and the stop-the-world count) measure the real
+// host and must be ignored by any baseline comparison — the model golden of
+// internal/bench holds deterministic fields only.
 type Snapshot struct {
 	Engine string `json:"engine,omitempty"` // captive | qemu | interp
 
@@ -68,6 +68,14 @@ type Snapshot struct {
 	TranslateNS int64 `json:"translate_ns,omitempty"`
 	RegallocNS  int64 `json:"regalloc_ns,omitempty"`
 	EncodeNS    int64 `json:"encode_ns,omitempty"`
+
+	// Stop-the-world under truly parallel harts (wall-clock family: how
+	// many pauses a run takes follows the host schedule). STWPauses counts
+	// the exclusive sections entered; STWWaitNS is the host time from each
+	// one's kick until every sibling had parked. Both are 0 for a
+	// uniprocessor and under the deterministic scheduler.
+	STWPauses uint64 `json:"stw_pauses"`
+	STWWaitNS int64  `json:"stw_wait_ns"`
 }
 
 // Sum aggregates the per-hart snapshots of one machine into the machine's

@@ -246,9 +246,10 @@ type CPU struct {
 	fetchOK     bool
 	fetchCPL    uint8
 
-	// trap is the pending trap recorded by execOp when it returns false —
-	// a field rather than a return value so the hot dispatch loops never
-	// copy the (large) Trap struct on the no-trap path.
+	// trap is the pending trap recorded by execOp and step when they
+	// return false, and the record Run hands back — a field rather than a
+	// return value so neither the hot dispatch loops nor a superblock exit
+	// copy the (large) Trap struct.
 	trap Trap
 
 	// Kick is the cross-CPU doorbell: when set (from any goroutine), the
@@ -595,40 +596,49 @@ func (c *CPU) pageFault(f *fault, inst *Inst, next uint64) Trap {
 // without the per-instruction fetch-translation check, decode and budget
 // comparison. The architectural outcome — registers, memory,
 // Stats.Insts, Stats.Cycles, trap points — is bit-identical to stepping.
-func (c *CPU) Run(cycleBudget uint64) Trap {
+//
+// The returned trap is the CPU's own record, valid until the next Run or
+// Step: no exit copies the (large) Trap struct.
+func (c *CPU) Run(cycleBudget uint64) *Trap {
 	limit := c.Stats.Cycles + cycleBudget
 	for c.Stats.Cycles < limit {
 		if c.DirectBase != 0 && c.RIP >= c.DirectBase {
 			if pa := c.RIP - c.DirectBase; pa >= c.codeLo && pa < c.codeHi {
-				t, stop := c.runSuperblock(pa-c.codeLo, limit)
-				if stop {
-					return t
+				if c.runSuperblock(pa-c.codeLo, limit) {
+					return &c.trap
 				}
 				continue
 			}
 		}
-		t := c.Step()
-		if t.Kind != TrapNone {
-			return t
+		if !c.step() {
+			return &c.trap
 		}
 	}
-	return Trap{Kind: TrapBudget, RIP: c.RIP}
+	c.trap = Trap{Kind: TrapBudget, RIP: c.RIP}
+	return &c.trap
 }
 
 // Step executes a single instruction. A TrapNone result means execution can
 // continue.
 func (c *CPU) Step() Trap {
+	if c.step() {
+		return Trap{}
+	}
+	return c.trap
+}
+
+// step executes a single instruction. It returns true when execution can
+// continue, or false with the trap recorded in c.trap.
+func (c *CPU) step() bool {
 	inst, n, f := c.fetchInst()
 	if f != nil {
-		return c.pageFault(f, nil, c.RIP)
+		c.trap = c.pageFault(f, nil, c.RIP)
+		return false
 	}
 	next := c.RIP + uint64(n)
 	c.Stats.Insts++
 	c.Stats.Cycles += opCost[inst.Op]
-	if !c.execOp(&inst, next) {
-		return c.trap
-	}
-	return Trap{}
+	return c.execOp(&inst, next)
 }
 
 // execOp executes one decoded instruction whose fall-through successor is
@@ -636,7 +646,7 @@ func (c *CPU) Step() Trap {
 // instruction), or false with the trap recorded in c.trap — kept out of the
 // return path because Trap is a large struct and this is the hottest
 // function in the simulator. Instruction accounting (Stats.Insts and the
-// opCost charge) is the caller's job, so Step and the superblock loop
+// opCost charge) is the caller's job, so step and the superblock loop
 // retire identically.
 func (c *CPU) execOp(inst *Inst, next uint64) bool {
 	R := &c.R

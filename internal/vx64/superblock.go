@@ -116,19 +116,19 @@ func opWorstCost(op Op) uint64 {
 }
 
 // runSuperblock executes the superblock starting at code-region offset off
-// (which the caller has resolved from a direct-map RIP). It returns
-// stop=true with the trap when execution must return to the embedder;
-// stop=false hands control back to the Run loop — either the run completed
-// (RIP is at its successor) or the budget expired (Run re-checks and
-// reports TrapBudget), exactly as the stepped loop would.
-func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
+// (which the caller has resolved from a direct-map RIP). It returns true
+// when execution must return to the embedder, with the trap in c.trap;
+// false hands control back to the Run loop — either the run completed (RIP
+// is at its successor) or the budget expired (Run re-checks and reports
+// TrapBudget), exactly as the stepped loop would. No Trap is copied on any
+// exit.
+func (c *CPU) runSuperblock(off uint64, limit uint64) bool {
 	sb := &c.sbTab[sbHash(off)]
 	if sb.off != off || sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
 		if !c.buildSuperblock(sb, off) {
-			// Step raises the same bus fault stepping would, or runs the
+			// step raises the same bus fault stepping would, or runs the
 			// instruction that ends past the code region.
-			t := c.Step()
-			return t, t.Kind != TrapNone
+			return !c.step()
 		}
 	}
 	ops := c.sbArena.ops[sb.start:][:sb.n]
@@ -141,32 +141,32 @@ func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
 			c.Stats.Insts++
 			c.Stats.Cycles += opCost[inst.Op]
 			if !c.execOp(inst, c.RIP+uint64(lens[i])) {
-				return c.trap, true
+				return true
 			}
 		}
-		return Trap{}, false
+		return false
 	}
 	// Budget may expire mid-run: replicate the stepped loop's
 	// check-before-every-instruction semantics.
 	for i := range ops {
 		if c.Stats.Cycles >= limit {
-			return Trap{}, false
+			return false
 		}
 		inst := &ops[i]
 		c.Stats.Insts++
 		c.Stats.Cycles += opCost[inst.Op]
 		if !c.execOp(inst, c.RIP+uint64(lens[i])) {
-			return c.trap, true
+			return true
 		}
 	}
-	return Trap{}, false
+	return false
 }
 
 // buildSuperblock decodes the straight-line run starting at code-region
 // offset off from physical memory straight into the arena, by index, fills
 // sb with it and raises sbHigh to the run's end. It reports false, leaving sb
 // alone, when the first instruction does not decode or ends past the code
-// region (Step runs it and reports any fault); a later such instruction
+// region (step runs it and reports any fault); a later such instruction
 // ends the run before it.
 //
 // A run that might not fit behind the arena's last one recycles the arena

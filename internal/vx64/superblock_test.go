@@ -77,9 +77,13 @@ func sbTestProgram(c *CPU) uint64 {
 	return directBase
 }
 
+// runCopied runs one budget slice through Run and copies out the trap, which
+// Run hands back as the CPU's own record.
+func runCopied(c *CPU, cycleBudget uint64) Trap { return *c.Run(cycleBudget) }
+
 // runToCompletion drives a CPU like an embedder: resume after soft traps,
 // stop on halt, budget exhaustion or anything unexpected. exec runs one
-// budget slice (Run or runStepped).
+// budget slice (runCopied or runStepped).
 func runToCompletion(t *testing.T, c *CPU, exec func(*CPU, uint64) Trap, slice uint64) (Trap, int) {
 	t.Helper()
 	resumes := 0
@@ -115,7 +119,7 @@ func TestSuperblockStepEquivalence(t *testing.T) {
 		entryB := sbTestProgram(b)
 		a.RIP, b.RIP = entryA, entryB
 
-		trA, resA := runToCompletion(t, a, (*CPU).Run, slice)
+		trA, resA := runToCompletion(t, a, runCopied, slice)
 		trB, resB := runToCompletion(t, b, runStepped, slice)
 
 		if trA != trB {
@@ -147,7 +151,7 @@ func TestSuperblockBudgetBoundary(t *testing.T) {
 		b := newTestCPU()
 		a.RIP = sbTestProgram(a)
 		b.RIP = sbTestProgram(b)
-		trA := a.Run(budget)
+		trA := *a.Run(budget)
 		trB := runStepped(b, budget)
 		if trA != trB || a.Stats != b.Stats || a.R != b.R || a.RIP != b.RIP {
 			t.Fatalf("budget %d: run=%+v insts=%d cyc=%d rip=%#x; step=%+v insts=%d cyc=%d rip=%#x",
@@ -311,7 +315,7 @@ func TestSuperblockEndsBeforeCodeHi(t *testing.T) {
 			return c
 		}
 		a, b := setup(), setup()
-		trA, trB := a.Run(1_000_000), runStepped(b, 1_000_000)
+		trA, trB := *a.Run(1_000_000), runStepped(b, 1_000_000)
 		if trA != trB || a.R != b.R || a.RIP != b.RIP || a.Stats != b.Stats {
 			t.Fatalf("entry %#x: run %v r0=%#x stats %+v; stepped %v r0=%#x stats %+v",
 				entry, trA, a.R[0], a.Stats, trB, b.R[0], b.Stats)
@@ -353,7 +357,7 @@ func TestSuperblockArenaRecycle(t *testing.T) {
 	compare := func(pass string) {
 		t.Helper()
 		a.RIP, b.RIP = directBase, directBase
-		trA, _ := runToCompletion(t, a, (*CPU).Run, 1<<30)
+		trA, _ := runToCompletion(t, a, runCopied, 1<<30)
 		trB, _ := runToCompletion(t, b, runStepped, 1<<30)
 		if trA != trB || a.R != b.R || a.F != b.F || a.RIP != b.RIP || a.Stats != b.Stats {
 			t.Fatalf("%s: run r0=%d r1=%d stats %+v; stepped r0=%d r1=%d stats %+v",

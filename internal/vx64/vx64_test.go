@@ -32,7 +32,7 @@ func newTestCPU() *CPU {
 func run(t *testing.T, c *CPU, va uint64) Trap {
 	t.Helper()
 	c.RIP = va
-	tr := c.Run(100_000_000)
+	tr := *c.Run(100_000_000)
 	if tr.Kind == TrapBudget {
 		t.Fatalf("budget exhausted at rip=%#x", c.RIP)
 	}
@@ -390,7 +390,7 @@ func TestPagingAndTLB(t *testing.T) {
 		Inst{Op: HLT},
 	)
 	c.RIP = directBase + 0x4000
-	tr = c.Run(1_000_000)
+	tr = *c.Run(1_000_000)
 	if tr.Kind != TrapPageFault || tr.Addr != 0x401000 || tr.Access != AccessWrite {
 		t.Fatalf("expected write #PF at 0x401000, got %v", tr)
 	}
@@ -401,7 +401,7 @@ func TestPagingAndTLB(t *testing.T) {
 		Inst{Op: HLT},
 	)
 	c.RIP = directBase + 0x5000
-	tr = c.Run(1_000_000)
+	tr = *c.Run(1_000_000)
 	if tr.Kind != TrapPageFault || tr.Addr != 0x700000 {
 		t.Fatalf("expected #PF at 0x700000, got %v", tr)
 	}
