@@ -109,8 +109,8 @@ func (sh *shared) checkpoint() {
 // serialize). The caller must hold a running slot. In deterministic or
 // single-vCPU mode one goroutine drives every hart, so fn runs directly.
 // In parallel mode the caller's metrics count the pause and the host time
-// from its kick until every sibling parked; this is the only place the
-// dispatcher reads the host clock.
+// from its kick until every sibling parked; the other modes read no clock
+// here.
 func (sh *shared) exclusive(self *Engine, fn func()) {
 	if !sh.parallel {
 		fn()
