@@ -59,6 +59,26 @@ func loadHotLoop(t testing.TB, e *core.Engine) {
 	if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
 		t.Fatal(err)
 	}
+	warmUp(t, e)
+}
+
+// runForever loads a never-ending program and warms it up (warmUp).
+func runForever(t testing.TB, e *core.Engine, p *asm.Program) {
+	t.Helper()
+	img, err := p.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
+		t.Fatal(err)
+	}
+	warmUp(t, e)
+}
+
+// warmUp runs budget slices of the measurement size until translation
+// stops.
+func warmUp(t testing.TB, e *core.Engine) {
+	t.Helper()
 	// Warm up with the measurement slice size until translation stops:
 	// every budget expiry re-enters the dispatcher at whatever guest PC
 	// the slice ended on, and each distinct mid-loop PC gets its own
@@ -102,6 +122,69 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state dispatch allocates %.1f times per budget slice, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSlowPathsAllocFree extends the allocation gate to the engines' slow
+// paths on a warm loop: every iteration reads the UART (a device access:
+// Captive's host-fault emulation, the baseline's softmmu fill), loads from
+// two pages that collide in the softmmu TLB (a fill on every access) and
+// loads past guest RAM (an abort, which the handler skips). The baseline
+// allocates nothing. Captive's host CPU allocates the record of each page
+// fault it raises (vx64.CPU.translate) before handleHostFault sees it, so
+// its budget is one allocation per host fault.
+func TestSlowPathsAllocFree(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		qemu bool
+	}{{"captive", false}, {"qemu", true}} {
+		t.Run(cfg.name, func(t *testing.T) {
+			e := newKindEngine(t, cfg.qemu)
+			h := asm.New(0x8000) // sync-same vector: skip the faulting load
+			h.Mrs(3, ga64.SysELR)
+			h.AddI(3, 3, 4)
+			h.Msr(ga64.SysELR, 3)
+			h.Eret()
+			himg, err := h.Assemble()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.LoadUser(himg, 0x8000); err != nil {
+				t.Fatal(err)
+			}
+			p := asm.New(0x1000)
+			p.MovI(0, 0x8000)
+			p.Msr(ga64.SysVBAR, 0)
+			p.MovI(6, ga64.UARTBase)
+			p.MovI(7, 0x200000)
+			p.MovI(8, 0x300000)   // same softmmu TLB index as 0x200000
+			p.MovI(9, 0x0F000000) // past the 8 MiB of guest RAM
+			p.Label("loop")
+			p.Ldr32(5, 6, 4)
+			p.Ldr(2, 7, 0)
+			p.Ldr(2, 8, 0)
+			p.Ldr(2, 9, 0)
+			p.B("loop")
+			runForever(t, e, p)
+			const runs = 50
+			start := e.Metrics()
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := e.Run(dispatchSlice); err != core.ErrBudget {
+					t.Fatalf("run: %v", err)
+				}
+			})
+			end := e.Metrics()
+			if end.MMIOEmulations == start.MMIOEmulations || end.GuestFaults == start.GuestFaults {
+				t.Fatalf("the loop took no device accesses or aborts: %+v", end)
+			}
+			budget := 0.0
+			if !cfg.qemu {
+				budget = float64(end.HostFaults-start.HostFaults) / (runs + 1) // AllocsPerRun adds a warm-up run
+			}
+			if allocs > budget {
+				t.Errorf("slow paths allocate %.1f times per budget slice, want at most %.1f", allocs, budget)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -54,14 +53,20 @@ type Engine struct {
 	guest  port.Port
 	sys    port.Sys
 
+	// Regs views the vCPU's guest register file in host physical memory.
+	port.Regs
+	// space applies the guest's access rules, and lines wires the vCPU's
+	// interrupt inputs.
+	space port.Space
+	lines smp.Lines
+
 	// id is this vCPU's hart index; sh the machine-shared translation and
 	// clock state (one engine per entry of sh.engines).
 	id int
 	sh *shared
 
-	// Per-vCPU state-page and register-file placement (hvm.Layout.*Of(id)).
-	statePA   uint64
-	regFilePA uint64
+	// Per-vCPU state-page placement (hvm.Layout.StatePAOf(id)).
+	statePA uint64
 
 	// Kind selects the Captive design or the QEMU-baseline design.
 	Kind BackendKind
@@ -125,13 +130,6 @@ type Engine struct {
 	// parallel mode instead of racing on the live state page.
 	pubInstrs atomic.Uint64
 
-	// regfile layout shortcuts
-	pcOff   int
-	nzcvOff int
-	xOff    int
-	fpOff   int // -1 when the guest has no FP bank
-	zeroGPR int // hardwired-zero GPR index, -1 when none
-
 	hooks port.Hooks
 
 	// stats holds the engine's own counters and JIT phase times, updated
@@ -174,9 +172,8 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 	e := &Engine{
 		vm: vm, cpu: vm.CPUs[id], module: module, guest: g, sys: g.NewSys(),
 		id: id, sh: sh,
-		statePA:   l.StatePAOf(id),
-		regFilePA: l.RegFilePAOf(id),
-		sliceEnd:  ^uint64(0),
+		statePA:  l.StatePAOf(id),
+		sliceEnd: ^uint64(0),
 	}
 	e.em.eng = e
 	e.clearITLB()
@@ -184,28 +181,21 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 	e.mmu = newHostMMU(vm.Phys, e.cpu, poolBase, poolSize)
 	e.cache = sh.cache
 
-	banks := g.Banks()
-	e.pcOff = module.Layout.PCOffset
-	e.nzcvOff = module.Registry.Bank(banks.Flags).Offset
-	e.xOff = module.Registry.Bank(banks.GPR).Offset
-	e.zeroGPR = banks.ZeroGPR
-	e.fpOff = -1
-	if banks.FP != "" {
-		e.fpOff = module.Registry.Bank(banks.FP).Offset
-	}
-
+	e.Regs = port.NewRegs(g, module, vm.Phys[l.RegFilePAOf(id):])
+	e.space = port.NewSpace(g, e.sys, vm.RAM)
+	e.lines = smp.Lines{Hart: id, Bus: vm.Bus, Sys: e.sys, Hooks: &e.hooks}
 	e.hooks = port.Hooks{
 		CycleCount:         e.VirtualTime,
 		TranslationChanged: e.translationChanged,
-		TimerLine:          e.timerLine,
-		SoftLine:           e.softLine,
+		TimerLine:          e.lines.TimerLine,
+		SoftLine:           e.lines.SoftLine,
 		HartID:             id,
 	}
 
 	// Pin the fixed registers (package comment of emitter.go).
 	cpu := e.cpu
 	cpu.R[vx64.RSTA] = hvm.DirectVA(e.statePA)
-	cpu.R[vx64.RRF] = hvm.DirectVA(e.regFilePA)
+	cpu.R[vx64.RRF] = hvm.DirectVA(l.RegFilePAOf(id))
 	cpu.R[vx64.RSP] = hvm.DirectVA(l.StackTopOf(id))
 	cpu.R[vx64.R10] = hvm.LowHalfMask
 	cpu.R[vx64.R9] = 0
@@ -216,47 +206,6 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 }
 
 // --- guest state access -------------------------------------------------------
-
-func (e *Engine) regfile() []byte {
-	pa := e.regFilePA
-	return e.vm.Phys[pa : pa+uint64(e.module.Layout.Size)]
-}
-
-// Reg returns guest register Xn.
-func (e *Engine) Reg(n int) uint64 {
-	return binary.LittleEndian.Uint64(e.regfile()[e.xOff+8*n:])
-}
-
-// SetReg sets guest register Xn. Writes to the guest's hardwired-zero
-// register (RISC-V x0) are dropped: the generated model relies on that bank
-// slot staying 0.
-func (e *Engine) SetReg(n int, v uint64) {
-	if n == e.zeroGPR {
-		return
-	}
-	binary.LittleEndian.PutUint64(e.regfile()[e.xOff+8*n:], v)
-}
-
-// FReg returns the low half of guest vector register Vn (0 for guests
-// without an FP bank).
-func (e *Engine) FReg(n int) uint64 {
-	if e.fpOff < 0 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(e.regfile()[e.fpOff+8*n:])
-}
-
-// PC returns the guest program counter.
-func (e *Engine) PC() uint64 { return binary.LittleEndian.Uint64(e.regfile()[e.pcOff:]) }
-
-// SetPC sets the guest program counter.
-func (e *Engine) SetPC(v uint64) { binary.LittleEndian.PutUint64(e.regfile()[e.pcOff:], v) }
-
-// NZCV returns the guest flags nibble.
-func (e *Engine) NZCV() uint8 { return e.regfile()[e.nzcvOff] }
-
-// SetNZCV sets the guest flags.
-func (e *Engine) SetNZCV(v uint8) { e.regfile()[e.nzcvOff] = v & 0xF }
 
 // Sys exposes the guest system state (tests, examples). Guest packages
 // provide unwrappers for their concrete state (e.g. ga64.RawSys).
@@ -298,14 +247,6 @@ func (e *Engine) VirtualTime() uint64 {
 	return sum + sh.idleOff
 }
 
-// timerLine is the level of this hart's timer interrupt input: only hart 0
-// is wired to the machine timer (the uniprocessor case is unchanged — its
-// one hart is hart 0).
-func (e *Engine) timerLine() bool { return e.id == 0 && e.vm.Bus.IRQPending() }
-
-// softLine is the level of this hart's software-interrupt (IPI) input.
-func (e *Engine) softLine() bool { return e.vm.Bus.SoftPending(e.id) }
-
 // refreshIRQ recomputes the block-entry interrupt deadline (the StateIRQDl
 // state-page slot read by the IRQCHK instruction in every block's
 // instrumentation prologue, in retired-instruction units) after any event
@@ -315,12 +256,12 @@ func (e *Engine) softLine() bool { return e.vm.Bus.SoftPending(e.id) }
 // reached — an IRQCHK trap that did not end in delivery would re-enter the
 // same block and trap again forever.
 func (e *Engine) refreshIRQ() {
-	line := e.timerLine()
+	line := e.lines.TimerLine()
 	dl := ^uint64(0)
 	if e.sys.PendingIRQ(line, &e.hooks) {
 		dl = 0
-	} else if !line && e.id == 0 {
-		if cmp, armed := e.vm.Bus.TimerState(); armed && e.sys.PendingIRQ(true, &e.hooks) {
+	} else if !line {
+		if cmp, armed := e.lines.Timer(); armed && e.sys.PendingIRQ(true, &e.hooks) {
 			// Armed and deliverable once it fires: the line rises at
 			// virtual time cmp. In this hart's own retired-count units
 			// that is cmp minus everything else on the virtual clock —
@@ -433,15 +374,12 @@ func (e *Engine) translatePC(pc uint64) (uint64, bool) {
 // between flushes (a re-walk would re-charge walk cycles).
 func (e *Engine) translatePCSlow(pc uint64) (uint64, bool) {
 	vaPage := pc >> 12
-	w := e.guestWalk(pc)
-	if !w.OK {
-		e.raise(port.Exception{Kind: port.ExcInsnAbort, Translation: true, Addr: pc, PC: pc})
+	a := e.walked(e.space.Fetch(pc))
+	if a.Abort {
+		e.raise(a.Exc)
 		return 0, false
 	}
-	if (e.sys.EL() == 0 && !w.User) || !w.Exec {
-		e.raise(port.Exception{Kind: port.ExcInsnAbort, Addr: pc, PC: pc})
-		return 0, false
-	}
+	w := a.Walk
 	slot := &e.iTLB[vaPage&(itlbSize-1)]
 	if slot.vaPage != ^uint64(0) && slot.vaPage != vaPage {
 		if e.iTLBOver == nil {
@@ -490,8 +428,8 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	// always a block start — the same boundary the interpreter and the
 	// IRQCHK prologue check observe, which is what pins delivery to the
 	// same retired-instruction count on every engine.
-	if line := e.timerLine(); e.sys.PendingIRQ(line, &e.hooks) {
-		e.record(trace.IRQ, boolArg(line), pc, 0)
+	if line := e.lines.TimerLine(); e.sys.PendingIRQ(line, &e.hooks) {
+		e.record(trace.IRQ, trace.LineArg(line), pc, 0)
 		e.stats.IRQsDelivered++
 		e.cpu.Stats.Cycles += costInjectExc
 		entry := e.sys.TakeIRQ(pc, line, e.NZCV(), &e.hooks)
@@ -559,23 +497,6 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	return nil
 }
 
-// boolArg packs a bool into a trace-event argument byte.
-func boolArg(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// mmioArg packs an MMIO access (width, direction) into the event argument
-// byte: low bits the access width, bit 7 set for writes.
-func mmioArg(width uint8, write bool) uint8 {
-	if write {
-		return width | 1<<7
-	}
-	return width
-}
-
 // execute runs one translated block (and anything it chains to).
 func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 	cpu := e.cpu
@@ -631,8 +552,12 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 			// The block-entry IRQCHK hit its deadline: the guest PC still
 			// points at the block start (nothing retired). Back to the
 			// dispatcher, which performs the delivery; no chaining from
-			// this exit.
+			// this exit. The deadline is re-derived first: in parallel
+			// mode a sibling may have moved the timer since this hart
+			// armed it, and a stale deadline would trap every block entry
+			// without anything to deliver.
 			e.SetPC(cpu.R[vx64.RPC])
+			e.refreshIRQ()
 			return nil
 		case vx64.TrapBudget:
 			e.SetPC(cpu.R[vx64.RPC])
@@ -686,27 +611,19 @@ func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 	write := trap.Access == vx64.AccessWrite
 	guestPC := e.cpu.R[vx64.RPC]
 
-	w := e.guestWalk(gva)
-	if !w.OK {
+	// The host MMU maps one page per fault, so the faulting byte is
+	// classified: a store's last-byte page faults on its own.
+	a := e.walked(e.space.Data(gva, 1, write, guestPC))
+	switch {
+	case a.Abort:
 		e.cpu.Stats.Cycles += costFaultLookup
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: gva, PC: guestPC})
+		e.raise(a.Exc)
 		return true, nil
+	case a.Device:
+		return false, e.emulateMMIO(trap, a.Walk.PA)
 	}
-	gpa := w.PA
-	if e.guest.IsDevice(gpa) {
-		return false, e.emulateMMIO(trap, gpa)
-	}
-	if gpa >= e.vm.Layout.GuestRAMSize {
-		e.cpu.Stats.Cycles += costFaultLookup
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: gva, PC: guestPC})
-		return true, nil
-	}
-	if !w.CheckAccess(write, e.sys.EL()) {
-		e.cpu.Stats.Cycles += costFaultLookup
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Write: write, Addr: gva, PC: guestPC})
-		return true, nil
-	}
-	gpaPage := gpa >> 12
+	w := a.Walk
+	gpaPage := w.PA >> 12
 	if write && e.cache.pageHasCode(gpaPage) {
 		// Self-modifying code: drop the page's translations, which lifts
 		// the protection on every hart, and retry the store (§2.6). The
@@ -758,7 +675,7 @@ func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 	default:
 		return fmt.Errorf("core: MMIO fault from non-memory instruction %v", in)
 	}
-	e.record(trace.MMIO, mmioArg(width, !load), e.cpu.R[vx64.RPC], gpa)
+	e.record(trace.MMIO, trace.MMIOArg(width, !load), e.cpu.R[vx64.RPC], gpa)
 	if load {
 		v := e.vm.Bus.Read(gpa-e.guest.DeviceBase(), width)
 		if in.Op == vx64.LOADS8 {
@@ -856,50 +773,30 @@ func (e *Engine) registerHelpers() {
 		return vx64.HelperExit
 	}
 	h[hWFI] = func(c *vx64.CPU) vx64.HelperAction {
-		line := e.timerLine()
-		if e.sys.WFIWake(line, &e.hooks) {
-			// A source is pending and enabled: wfi completes as a nop.
-			// The block's tail advances the PC past it and exits to the
-			// dispatcher, which delivers if the global mask allows.
-			return vx64.HelperContinue
-		}
-		if e.sh.parallel {
-			// A sibling may raise this hart's IPI line at any moment:
-			// treat wfi as the architecturally-allowed spurious wakeup
-			// and retry through the dispatcher (bounded by the caller's
-			// cycle budget). Virtual time cannot be skipped here — the
-			// siblings are advancing it concurrently.
+		switch act, skip := e.lines.WFI(e.sh.parallel, len(e.sh.engines) == 1); act {
+		case smp.WFIRetry:
+			// Bounded by the caller's cycle budget.
 			runtime.Gosched()
-			return vx64.HelperContinue
-		}
-		if len(e.sh.engines) == 1 {
-			if cmp, armed := e.vm.Bus.TimerState(); armed && e.sys.WFIWake(true, &e.hooks) {
-				if cmp > e.VirtualTime() {
-					// The timer is armed and its interrupt enabled: skip
-					// virtual time forward to the deadline instead of
-					// spinning, then resume (the line is high now).
-					skipped := cmp - e.VirtualTime()
-					e.record(trace.WFIIdle, 0, c.R[vx64.RPC], skipped)
-					e.sh.idleOff += skipped
-					e.refreshIRQ()
-					return vx64.HelperContinue
-				}
-			}
-			// No enabled source can ever wake the hart: halt cleanly (exit
-			// code 0, the same resting state the interpreter reports).
+		case smp.WFISkip:
+			// The line is high once the skip lands: resume.
+			e.record(trace.WFIIdle, 0, c.R[vx64.RPC], skip)
+			e.sh.idleOff += skip
+			e.refreshIRQ()
+		case smp.WFIHalt:
 			e.halted = true
 			e.exitCode = 0
 			return vx64.HelperExit
+		case smp.WFIPark:
+			// The PC is rewound to the wfi itself so the wake re-executes
+			// it.
+			e.waiting = true
+			e.SetPC(c.R[vx64.RPC])
+			return vx64.HelperExit
 		}
-		// Deterministic SMP: park. The scheduler (internal/smp) wakes the
-		// hart when a source becomes pending-and-enabled, performs the
-		// global idle skip only when every runnable hart is parked, and
-		// settles the machine when nothing can ever wake it. The PC is
-		// rewound to the wfi itself so the wake re-executes it (and
-		// completes it as a nop, now that the wake condition holds).
-		e.waiting = true
-		e.SetPC(c.R[vx64.RPC])
-		return vx64.HelperExit
+		// The wfi completes as a nop: the block's tail advances the PC
+		// past it and exits to the dispatcher, which delivers if the
+		// global mask allows.
+		return vx64.HelperContinue
 	}
 	h[hUndef] = func(c *vx64.CPU) vx64.HelperAction {
 		e.raise(port.Exception{Kind: port.ExcUndefined, PC: c.R[vx64.RPC]})
@@ -953,14 +850,4 @@ func (e *Engine) Cycles() uint64 { return e.cpu.Stats.Cycles }
 // RAM without changing the PC.
 func (e *Engine) LoadUser(data []byte, gpa uint64) error {
 	return e.vm.RAM.Load(data, gpa)
-}
-
-// RegState returns a copy of the architectural register file below the PC
-// slot (X, VL, VH, NZCV). The PC slot is excluded: engines only materialize
-// it at dispatch boundaries, so its resting value after a halt is
-// engine-specific while the architectural registers are not.
-func (e *Engine) RegState() []byte {
-	out := make([]byte, e.module.Layout.PCOffset)
-	copy(out, e.regfile())
-	return out
 }

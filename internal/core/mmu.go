@@ -135,11 +135,11 @@ func (m *hostMMU) protectPage(gpaPage uint64) {
 	}
 }
 
-// guestWalk walks the guest page tables through the guest port, reading
-// guest RAM and charging the walk cost to the CPU.
-func (e *Engine) guestWalk(va uint64) port.WalkResult {
+// walked charges the guest page-table walks a classified access performed
+// (port.Space) to the CPU.
+func (e *Engine) walked(a port.Access) port.Access {
 	if e.sys.MMUOn() {
-		e.cpu.Stats.Cycles += 4 * vx64.CostGuestWalkStep
+		e.cpu.Stats.Cycles += a.Walks * 4 * vx64.CostGuestWalkStep
 	}
-	return e.sys.Walk(e.vm.RAM.Read64, va)
+	return a
 }

@@ -185,33 +185,15 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	guestPC := c.R[vx64.RPC]
 
 	c.Stats.Cycles += costSoftTLBFill
-	w := e.guestWalk(va)
-	if !w.OK {
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: va, PC: guestPC})
+	a := e.walked(e.space.Data(va, width, write, guestPC))
+	gpa := a.Walk.PA
+	switch {
+	case a.Abort:
+		e.raise(a.Exc)
 		return vx64.HelperExit
-	}
-	if !w.CheckAccess(write, e.sys.EL()) {
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Write: write, Addr: va, PC: guestPC})
-		return vx64.HelperExit
-	}
-	// A write crossing into the next page must also be writable there (the
-	// same last-byte check the Captive host CPU performs); reads stay
-	// contiguous from the base translation on every engine.
-	if end := va + uint64(width) - 1; write && width > 1 && (va^end)>>12 != 0 {
-		we := e.guestWalk(end)
-		if !we.OK {
-			e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: true, Addr: end, PC: guestPC})
-			return vx64.HelperExit
-		}
-		if !we.CheckAccess(true, e.sys.EL()) {
-			e.raise(port.Exception{Kind: port.ExcDataAbort, Write: true, Addr: end, PC: guestPC})
-			return vx64.HelperExit
-		}
-	}
-	gpa := w.PA
-	if e.guest.IsDevice(gpa) {
+	case a.Device:
 		e.stats.MMIOEmulations++
-		e.record(trace.MMIO, mmioArg(width, write), guestPC, gpa)
+		e.record(trace.MMIO, trace.MMIOArg(width, write), guestPC, gpa)
 		off := gpa - e.guest.DeviceBase()
 		if write {
 			e.vm.Bus.Write(off, width, val)
@@ -223,19 +205,8 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 		}
 		return vx64.HelperContinue
 	}
-	// Perform the access; one not wholly inside guest RAM aborts.
-	var v uint64
-	var ok bool
 	if write {
-		ok = e.vm.RAM.Write(gpa, width, val)
-	} else {
-		v, ok = e.vm.RAM.Read(gpa, width)
-	}
-	if !ok {
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: va, PC: guestPC})
-		return vx64.HelperExit
-	}
-	if write {
+		e.vm.RAM.Write(gpa, width, val)
 		// Self-modifying code: a store into a page with translations
 		// flushes them (QEMU-style dirty tracking). The store went
 		// contiguously from gpa, so a page-crossing write dirties the
@@ -250,6 +221,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 			}
 		}
 	} else {
+		v, _ := e.vm.RAM.Read(gpa, width)
 		e.setRet(v)
 	}
 	// Fill the TLB entry.
@@ -258,7 +230,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	idx := int(va >> 12 & (softTLBSize - 1))
 	pa := e.softTLBEntryPA(idx)
 	e.vm.Phys.W64(pa+softTLBTagR, vaPage)
-	if w.Write {
+	if a.Walk.Write {
 		e.vm.Phys.W64(pa+softTLBTagW, vaPage)
 	} else {
 		e.vm.Phys.W64(pa+softTLBTagW, ^uint64(0))

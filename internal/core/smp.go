@@ -318,7 +318,7 @@ func (s *SMP) SetTrace(i int, r *trace.Recorder) { s.sh.engines[i].SetTrace(r) }
 func (s *SMP) RunDet(budget, quantum uint64) error {
 	harts := make([]smp.Hart, len(s.sh.engines))
 	for i, e := range s.sh.engines {
-		harts[i] = engineHart{e: e, limit: e.cpu.Stats.Cycles + budget}
+		harts[i] = engineHart{Lines: &e.lines, e: e, limit: e.cpu.Stats.Cycles + budget}
 	}
 	return smp.RunRR(harts, smpClock{s: s}, quantum)
 }
@@ -400,21 +400,17 @@ func (e *Engine) runSlice(quantum, limit uint64) error {
 	return nil
 }
 
-// engineHart adapts an Engine to the deterministic scheduler.
+// engineHart adapts an Engine to the deterministic scheduler; its lines
+// answer the wake predicates.
 type engineHart struct {
+	*smp.Lines
 	e     *Engine
 	limit uint64
 }
 
 func (h engineHart) Halted() bool  { b, _ := h.e.Halted(); return b }
 func (h engineHart) Waiting() bool { return h.e.waiting }
-func (h engineHart) WakeableNow() bool {
-	return h.e.sys.WFIWake(h.e.timerLine(), &h.e.hooks)
-}
-func (h engineHart) TimerWakeable() bool {
-	return h.e.id == 0 && h.e.sys.WFIWake(true, &h.e.hooks)
-}
-func (h engineHart) ClearWait() { h.e.waiting = false }
+func (h engineHart) ClearWait()    { h.e.waiting = false }
 func (h engineHart) HaltIdle() {
 	h.e.halted = true
 	h.e.exitCode = 0

@@ -356,3 +356,90 @@ func TestEngineConstructionConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// deadlineMovedProgram arms the machine timer on hart 0 and has hart 1
+// move it out of reach: hart 0 sets the compare to 2,000,000 with MTIE and
+// MIE set, raises hart 1's IPI line and waits for its own; hart 1 moves the
+// compare to 2^40 and raises hart 0's line (the handshake goes through the
+// device bus, so -race sees no guest-memory race); hart 0 then retires
+// about 4,000,000 more instructions. No interrupt ever fires: the software
+// interrupts are not enabled.
+func deadlineMovedProgram() *rvasm.Program {
+	timer := uint64(rv64.DeviceBase + 0x1000)
+	p := rvasm.New(0x1000)
+	hartDispatch(p)
+	p.Li(5, timer+device.TimerCmp)
+	p.Li(6, 2_000_000)
+	p.Sd(6, 5, 0)
+	p.Li(5, timer+device.TimerCtrl)
+	p.Li(6, 1)
+	p.Sd(6, 5, 0)
+	p.Li(6, 1<<rv64.IRQMTimer)
+	p.Csrw(rv64.CSRMie, 6)
+	p.Li(6, rv64.MstatusMIE)
+	p.Csrw(rv64.CSRMstatus, 6)
+	p.Li(7, ipiSetPA)
+	p.Li(6, 1)
+	p.Sd(6, 7, 0)
+	p.Li(7, ipiPendPA)
+	p.Label("ack")
+	p.Ld(8, 7, 0)
+	p.Andi(8, 8, 1)
+	p.Beq(8, rvasm.X0, "ack")
+	p.Li(10, 500_000)
+	p.Label("count")
+	for i := 0; i < 7; i++ {
+		p.Addi(11, 11, 1)
+	}
+	p.Addi(10, 10, -1)
+	p.Bne(10, rvasm.X0, "count")
+	p.Ecall()
+
+	p.Label("hart1")
+	p.Li(7, ipiPendPA)
+	p.Label("wait")
+	p.Ld(8, 7, 0)
+	p.Andi(8, 8, 2)
+	p.Beq(8, rvasm.X0, "wait")
+	p.Li(5, timer+device.TimerCmp)
+	p.Li(6, 1<<40)
+	p.Sd(6, 5, 0)
+	p.Li(7, ipiSetPA)
+	p.Sd(rvasm.X0, 7, 0)
+	p.Ecall()
+	return p
+}
+
+// TestSMPParallelDeadlineMoved pins that a parallel hart re-derives its
+// block-entry interrupt deadline when a sibling moves the timer: the
+// deadline hart 0 armed for 2,000,000 goes stale when hart 1 moves the
+// compare, and a hart that kept it would trap out of every block entry from
+// then on without anything to deliver, until its budget ran out. Under the
+// deterministic scheduler (which refreshes the deadline every slice) the
+// program halts with no interrupt taken; the parallel run must halt the
+// same way within a few times the deterministic run's simulated time.
+func TestSMPParallelDeadlineMoved(t *testing.T) {
+	det := newRV64SMP(t, 2, false)
+	loadSMP(t, det, deadlineMovedProgram())
+	if err := det.RunDet(8_000_000_000, 64); err != nil {
+		t.Fatalf("deterministic run: %v", err)
+	}
+	budget := 3 * det.VCPU(0).Cycles()
+
+	s := newRV64SMP(t, 2, false)
+	loadSMP(t, s, deadlineMovedProgram())
+	if err := s.RunParallel(budget); err != nil {
+		t.Fatalf("parallel run (budget %d deci-cycles, hart 0 retired %d): %v", budget, s.VCPU(0).GuestInstrs(), err)
+	}
+	for i, m := range []*core.SMP{det, s} {
+		if h, code := m.Halted(); !h || code != 0 {
+			t.Errorf("run %d: halted=%v code=%#x", i, h, code)
+		}
+		if irqs := m.Metrics().IRQsDelivered; irqs != 0 {
+			t.Errorf("run %d: %d interrupts delivered, want none", i, irqs)
+		}
+		if got := m.VCPU(0).GuestInstrs(); got < 4_000_000 {
+			t.Errorf("run %d: hart 0 retired %d instructions, want at least 4,000,000", i, got)
+		}
+	}
+}

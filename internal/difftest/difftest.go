@@ -217,13 +217,15 @@ func (l *Lane) port() port.Port {
 // Outcome is one run of a lane program on one engine configuration.
 type Outcome struct {
 	Harts   []State          // per hart; hart 0 carries the probed windows
+	Console string           // everything the guest wrote to its UART
 	Metrics metrics.Snapshot // summed over harts
 	Events  []trace.Event    // hart 0's comparable events (traced lanes)
 }
 
-// Equal reports whether two outcomes are bit-identical hart for hart.
+// Equal reports whether two outcomes are bit-identical hart for hart and
+// wrote the same console output.
 func (o Outcome) Equal(p Outcome) bool {
-	if len(o.Harts) != len(p.Harts) {
+	if len(o.Harts) != len(p.Harts) || o.Console != p.Console {
 		return false
 	}
 	for i := range o.Harts {
@@ -234,7 +236,8 @@ func (o Outcome) Equal(p Outcome) bool {
 	return true
 }
 
-// Diff describes the first per-hart difference ("" when equal).
+// Diff describes the first per-hart difference, then any console
+// difference ("" when equal).
 func (o Outcome) Diff(p Outcome) string {
 	if len(o.Harts) != len(p.Harts) {
 		return fmt.Sprintf("%d harts vs %d", len(o.Harts), len(p.Harts))
@@ -246,6 +249,9 @@ func (o Outcome) Diff(p Outcome) string {
 			}
 			return d
 		}
+	}
+	if o.Console != p.Console {
+		return fmt.Sprintf("console %q vs %q", o.Console, p.Console)
 	}
 	return ""
 }
@@ -276,7 +282,7 @@ func (l *Lane) Run(p *Program, id EngineID) (Outcome, error) {
 	if err := m.Run(stepBudget); err != nil {
 		return Outcome{}, fmt.Errorf("%s: %w", id, err)
 	}
-	o := Outcome{Metrics: m.Metrics(), Events: events.Events}
+	o := Outcome{Console: m.Console(), Metrics: m.Metrics(), Events: events.Events}
 	for h := 0; h < m.N(); h++ {
 		halted, code := m.HartExit(h)
 		if !halted {

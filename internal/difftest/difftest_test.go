@@ -80,6 +80,21 @@ func TestStateDiffReporting(t *testing.T) {
 	}
 }
 
+// TestOutcomeComparesConsole checks that two runs ending in identical
+// state but writing different UART output diverge, and that the diff
+// names the console.
+func TestOutcomeComparesConsole(t *testing.T) {
+	st := State{Regs: make([]byte, 769), Data: []byte{0}, Instrs: 5}
+	a := Outcome{Harts: []State{st}}
+	b := Outcome{Harts: []State{st}, Console: "A"}
+	if !a.Equal(a) || a.Equal(b) {
+		t.Error("Equal ignores the console")
+	}
+	if d := a.Diff(b); !strings.Contains(d, "console") {
+		t.Errorf("diff = %q, want mention of the console", d)
+	}
+}
+
 // TestSVCRoundTrip pins the exception path: a program that is mostly SVCs
 // must agree across engines and retire the handler's instructions.
 func TestSVCRoundTrip(t *testing.T) {

@@ -105,12 +105,20 @@ func GenerateMMUFault(seed int64, ops int) (*Program, error) {
 		return nil, err
 	}
 
-	// Exception vectors. Sync-same (VBAR+0): the EL1 prologue never traps —
-	// a bare eret. Sync-lower (VBAR+0x100): SVCs eret as-is (ELR already
-	// points past the svc); aborts fold ESR and FAR into the signature
-	// register and advance ELR past the faulting instruction. NZCV is
-	// restored from SPSR by eret, so the handler's compare is invisible to
-	// EL0 state.
+	himg, err := faultHandler()
+	if err != nil {
+		return nil, err
+	}
+	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
+}
+
+// faultHandler assembles the fault lane's exception vectors. Sync-same
+// (VBAR+0): the EL1 prologue never traps — a bare eret. Sync-lower
+// (VBAR+0x100): SVCs eret as-is (ELR already points past the svc); aborts
+// fold ESR and FAR into the signature register and advance ELR past the
+// faulting instruction. NZCV is restored from SPSR by eret, so the
+// handler's compare is invisible to EL0 state.
+func faultHandler() ([]byte, error) {
 	h := asm.New(HandlerBase)
 	h.Eret()
 	for h.PC() < HandlerBase+ga64.VecSyncLower {
@@ -129,9 +137,5 @@ func GenerateMMUFault(seed int64, ops int) (*Program, error) {
 	h.Msr(ga64.SysELR, 3)
 	h.Label("out")
 	h.Eret()
-	himg, err := h.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
+	return h.Assemble()
 }

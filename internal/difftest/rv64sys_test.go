@@ -452,3 +452,29 @@ func leUint64(b []byte) uint64 {
 	}
 	return v
 }
+
+// TestSv39ReadOnlyDeviceMappingAborts pins the order of the access rules on
+// RV64: an S-mode byte store through a read-only 2 MiB leaf over the device
+// window is a store page fault (the M handler records mcause and mtval and
+// skips it), never a UART write — a device check made ahead of the
+// permission check would print — identically on every engine.
+func TestSv39ReadOnlyDeviceMappingAborts(t *testing.T) {
+	p := sysBoot(rv64.PrivS, 0, func(p *asm.Program) {
+		stdTables(p)
+		p.Li(30, pte(rv64.DeviceBase, rv64.PTEV|rv64.PTEA|rv64.PTED|rv64.PTER))
+		p.Li(29, rvsL1+(rv64.DeviceBase>>21)*8)
+		p.Sd(30, 29, 0)
+	})
+	p.Li(5, rv64.DeviceBase) // the UART's transmit register
+	p.Li(6, 'A')
+	p.Sb(6, 5, 0)
+	sysExit(p)
+	img, err := p.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := checkDirected(t, RV64Sys, "readonly-device", &Program{Image: img})[0]
+	if g := goldenRegs(st); g[20] != rv64.CauseStorePage || g[21] != rv64.DeviceBase {
+		t.Fatalf("cause=%d tval=%#x, want cause=%d tval=%#x", g[20], g[21], rv64.CauseStorePage, uint64(rv64.DeviceBase))
+	}
+}

@@ -36,7 +36,7 @@ type WalkResult struct {
 }
 
 // CheckAccess evaluates data-access permissions for a successful walk (fetch
-// permission is Exec, checked by the engines' fetch path). write is the
+// permission is Exec, checked by Space.Fetch). write is the
 // access kind; el the current exception level. Write protection applies
 // at every level (the GA64 simplification documented in DESIGN.md — and what
 // makes guest-kernel writes to write-protected translated code detectable);

@@ -1,4 +1,4 @@
-package hvm
+package port_test
 
 import (
 	"os"
@@ -8,6 +8,12 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"captive/internal/guest/ga64"
+	"captive/internal/guest/port"
+	"captive/internal/hvm"
+	"captive/internal/interp"
+	"captive/internal/ssa"
 )
 
 // freedSlab allocates n bytes, fills them with 0xFF, drops them and collects
@@ -26,13 +32,12 @@ func freedSlab(n int) (lo, hi uintptr) {
 	return lo, lo + uintptr(n)
 }
 
-// TestNewPhysZeroOnReusedHeap allocates host physical memory over freed,
-// dirty heap pages, with a size that ends mid-page, and requires every byte
-// to read zero.
-func TestNewPhysZeroOnReusedHeap(t *testing.T) {
+// TestNewRAMZeroOnReusedHeap allocates memory over freed, dirty heap pages,
+// with a size that ends mid-page, and requires every byte to read zero.
+func TestNewRAMZeroOnReusedHeap(t *testing.T) {
 	const n = 8<<20 + 123
 	glo, ghi := freedSlab(n)
-	p := newPhys(n)
+	p := port.NewRAM(n)
 	plo := uintptr(unsafe.Pointer(&p[0]))
 	if plo >= ghi || plo+n <= glo {
 		t.Fatalf("new memory [%#x, %#x) does not reuse the freed slab [%#x, %#x)", plo, plo+n, glo, ghi)
@@ -44,24 +49,53 @@ func TestNewPhysZeroOnReusedHeap(t *testing.T) {
 	}
 }
 
+// TestNewRAMTooLargePanics requires a size no heap can hold (a negative
+// RAM size converted to uint64, say) to panic as make does, recoverably,
+// rather than end the process in the runtime allocator.
+func TestNewRAMTooLargePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRAM(2^64-1) returned")
+		}
+	}()
+	port.NewRAM(^uint64(0))
+}
+
 // TestNewOnReusedHeapFaultsNothingIn builds a machine over the heap pages of
 // a collected one, returned to the OS, and requires the build to leave the
 // resident set about where it was: a machine's memory is faulted in by use,
-// not by construction.
+// not by construction. It holds for a DBT host VM and for an interpreter.
 func TestNewOnReusedHeapFaultsNothingIn(t *testing.T) {
-	cfg := Config{GuestRAMBytes: 64 << 20, CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20}
-	if _, err := New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	debug.FreeOSMemory()
-	before := residentBytes(t)
-	vm, err := New(cfg)
+	mod, err := ga64.Port{}.Module(ssa.O1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grew := residentBytes(t) - before
-	if n := int64(len(vm.Phys)); grew > n/8 {
-		t.Errorf("building a %d MiB machine grew the resident set by %d MiB", n>>20, grew>>20)
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T) (machine any, bytes int64)
+	}{
+		{"hvm", func(t *testing.T) (any, int64) {
+			vm, err := hvm.New(hvm.Config{GuestRAMBytes: 64 << 20, CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vm, int64(len(vm.Phys))
+		}},
+		{"interp", func(t *testing.T) (any, int64) {
+			m := interp.New(ga64.Port{}, mod, 64<<20)
+			return m, int64(len(m.Mem))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.build(t)
+			debug.FreeOSMemory()
+			before := residentBytes(t)
+			m, n := c.build(t)
+			if grew := residentBytes(t) - before; grew > n/8 {
+				t.Errorf("building a %d MiB machine grew the resident set by %d MiB", n>>20, grew>>20)
+			}
+			runtime.KeepAlive(m)
+		})
 	}
 }
 

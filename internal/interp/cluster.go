@@ -46,7 +46,7 @@ type Cluster struct {
 // (its wfi idle-skips or halts instead of parking).
 func NewCluster(g port.Port, module *gen.Module, ramBytes, n int) *Cluster {
 	cl := &Cluster{bus: new(device.Bus)}
-	mem := make(port.RAM, ramBytes)
+	mem := port.NewRAM(uint64(ramBytes))
 	for i := 0; i < n; i++ {
 		m := newHart(g, module, mem, cl.bus, i)
 		if n > 1 {
@@ -155,22 +155,20 @@ func (cl *Cluster) RunDet(limit, quantum uint64) error {
 	cl.steps, cl.stepLimit = 0, limit
 	harts := make([]smp.Hart, len(cl.Machines))
 	for i, m := range cl.Machines {
-		harts[i] = clHart{m}
+		harts[i] = clHart{&m.lines, m}
 	}
 	return smp.RunRR(harts, clClock{cl}, quantum)
 }
 
-// clHart adapts a cluster member to the scheduler's hart view.
-type clHart struct{ m *Machine }
+// clHart adapts a cluster member to the scheduler's hart view; its lines
+// answer the wake predicates.
+type clHart struct {
+	*smp.Lines
+	m *Machine
+}
 
-func (h clHart) Halted() bool  { return h.m.Halted }
-func (h clHart) Waiting() bool { return h.m.Waiting }
-func (h clHart) WakeableNow() bool {
-	return h.m.sys.WFIWake(h.m.timerLine(), &h.m.hooks)
-}
-func (h clHart) TimerWakeable() bool {
-	return h.m.hartID == 0 && h.m.sys.WFIWake(true, &h.m.hooks)
-}
+func (h clHart) Halted() bool                  { return h.m.Halted }
+func (h clHart) Waiting() bool                 { return h.m.Waiting }
 func (h clHart) ClearWait()                    { h.m.Waiting = false }
 func (h clHart) HaltIdle()                     { h.m.Halted = true; h.m.ExitCode = 0 }
 func (h clHart) RunSlice(quantum uint64) error { return h.m.RunSlice(quantum) }

@@ -17,7 +17,6 @@
 package interp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"captive/internal/device"
@@ -34,8 +33,8 @@ type Machine struct {
 	Module *gen.Module
 	Mem    port.RAM // guest physical memory
 
-	// RegFile is the guest register file, laid out per the module layout.
-	RegFile []byte
+	// Regs views the guest register file, laid out per the module layout.
+	port.Regs
 
 	// Halted and ExitCode are set by the guest halt instruction or by a
 	// port that terminates the machine on an unvectored exception.
@@ -67,16 +66,16 @@ type Machine struct {
 	// The PC stays on the wfi instruction, which re-executes on wake.
 	Waiting bool
 
-	// bus is the device bus every access goes through: the machine's own
-	// for a standalone machine, the cluster's for a member. hartID is this
-	// machine's index in the SMP topology, and cl the owning cluster (nil
-	// for a standalone machine, including the hart of a one-hart cluster).
-	bus    *device.Bus
-	hartID int
-	cl     *Cluster
+	// lines wires the hart to the device bus every access goes through:
+	// the machine's own for a standalone machine, the cluster's for a
+	// member. cl is the owning cluster (nil for a standalone machine,
+	// including the hart of a one-hart cluster).
+	lines smp.Lines
+	cl    *Cluster
 
 	guest   port.Port
 	sys     port.Sys
+	space   port.Space
 	interp  *ssa.Interp
 	fields  []uint64 // the current instruction's field values
 	hooks   port.Hooks
@@ -86,12 +85,6 @@ type Machine struct {
 		redirect bool
 		pc       uint64
 	}
-
-	gprBank   *ssa.Bank
-	flagsBank *ssa.Bank
-	fpBank    *ssa.Bank // nil for guests without an FP bank
-	zeroGPR   int       // hardwired-zero GPR index, -1 when none
-	devBase   uint64
 
 	// The scanned block currently executing (block-granular accounting).
 	block    []gen.Decoded
@@ -103,30 +96,22 @@ type Machine struct {
 // compatible with) g.Module — difftest builds modules per offline level and
 // passes them in directly.
 func New(g port.Port, module *gen.Module, ramBytes int) *Machine {
-	return newHart(g, module, make(port.RAM, ramBytes), new(device.Bus), 0)
+	return newHart(g, module, port.NewRAM(uint64(ramBytes)), new(device.Bus), 0)
 }
 
 // newHart creates hart hartID over the given guest RAM and device bus.
 // Hart 0's virtual time drives the bus's clock.
 func newHart(g port.Port, module *gen.Module, mem port.RAM, bus *device.Bus, hartID int) *Machine {
-	banks := g.Banks()
 	m := &Machine{
-		Module:  module,
-		Mem:     mem,
-		RegFile: make([]byte, module.Layout.Size),
-		bus:     bus,
-		hartID:  hartID,
-		guest:   g,
-		sys:     g.NewSys(),
-		interp:  ssa.NewInterp(),
-		zeroGPR: banks.ZeroGPR,
-		devBase: g.DeviceBase(),
+		Module: module,
+		Mem:    mem,
+		Regs:   port.NewRegs(g, module, make([]byte, module.Layout.Size)),
+		guest:  g,
+		sys:    g.NewSys(),
+		interp: ssa.NewInterp(),
 	}
-	m.gprBank = module.Registry.Bank(banks.GPR)
-	m.flagsBank = module.Registry.Bank(banks.Flags)
-	if banks.FP != "" {
-		m.fpBank = module.Registry.Bank(banks.FP)
-	}
+	m.space = port.NewSpace(g, m.sys, mem)
+	m.lines = smp.Lines{Hart: hartID, Bus: bus, Sys: m.sys, Hooks: &m.hooks}
 	// The virtual counter advances with retired instructions (charged
 	// block-granularly at entry, exactly like the engines' instrumentation
 	// prologue — a mid-block read must see the same value everywhere) plus
@@ -142,8 +127,8 @@ func newHart(g port.Port, module *gen.Module, mem port.RAM, bus *device.Bus, har
 		HartID:             hartID,
 		CycleCount:         m.virtualTime,
 		TranslationChanged: func() {},
-		TimerLine:          m.timerLine,
-		SoftLine:           func() bool { return m.bus.SoftPending(m.hartID) },
+		TimerLine:          m.lines.TimerLine,
+		SoftLine:           m.lines.SoftLine,
 	}
 	return m
 }
@@ -158,10 +143,6 @@ func (m *Machine) virtualTime() uint64 {
 	}
 	return m.Instrs + m.idleOff
 }
-
-// timerLine is the level of the timer interrupt line as this hart sees it:
-// the timer is wired to hart 0 only, exactly like the engines.
-func (m *Machine) timerLine() bool { return m.hartID == 0 && m.bus.IRQPending() }
 
 // SetTrace attaches a trace recorder (nil detaches). Tracing is pure
 // observation: it never changes what the machine computes or counts.
@@ -204,59 +185,8 @@ func (m *Machine) LoadImage(data []byte, loadPA, entry uint64) error {
 	return nil
 }
 
-// Reg returns GPR n.
-func (m *Machine) Reg(n int) uint64 {
-	return binary.LittleEndian.Uint64(m.RegFile[m.gprBank.Offset+n*m.gprBank.Stride:])
-}
-
-// SetReg sets GPR n. Writes to the guest's hardwired-zero register (RISC-V
-// x0) are dropped: the generated model relies on that bank slot staying 0.
-func (m *Machine) SetReg(n int, v uint64) {
-	if n == m.zeroGPR {
-		return
-	}
-	binary.LittleEndian.PutUint64(m.RegFile[m.gprBank.Offset+n*m.gprBank.Stride:], v)
-}
-
-// FReg returns the low half of FP/vector register n (0 for guests without
-// an FP bank).
-func (m *Machine) FReg(n int) uint64 {
-	if m.fpBank == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(m.RegFile[m.fpBank.Offset+n*m.fpBank.Stride:])
-}
-
-// PC returns the guest program counter.
-func (m *Machine) PC() uint64 {
-	return binary.LittleEndian.Uint64(m.RegFile[m.Module.Layout.PCOffset:])
-}
-
-// SetPC sets the guest program counter.
-func (m *Machine) SetPC(v uint64) {
-	binary.LittleEndian.PutUint64(m.RegFile[m.Module.Layout.PCOffset:], v)
-}
-
-// NZCV returns the guest flags nibble.
-func (m *Machine) NZCV() uint8 {
-	return m.RegFile[m.flagsBank.Offset]
-}
-
-// SetNZCV sets the guest flags nibble.
-func (m *Machine) SetNZCV(v uint8) {
-	m.RegFile[m.flagsBank.Offset] = v & 0xF
-}
-
 // Console returns the guest's UART output.
-func (m *Machine) Console() string { return m.bus.Console() }
-
-// RegState returns a copy of the architectural register file below the PC
-// slot — the engine-independent state differential tests compare.
-func (m *Machine) RegState() []byte {
-	out := make([]byte, m.Module.Layout.PCOffset)
-	copy(out, m.RegFile)
-	return out
-}
+func (m *Machine) Console() string { return m.lines.Bus.Console() }
 
 // raise injects a guest exception exactly as the engines do: vector to the
 // guest handler, or halt when the port terminates the machine.
@@ -273,54 +203,8 @@ func (m *Machine) raise(ex port.Exception) {
 	m.pending.pc = entry.PC
 }
 
-// translate resolves a guest virtual data address, raising the appropriate
-// abort on failure. The returned physical address is for the access *base*;
-// accesses spanning a page boundary proceed physically contiguous from it,
-// the engines' fast-path behaviour.
-func (m *Machine) translate(va uint64, write bool) (uint64, bool) {
-	w := m.sys.Walk(m.Mem.Read64, va)
-	if !w.OK {
-		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: va, PC: m.curPC})
-		return 0, false
-	}
-	if !w.CheckAccess(write, m.sys.EL()) {
-		m.raise(port.Exception{Kind: port.ExcDataAbort, Write: write, Addr: va, PC: m.curPC})
-		return 0, false
-	}
-	return w.PA, true
-}
-
-// state adapter: Machine implements ssa.State.
-
-// ReadBank implements ssa.State.
-func (m *Machine) ReadBank(b *ssa.Bank, idx uint64) uint64 {
-	off := b.Offset + int(idx)*b.Stride
-	switch b.Stride {
-	case 1:
-		return uint64(m.RegFile[off])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(m.RegFile[off:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(m.RegFile[off:]))
-	default:
-		return binary.LittleEndian.Uint64(m.RegFile[off:])
-	}
-}
-
-// WriteBank implements ssa.State.
-func (m *Machine) WriteBank(b *ssa.Bank, idx uint64, v uint64) {
-	off := b.Offset + int(idx)*b.Stride
-	switch b.Stride {
-	case 1:
-		m.RegFile[off] = uint8(v)
-	case 2:
-		binary.LittleEndian.PutUint16(m.RegFile[off:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(m.RegFile[off:], uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(m.RegFile[off:], v)
-	}
-}
+// state adapter: Machine implements ssa.State (ReadBank and WriteBank
+// through its Regs).
 
 // ReadPC implements ssa.State.
 func (m *Machine) ReadPC() uint64 { return m.PC() }
@@ -331,46 +215,42 @@ func (m *Machine) WritePC(v uint64) {
 	m.SetPC(v)
 }
 
+// access classifies a data access by the current instruction through the
+// shared rules, injecting the abort when it faults.
+func (m *Machine) access(va uint64, width uint8, write bool) port.Access {
+	a := m.space.Data(va, width, write, m.curPC)
+	switch {
+	case a.Abort:
+		m.raise(a.Exc)
+	case a.Device:
+		m.rec.Emit(trace.MMIO, trace.MMIOArg(width, write), m.virtualTime(), m.curPC, a.Walk.PA)
+	}
+	return a
+}
+
 // MemRead implements ssa.State.
 func (m *Machine) MemRead(width uint8, va uint64) (uint64, bool) {
-	pa, ok := m.translate(va, false)
-	if !ok {
+	a := m.access(va, width, false)
+	switch {
+	case a.Abort:
 		return 0, false
+	case a.Device:
+		return m.lines.Bus.Read(a.Walk.PA-m.guest.DeviceBase(), width), true
 	}
-	if m.guest.IsDevice(pa) {
-		m.rec.Emit(trace.MMIO, mmioArg(width, false), m.virtualTime(), m.curPC, pa)
-		return m.bus.Read(pa-m.devBase, width), true
-	}
-	v, ok := m.Mem.Read(pa, width)
-	if !ok {
-		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Addr: va, PC: m.curPC})
-	}
-	return v, ok
+	v, _ := m.Mem.Read(a.Walk.PA, width)
+	return v, true
 }
 
 // MemWrite implements ssa.State.
 func (m *Machine) MemWrite(width uint8, va uint64, v uint64) bool {
-	pa, ok := m.translate(va, true)
-	if !ok {
+	a := m.access(va, width, true)
+	switch {
+	case a.Abort:
 		return false
-	}
-	// A write crossing a page boundary also needs write permission on the
-	// last byte's page, faulting at the end address (the data itself still
-	// goes physically contiguous from the base, the engines' fast-path
-	// behaviour; reads stay contiguous with no second check).
-	if end := va + uint64(width) - 1; width > 1 && (va^end)>>12 != 0 {
-		if _, ok := m.translate(end, true); !ok {
-			return false
-		}
-	}
-	if m.guest.IsDevice(pa) {
-		m.rec.Emit(trace.MMIO, mmioArg(width, true), m.virtualTime(), m.curPC, pa)
-		m.bus.Write(pa-m.devBase, width, v)
-		return true
-	}
-	if !m.Mem.Write(pa, width, v) {
-		m.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: true, Addr: va, PC: m.curPC})
-		return false
+	case a.Device:
+		m.lines.Bus.Write(a.Walk.PA-m.guest.DeviceBase(), width, v)
+	default:
+		m.Mem.Write(a.Walk.PA, width, v)
 	}
 	return true
 }
@@ -414,37 +294,20 @@ func (m *Machine) Intrinsic(id ssa.IntrID, args []uint64) (uint64, bool) {
 		m.ExitCode = args[0]
 		return 0, false
 	case ssa.IntrWFI:
-		line := m.timerLine()
-		if m.sys.WFIWake(line, &m.hooks) {
-			// A source is pending and enabled: wfi completes as a nop
-			// (delivery, if the global mask allows, happens at the next
-			// block boundary).
-			return 0, true
-		}
-		if m.cl != nil {
-			// Cluster hart: park with the PC on the wfi. The scheduler
-			// re-runs the hart when a source goes pending-and-enabled (or
-			// skips the shared clock to the timer deadline), and the wfi
-			// re-executes and completes — the engines' det-mode behaviour.
+		switch act, skip := m.lines.WFI(false, m.cl == nil); act {
+		case smp.WFIPark:
 			m.Waiting = true
 			m.pending.redirect = true
 			m.pending.pc = m.curPC
 			return 0, false
+		case smp.WFISkip:
+			m.rec.Emit(trace.WFIIdle, 0, m.virtualTime(), m.curPC, skip)
+			m.idleOff += skip
+		case smp.WFIHalt:
+			m.Halted = true
+			m.ExitCode = 0
+			return 0, false
 		}
-		if dl, armed := m.bus.TimerState(); armed && m.sys.WFIWake(true, &m.hooks) {
-			if dl > m.virtualTime() {
-				// Timer armed and its interrupt enabled: skip virtual
-				// time forward to the deadline instead of spinning.
-				skipped := dl - m.virtualTime()
-				m.rec.Emit(trace.WFIIdle, 0, m.virtualTime(), m.curPC, skipped)
-				m.idleOff += skipped
-				return 0, true
-			}
-		}
-		// No enabled source can ever wake the hart: halt cleanly.
-		m.Halted = true
-		m.ExitCode = 0
-		return 0, false
 	}
 	return 0, true
 }
@@ -456,17 +319,13 @@ func (m *Machine) Intrinsic(id ssa.IntrID, args []uint64) (uint64, bool) {
 // engines' pre-translation abort or hUndef path).
 func (m *Machine) scanBlock() bool {
 	pc := m.PC()
-	w := m.sys.Walk(m.Mem.Read64, pc)
-	if !w.OK {
-		m.raise(port.Exception{Kind: port.ExcInsnAbort, Translation: true, Addr: pc, PC: pc})
-		return false
-	}
-	if (m.sys.EL() == 0 && !w.User) || !w.Exec {
-		m.raise(port.Exception{Kind: port.ExcInsnAbort, Addr: pc, PC: pc})
+	a := m.space.Fetch(pc)
+	if a.Abort {
+		m.raise(a.Exc)
 		return false
 	}
 	var undef bool
-	m.block, undef = port.ScanBlock(m.Module, m.Mem.Fetch, w.PA, m.block[:0])
+	m.block, undef = port.ScanBlock(m.Module, m.Mem.Fetch, a.Walk.PA, m.block[:0])
 	m.blockIdx = 0
 	if undef || len(m.block) == 0 {
 		m.raise(port.Exception{Kind: port.ExcUndefined, PC: pc})
@@ -489,8 +348,8 @@ func (m *Machine) Step() (bool, error) {
 	if m.blockIdx >= len(m.block) {
 		// Interrupt delivery point: every block entry is a boundary, the
 		// same one the engines' dispatcher and block-entry IRQCHK observe.
-		if line := m.timerLine(); m.sys.PendingIRQ(line, &m.hooks) {
-			m.rec.Emit(trace.IRQ, boolArg(line), m.virtualTime(), m.PC(), 0)
+		if line := m.lines.TimerLine(); m.sys.PendingIRQ(line, &m.hooks) {
+			m.rec.Emit(trace.IRQ, trace.LineArg(line), m.virtualTime(), m.PC(), 0)
 			m.IRQs++
 			entry := m.sys.TakeIRQ(m.PC(), line, m.NZCV(), &m.hooks)
 			if entry.Halt {
@@ -570,7 +429,7 @@ func (m *Machine) RunSlice(quantum uint64) error {
 		}
 		if m.cl != nil {
 			if m.cl.steps >= m.cl.stepLimit {
-				return fmt.Errorf("interp: cluster step limit %d exceeded at hart %d pc %#x: %w", m.cl.stepLimit, m.hartID, m.PC(), smp.ErrBudget)
+				return fmt.Errorf("interp: cluster step limit %d exceeded at hart %d pc %#x: %w", m.cl.stepLimit, m.lines.Hart, m.PC(), smp.ErrBudget)
 			}
 			m.cl.steps++
 		}
@@ -579,20 +438,4 @@ func (m *Machine) RunSlice(quantum uint64) error {
 		}
 	}
 	return nil
-}
-
-// boolArg and mmioArg encode trace event arguments exactly like the DBT
-// engines (core.boolArg/core.mmioArg), keeping the streams comparable.
-func boolArg(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func mmioArg(width uint8, write bool) uint8 {
-	if write {
-		return width | 1<<7
-	}
-	return width
 }

@@ -8,10 +8,17 @@
 // level and the QEMU baseline.
 //
 // The package also owns the run contract every engine shares at any hart
-// count: the budget unit and its expiry sentinel.
+// count: the budget unit and its expiry sentinel, and each hart's interrupt
+// wiring (Lines): which hart the timer drives, what a wfi does in each run
+// mode, and when a parked hart may wake.
 package smp
 
-import "errors"
+import (
+	"errors"
+
+	"captive/internal/device"
+	"captive/internal/guest/port"
+)
 
 // DeciCyclesPerStep fixes the one budget unit of every engine. A run budget
 // counts interpreter steps; the DBT engines bound each hart's simulated time
@@ -117,4 +124,80 @@ func timerCanWake(harts []Hart) bool {
 		}
 	}
 	return false
+}
+
+// Lines is one hart's interrupt inputs: its index on the machine's device
+// bus, and the guest system state that gates them. Every engine wires its
+// harts through one, so the timer wiring, the wfi decision and the wake
+// predicates have one definition; the hart adapters RunRR drives embed it.
+type Lines struct {
+	Hart  int
+	Bus   *device.Bus
+	Sys   port.Sys
+	Hooks *port.Hooks // the hart's hooks; CycleCount is the virtual clock
+}
+
+// timerWired reports whether the machine timer drives this hart: only hart
+// 0 is wired to it (a uniprocessor's one hart is hart 0).
+func (l *Lines) timerWired() bool { return l.Hart == 0 }
+
+// TimerLine is the level of the hart's timer input.
+func (l *Lines) TimerLine() bool { return l.timerWired() && l.Bus.IRQPending() }
+
+// SoftLine is the level of the hart's software-interrupt (IPI) input.
+func (l *Lines) SoftLine() bool { return l.Bus.SoftPending(l.Hart) }
+
+// Timer returns the compare value of the timer wired to the hart and
+// whether it is armed; a hart it is not wired to sees it disarmed.
+func (l *Lines) Timer() (cmp uint64, armed bool) {
+	if !l.timerWired() {
+		return 0, false
+	}
+	return l.Bus.TimerState()
+}
+
+// WakeableNow implements Hart.
+func (l *Lines) WakeableNow() bool { return l.Sys.WFIWake(l.TimerLine(), l.Hooks) }
+
+// TimerWakeable implements Hart.
+func (l *Lines) TimerWakeable() bool { return l.timerWired() && l.Sys.WFIWake(true, l.Hooks) }
+
+// WFI is what a wfi instruction does.
+type WFI uint8
+
+// Wfi outcomes.
+const (
+	WFIComplete WFI = iota // complete as a nop
+	WFIRetry               // complete as a spurious wakeup (parallel harts)
+	WFIPark                // park with the PC on the wfi (RunRR)
+	WFISkip                // skip virtual time, then complete (one hart)
+	WFIHalt                // halt with exit code 0 (one hart)
+)
+
+// WFI decides what a wfi does on the hart, and for WFISkip the virtual
+// time to skip; parallel is set while the hart runs on its own goroutine
+// beside its siblings, alone when the machine has one hart. With a source
+// pending and enabled the wfi completes; delivery, if the global mask
+// allows, follows at the next block boundary. Otherwise a parallel hart
+// retries through its dispatcher: a sibling may raise its IPI line at any
+// moment, and virtual time cannot be skipped while siblings advance it. A
+// hart of a larger machine runs under RunRR and parks; RunRR wakes it (the
+// wfi re-executes and completes), skips the shared clock or settles the
+// machine. A lone hart skips to an armed timer whose interrupt is enabled,
+// and halts when no enabled source can ever wake it.
+func (l *Lines) WFI(parallel, alone bool) (WFI, uint64) {
+	switch {
+	case l.WakeableNow():
+		return WFIComplete, 0
+	case parallel:
+		return WFIRetry, 0
+	case !alone:
+		return WFIPark, 0
+	}
+	if cmp, armed := l.Timer(); armed && l.Sys.WFIWake(true, l.Hooks) {
+		if now := l.Hooks.CycleCount(); cmp > now {
+			return WFISkip, cmp - now
+		}
+	}
+	return WFIHalt, 0
 }

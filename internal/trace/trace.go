@@ -97,6 +97,23 @@ type Event struct {
 	Addr uint64 // kind-specific: device PA, fault address, idle-skip amount
 }
 
+// LineArg encodes an IRQ event's argument: the timer-line level.
+func LineArg(line bool) uint8 {
+	if line {
+		return 1
+	}
+	return 0
+}
+
+// MMIOArg encodes an MMIO event's argument: the access width, with bit 7
+// set for writes.
+func MMIOArg(width uint8, write bool) uint8 {
+	if write {
+		return width | 1<<7
+	}
+	return width
+}
+
 // String renders the event for debug listings and the JSONL sink's tests.
 func (ev Event) String() string {
 	return fmt.Sprintf("%s t=%d pc=%#x addr=%#x arg=%d", ev.Kind, ev.Time, ev.PC, ev.Addr, ev.Arg)
