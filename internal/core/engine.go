@@ -47,22 +47,17 @@ const (
 // Kind == BackendQEMU, the QEMU-style baseline). A uniprocessor machine is
 // one Engine; an SMP machine is N engines over one shared struct (smp.go).
 type Engine struct {
+	// Guest is the vCPU's guest state, its register file in host physical
+	// memory, and the guest rules every engine applies (internal/smp); the
+	// engine adds its costs and caches around them.
+	smp.Guest
+
 	vm     *hvm.VM
 	cpu    *vx64.CPU
 	module *gen.Module
-	guest  port.Port
-	sys    port.Sys
 
-	// Regs views the vCPU's guest register file in host physical memory.
-	port.Regs
-	// space applies the guest's access rules, and lines wires the vCPU's
-	// interrupt inputs.
-	space port.Space
-	lines smp.Lines
-
-	// id is this vCPU's hart index; sh the machine-shared translation and
-	// clock state (one engine per entry of sh.engines).
-	id int
+	// sh is the machine-shared translation and clock state (one engine per
+	// entry of sh.engines).
 	sh *shared
 
 	// Per-vCPU state-page placement (hvm.Layout.StatePAOf(id)).
@@ -74,11 +69,6 @@ type Engine struct {
 	SoftFP bool
 	// ChainingOff disables block chaining (Fig. 21 methodology).
 	ChainingOff bool
-
-	// rec is the attached trace recorder; nil (the default) records
-	// nothing, and every emission site (record) is a nil compare in that
-	// state.
-	rec *trace.Recorder
 
 	// softTLBOff is the R13-relative offset of the baseline's softmmu TLB.
 	softTLBOff int32
@@ -115,12 +105,6 @@ type Engine struct {
 	// chaining, so it stays nil with ChainingOff.
 	lastExit *Block
 
-	halted   bool
-	exitCode uint64
-
-	// waiting marks a hart parked in wfi under the deterministic SMP
-	// scheduler (N > 1 only; a uniprocessor wfi idle-skips or halts).
-	waiting bool
 	// sliceEnd is the retired-instruction count at which the current
 	// deterministic-scheduler slice ends (^0 outside runSlice); refreshIRQ
 	// folds it into the block-entry deadline.
@@ -129,8 +113,6 @@ type Engine struct {
 	// dispatcher checkpoint — what siblings (and the device bus) read in
 	// parallel mode instead of racing on the live state page.
 	pubInstrs atomic.Uint64
-
-	hooks port.Hooks
 
 	// stats holds the engine's own counters and JIT phase times, updated
 	// in place; Metrics adds what it derives from the CPU and state page.
@@ -170,27 +152,18 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 	}
 	l := vm.Layout
 	e := &Engine{
-		vm: vm, cpu: vm.CPUs[id], module: module, guest: g, sys: g.NewSys(),
-		id: id, sh: sh,
+		vm: vm, cpu: vm.CPUs[id], module: module, sh: sh,
 		statePA:  l.StatePAOf(id),
 		sliceEnd: ^uint64(0),
 	}
+	e.Init(g, module, vm.Phys[l.RegFilePAOf(id):], vm.RAM, vm.Bus, port.Hooks{
+		HartID: id, CycleCount: e.VirtualTime, TranslationChanged: e.translationChanged,
+	}, sh.skip)
 	e.em.eng = e
 	e.clearITLB()
 	poolBase, poolSize := l.PTPoolOf(id)
 	e.mmu = newHostMMU(vm.Phys, e.cpu, poolBase, poolSize)
 	e.cache = sh.cache
-
-	e.Regs = port.NewRegs(g, module, vm.Phys[l.RegFilePAOf(id):])
-	e.space = port.NewSpace(g, e.sys, vm.RAM)
-	e.lines = smp.Lines{Hart: id, Bus: vm.Bus, Sys: e.sys, Hooks: &e.hooks}
-	e.hooks = port.Hooks{
-		CycleCount:         e.VirtualTime,
-		TranslationChanged: e.translationChanged,
-		TimerLine:          e.lines.TimerLine,
-		SoftLine:           e.lines.SoftLine,
-		HartID:             id,
-	}
 
 	// Pin the fixed registers (package comment of emitter.go).
 	cpu := e.cpu
@@ -207,12 +180,8 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 
 // --- guest state access -------------------------------------------------------
 
-// Sys exposes the guest system state (tests, examples). Guest packages
-// provide unwrappers for their concrete state (e.g. ga64.RawSys).
-func (e *Engine) Sys() port.Sys { return e.sys }
-
 // Halted reports whether the guest executed hlt, and the exit code.
-func (e *Engine) Halted() (bool, uint64) { return e.halted, e.exitCode }
+func (e *Engine) Halted() (bool, uint64) { return e.Guest.Halted, e.ExitCode }
 
 // GuestInstrs returns the number of retired guest instructions (maintained
 // by the instrumentation prologue of every translated block).
@@ -256,12 +225,12 @@ func (e *Engine) VirtualTime() uint64 {
 // reached — an IRQCHK trap that did not end in delivery would re-enter the
 // same block and trap again forever.
 func (e *Engine) refreshIRQ() {
-	line := e.lines.TimerLine()
+	line := e.TimerLine()
 	dl := ^uint64(0)
-	if e.sys.PendingIRQ(line, &e.hooks) {
+	if e.Sys.PendingIRQ(line, &e.Hooks) {
 		dl = 0
 	} else if !line {
-		if cmp, armed := e.lines.Timer(); armed && e.sys.PendingIRQ(true, &e.hooks) {
+		if cmp, armed := e.Timer(); armed && e.Sys.PendingIRQ(true, &e.Hooks) {
 			// Armed and deliverable once it fires: the line rises at
 			// virtual time cmp. In this hart's own retired-count units
 			// that is cmp minus everything else on the virtual clock —
@@ -277,9 +246,6 @@ func (e *Engine) refreshIRQ() {
 	e.vm.Phys.W64(e.statePA+hvm.StateIRQDl, dl)
 }
 
-// Console returns the guest UART output.
-func (e *Engine) Console() string { return e.vm.Bus.Console() }
-
 // LoadImage loads a guest image at a guest physical address and points the
 // guest PC at entry.
 func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
@@ -292,21 +258,12 @@ func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
 
 // --- exception injection -------------------------------------------------------
 
-// raise injects a guest exception through the port: full-system guests
-// vector to their handler; user-level guests halt with the port's exit code.
+// raise injects a guest exception (smp.Guest.Raise) at its injection cost.
+// Exception entry changes interrupt deliverability (GA64 masks IRQs on every
+// entry; RV64 changes the privilege mode the gating depends on).
 func (e *Engine) raise(ex port.Exception) {
-	e.record(trace.Exception, uint8(ex.Kind), ex.PC, ex.Addr)
-	e.stats.GuestFaults++
 	e.cpu.Stats.Cycles += costInjectExc
-	entry := e.sys.Take(ex, e.NZCV(), &e.hooks)
-	if entry.Halt {
-		e.halted = true
-		e.exitCode = entry.Code
-		return
-	}
-	e.SetPC(entry.PC)
-	// Exception entry changes interrupt deliverability (GA64 masks IRQs on
-	// every entry; RV64 changes the privilege mode the gating depends on).
+	e.Raise(ex)
 	e.refreshIRQ()
 }
 
@@ -315,7 +272,7 @@ func (e *Engine) raise(ex port.Exception) {
 // translation cache of *code* is retained because it is indexed by guest
 // physical address (§2.6) — only the chain links are reset.
 func (e *Engine) translationChanged() {
-	e.record(trace.TLBFlush, 0, e.cpu.R[vx64.RPC], 0)
+	e.Record(trace.TLBFlush, 0, e.cpu.R[vx64.RPC], 0)
 	e.stats.TransFlushes++
 	e.clearITLB()
 	if e.Kind == BackendQEMU {
@@ -332,7 +289,7 @@ func (e *Engine) translationChanged() {
 	// them all (SMP machines never install any: chaining is off for N > 1).
 	// Every live chain is a link, so this empties every incoming list.
 	for _, l := range e.cache.chained {
-		e.record(trace.ChainUnpatch, 0, 0, l.from.GPA)
+		e.Record(trace.ChainUnpatch, 0, 0, l.from.GPA)
 		e.cache.unchain(l.from)
 		l.to.incoming = l.to.incoming[:0]
 	}
@@ -361,7 +318,7 @@ func (e *Engine) translatePC(pc uint64) (uint64, bool) {
 			return e.translatePCSlow(pc)
 		}
 	}
-	if e.sys.EL() == 0 && !ent.user {
+	if e.Sys.EL() == 0 && !ent.user {
 		e.raise(port.Exception{Kind: port.ExcInsnAbort, Addr: pc, PC: pc})
 		return 0, false
 	}
@@ -374,7 +331,7 @@ func (e *Engine) translatePC(pc uint64) (uint64, bool) {
 // between flushes (a re-walk would re-charge walk cycles).
 func (e *Engine) translatePCSlow(pc uint64) (uint64, bool) {
 	vaPage := pc >> 12
-	a := e.walked(e.space.Fetch(pc))
+	a := e.walked(e.Space.Fetch(pc))
 	if a.Abort {
 		e.raise(a.Exc)
 		return 0, false
@@ -400,7 +357,7 @@ var ErrBudget = smp.ErrBudget
 // Run executes the guest until it halts or the deci-cycle budget expires.
 func (e *Engine) Run(budget uint64) error {
 	limit := e.cpu.Stats.Cycles + budget
-	for !e.halted {
+	for !e.Guest.Halted {
 		if e.cpu.Stats.Cycles >= limit {
 			return ErrBudget
 		}
@@ -422,27 +379,17 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 		e.cpu.Stats.Cycles += costDispatch
 	}
 
-	pc := e.PC()
-	// Interrupt delivery point: every dispatcher entry is a block
-	// boundary, so the interrupted PC (the preferred return address) is
-	// always a block start — the same boundary the interpreter and the
-	// IRQCHK prologue check observe, which is what pins delivery to the
-	// same retired-instruction count on every engine.
-	if line := e.lines.TimerLine(); e.sys.PendingIRQ(line, &e.hooks) {
-		e.record(trace.IRQ, trace.LineArg(line), pc, 0)
-		e.stats.IRQsDelivered++
+	// Interrupt delivery point: every dispatcher entry is a block boundary,
+	// the one the IRQCHK prologue check returns to.
+	if e.DeliverIRQ() {
 		e.cpu.Stats.Cycles += costInjectExc
-		entry := e.sys.TakeIRQ(pc, line, e.NZCV(), &e.hooks)
-		if entry.Halt {
-			e.halted = true
-			e.exitCode = entry.Code
+		if e.Guest.Halted {
 			return nil
 		}
-		e.SetPC(entry.PC)
-		pc = entry.PC
 		e.refreshIRQ()
 	}
-	el := e.sys.EL()
+	pc := e.PC()
+	el := e.Sys.EL()
 	if e.Kind == BackendQEMU && el != e.lastEL {
 		// The baseline keeps one softmmu TLB: privilege changes flush
 		// it (QEMU proper avoids this with per-mmu-index TLBs).
@@ -481,7 +428,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 		if le.Valid && le.EL == el && (e.Kind != BackendQEMU || le.DirectExit) {
 			if e.cache.chain(le, blk, pc) {
 				e.stats.BlockChains++
-				e.record(trace.ChainPatch, 0, pc, le.GPA)
+				e.Record(trace.ChainPatch, 0, pc, le.GPA)
 			}
 		}
 	}
@@ -523,7 +470,7 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 		case vx64.TrapSoft:
 			if trap.Vec == dispatchTrapVec {
 				// Normal exit to dispatcher.
-				e.record(trace.BlockExit, 0, cpu.R[vx64.RPC], 0)
+				e.Record(trace.BlockExit, 0, cpu.R[vx64.RPC], 0)
 				e.SetPC(cpu.R[vx64.RPC])
 				// Only chaining reads the exit. Resolve it here: a
 				// translation before the next dispatch may flush.
@@ -613,7 +560,7 @@ func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 
 	// The host MMU maps one page per fault, so the faulting byte is
 	// classified: a store's last-byte page faults on its own.
-	a := e.walked(e.space.Data(gva, 1, write, guestPC))
+	a := e.walked(e.Space.Data(gva, 1, write, guestPC))
 	switch {
 	case a.Abort:
 		e.cpu.Stats.Cycles += costFaultLookup
@@ -631,7 +578,7 @@ func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 		// generations, so it runs with siblings parked in parallel mode; a
 		// sibling's stale read-only mapping re-faults once, finds no code
 		// on the page and reinstalls writable.
-		e.record(trace.SMCInval, 0, guestPC, gpaPage<<12)
+		e.Record(trace.SMCInval, 0, guestPC, gpaPage<<12)
 		e.stats.SMCInvals++
 		e.sh.exclusive(e, func() { e.cache.invalidatePage(gpaPage) })
 	}
@@ -645,7 +592,6 @@ func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 // instruction, then resumes past it — the classic trap-and-emulate path of a
 // hardware hypervisor.
 func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
-	e.stats.MMIOEmulations++
 	e.cpu.Stats.Cycles += costMMIOEmulate
 	in := trap.Inst
 	var width uint8
@@ -675,9 +621,8 @@ func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 	default:
 		return fmt.Errorf("core: MMIO fault from non-memory instruction %v", in)
 	}
-	e.record(trace.MMIO, trace.MMIOArg(width, !load), e.cpu.R[vx64.RPC], gpa)
 	if load {
-		v := e.vm.Bus.Read(gpa-e.guest.DeviceBase(), width)
+		v := e.Device(gpa, width, false, 0, e.cpu.R[vx64.RPC])
 		if in.Op == vx64.LOADS8 {
 			v = uint64(int64(int8(v)))
 		} else if in.Op == vx64.LOADS16 {
@@ -697,7 +642,7 @@ func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 		} else {
 			v = e.cpu.R[in.Rs]
 		}
-		e.vm.Bus.Write(gpa-e.guest.DeviceBase(), width, v)
+		e.Device(gpa, width, true, v, e.cpu.R[vx64.RPC])
 		// A device write may have armed, disarmed or retargeted the timer.
 		e.refreshIRQ()
 	}
@@ -724,7 +669,7 @@ func (e *Engine) registerHelpers() {
 	}
 	h[hSysRead] = func(c *vx64.CPU) vx64.HelperAction {
 		idx := e.stateSlot(hvm.StateArg0)
-		v, ok := e.sys.ReadReg(idx, &e.hooks)
+		v, ok := e.Sys.ReadReg(idx, &e.Hooks)
 		if !ok {
 			e.raise(port.Exception{Kind: port.ExcUndefined, PC: c.R[vx64.RPC]})
 			return vx64.HelperExit
@@ -734,7 +679,7 @@ func (e *Engine) registerHelpers() {
 	}
 	h[hSysWrite] = func(c *vx64.CPU) vx64.HelperAction {
 		idx, val := e.stateSlot(hvm.StateArg0), e.stateSlot(hvm.StateArg1)
-		if !e.sys.WriteReg(idx, val, &e.hooks) {
+		if !e.Sys.WriteReg(idx, val, &e.Hooks) {
 			e.raise(port.Exception{Kind: port.ExcUndefined, PC: c.R[vx64.RPC]})
 			return vx64.HelperExit
 		}
@@ -756,9 +701,7 @@ func (e *Engine) registerHelpers() {
 		return vx64.HelperExit
 	}
 	h[hERet] = func(c *vx64.CPU) vx64.HelperAction {
-		newPC, nzcv := e.sys.ERet(&e.hooks)
-		e.SetNZCV(nzcv)
-		e.SetPC(newPC)
+		e.ERet()
 		// The return restores the saved interrupt mask and privilege mode.
 		e.refreshIRQ()
 		return vx64.HelperExit
@@ -768,34 +711,21 @@ func (e *Engine) registerHelpers() {
 		return vx64.HelperContinue
 	}
 	h[hHlt] = func(c *vx64.CPU) vx64.HelperAction {
-		e.halted = true
-		e.exitCode = e.stateSlot(hvm.StateArg0)
+		e.Halt(e.stateSlot(hvm.StateArg0))
 		return vx64.HelperExit
 	}
 	h[hWFI] = func(c *vx64.CPU) vx64.HelperAction {
-		switch act, skip := e.lines.WFI(e.sh.parallel, len(e.sh.engines) == 1); act {
+		switch e.WFI(c.R[vx64.RPC], e.sh.parallel, len(e.sh.engines) == 1) {
 		case smp.WFIRetry:
 			// Bounded by the caller's cycle budget.
 			runtime.Gosched()
-		case smp.WFISkip:
-			// The line is high once the skip lands: resume.
-			e.record(trace.WFIIdle, 0, c.R[vx64.RPC], skip)
-			e.sh.idleOff += skip
-			e.refreshIRQ()
-		case smp.WFIHalt:
-			e.halted = true
-			e.exitCode = 0
-			return vx64.HelperExit
-		case smp.WFIPark:
-			// The PC is rewound to the wfi itself so the wake re-executes
-			// it.
-			e.waiting = true
-			e.SetPC(c.R[vx64.RPC])
+		case smp.WFIHalt, smp.WFIPark:
 			return vx64.HelperExit
 		}
-		// The wfi completes as a nop: the block's tail advances the PC
-		// past it and exits to the dispatcher, which delivers if the
-		// global mask allows.
+		// The wfi completes as a nop (after a skip, whose clock advance
+		// refreshed the deadline, the line is high): the block's tail
+		// advances the PC past it and exits to the dispatcher, which
+		// delivers if the global mask allows.
 		return vx64.HelperContinue
 	}
 	h[hUndef] = func(c *vx64.CPU) vx64.HelperAction {

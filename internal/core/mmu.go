@@ -138,7 +138,7 @@ func (m *hostMMU) protectPage(gpaPage uint64) {
 // walked charges the guest page-table walks a classified access performed
 // (port.Space) to the CPU.
 func (e *Engine) walked(a port.Access) port.Access {
-	if e.sys.MMUOn() {
+	if e.Sys.MMUOn() {
 		e.cpu.Stats.Cycles += a.Walks * 4 * vx64.CostGuestWalkStep
 	}
 	return a

@@ -19,25 +19,13 @@ import (
 // TraceBlock hook, which is installed only when that kind is enabled — with
 // it disabled the hook is nil and the marker costs one pointer compare.
 func (e *Engine) SetTrace(r *trace.Recorder) {
-	e.rec = r
+	e.Guest.SetTrace(r)
 	if r.Wants(trace.BlockEnter) {
 		e.cpu.TraceBlock = func() {
-			e.record(trace.BlockEnter, 0, e.cpu.R[vx64.RPC], 0)
+			e.Record(trace.BlockEnter, 0, e.cpu.R[vx64.RPC], 0)
 		}
 	} else {
 		e.cpu.TraceBlock = nil
-	}
-}
-
-// record emits a trace event stamped with the virtual clock. Every trace
-// site in the engine goes through it, so the clock is read only when the
-// recorder wants the kind: in parallel mode VirtualTime loads every
-// sibling's published retire count, which that sibling rewrites on every
-// dispatcher round trip, and a disabled recorder must not make the harts
-// share those lines.
-func (e *Engine) record(k trace.Kind, arg uint8, pc, addr uint64) {
-	if e.rec.Wants(k) {
-		e.rec.Emit(k, arg, e.VirtualTime(), pc, addr)
 	}
 }
 
@@ -105,6 +93,7 @@ func (e *Engine) Metrics() metrics.Snapshot {
 	}
 	m.GuestInstrs = e.GuestInstrs()
 	m.VirtualTime = e.VirtualTime()
+	m.GuestFaults, m.IRQsDelivered, m.MMIOEmulations = e.Exceptions, e.IRQs, e.DeviceAccesses
 	cs := &e.cpu.Stats
 	m.SimDeciCycles = cs.Cycles
 	m.HostInsts = cs.Insts

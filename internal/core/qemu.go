@@ -185,23 +185,20 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	guestPC := c.R[vx64.RPC]
 
 	c.Stats.Cycles += costSoftTLBFill
-	a := e.walked(e.space.Data(va, width, write, guestPC))
+	a := e.walked(e.Space.Data(va, width, write, guestPC))
 	gpa := a.Walk.PA
 	switch {
 	case a.Abort:
 		e.raise(a.Exc)
 		return vx64.HelperExit
 	case a.Device:
-		e.stats.MMIOEmulations++
-		e.record(trace.MMIO, trace.MMIOArg(width, write), guestPC, gpa)
-		off := gpa - e.guest.DeviceBase()
 		if write {
-			e.vm.Bus.Write(off, width, val)
+			e.Device(gpa, width, true, val, guestPC)
 			// A device write may have armed, silenced or re-aimed the
 			// timer: recompute the block-entry injection deadline.
 			e.refreshIRQ()
 		} else {
-			e.setRet(e.vm.Bus.Read(off, width))
+			e.setRet(e.Device(gpa, width, false, 0, guestPC))
 		}
 		return vx64.HelperContinue
 	}
@@ -215,7 +212,7 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 		endPage := (gpa + uint64(width) - 1) >> 12
 		for page := gpa >> 12; page <= endPage; page++ {
 			if e.cache.pageHasCode(page) {
-				e.record(trace.SMCInval, 0, guestPC, page<<12)
+				e.Record(trace.SMCInval, 0, guestPC, page<<12)
 				e.stats.SMCInvals++
 				e.cache.invalidatePage(page)
 			}

@@ -158,7 +158,7 @@ func TestRV64PagedSupervisorBoot(t *testing.T) {
 		if e.Reg(12) != 0x51 {
 			t.Errorf("qemu=%v: body did not resume past the fault: x12=%#x", qemu, e.Reg(12))
 		}
-		sys := rv64.RawSys(e.Sys())
+		sys := rv64.RawSys(e.Sys)
 		if sys == nil {
 			t.Fatal("engine Sys is not the RV64 system")
 		}

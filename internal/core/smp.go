@@ -25,7 +25,7 @@ package core
 // Outside stop-the-world, a parallel dispatcher round trip touches no line
 // a sibling writes: it reads the interrupt lines from lock-free atomics on
 // the device bus, its trace sites read the shared virtual clock only when a
-// recorder wants the event (Engine.record), and its one store that
+// recorder wants the event (smp.Guest.Record), and its one store that
 // siblings may read is its own published retire count.
 //
 // Cross-block chaining is disabled for N > 1: chain slots compare the guest
@@ -161,6 +161,15 @@ func (sh *shared) busTime() uint64 {
 	return sh.engines[0].VirtualTime()
 }
 
+// skip advances the virtual clock over time every hart spent idle in wfi,
+// and re-derives every hart's block-entry deadline against it.
+func (sh *shared) skip(delta uint64) {
+	sh.idleOff += delta
+	for _, e := range sh.engines {
+		e.refreshIRQ()
+	}
+}
+
 // newEngines builds one engine per vCPU of the VM over a fresh shared
 // struct. With more than one vCPU, cross-block chaining is disabled (see the
 // package comment above).
@@ -228,7 +237,7 @@ func NewSMPQEMU(vm *hvm.VM, g port.Port, module *gen.Module) (*SMP, error) {
 	for _, e := range s.sh.engines {
 		e.Kind = BackendQEMU
 		e.SoftFP = true
-		e.softTLBOff = int32(vm.Layout.SoftTLBOf(e.id) - e.statePA)
+		e.softTLBOff = int32(vm.Layout.SoftTLBOf(e.Hooks.HartID) - e.statePA)
 		e.flushSoftTLB()
 	}
 	return s, nil
@@ -247,11 +256,11 @@ func (s *SMP) Console() string { return s.vm.Bus.Console() }
 // Halted reports whether every vCPU has halted, and vCPU 0's exit code.
 func (s *SMP) Halted() (bool, uint64) {
 	for _, e := range s.sh.engines {
-		if !e.halted {
+		if !e.Guest.Halted {
 			return false, 0
 		}
 	}
-	return true, s.sh.engines[0].exitCode
+	return true, s.sh.engines[0].ExitCode
 }
 
 // Run executes the machine until every vCPU halts or the budget expires
@@ -307,7 +316,7 @@ func (s *SMP) SetReg(i, n int, v uint64)         { s.sh.engines[i].SetReg(n, v) 
 func (s *SMP) FReg(i, n int) uint64              { return s.sh.engines[i].FReg(n) }
 func (s *SMP) PC(i int) uint64                   { return s.sh.engines[i].PC() }
 func (s *SMP) RegState(i int) []byte             { return s.sh.engines[i].RegState() }
-func (s *SMP) Sys(i int) port.Sys                { return s.sh.engines[i].Sys() }
+func (s *SMP) Sys(i int) port.Sys                { return s.sh.engines[i].Sys }
 func (s *SMP) HartExit(i int) (bool, uint64)     { return s.sh.engines[i].Halted() }
 func (s *SMP) GuestInstrs(i int) uint64          { return s.sh.engines[i].GuestInstrs() }
 func (s *SMP) SetTrace(i int, r *trace.Recorder) { s.sh.engines[i].SetTrace(r) }
@@ -316,11 +325,14 @@ func (s *SMP) SetTrace(i int, r *trace.Recorder) { s.sh.engines[i].SetTrace(r) }
 // fixed quanta of retired instructions per hart, one goroutine. budget is the
 // per-hart simulated-cycle budget (ErrBudget past it, as in Engine.Run).
 func (s *SMP) RunDet(budget, quantum uint64) error {
-	harts := make([]smp.Hart, len(s.sh.engines))
+	harts := make([]*smp.Guest, len(s.sh.engines))
+	limits := make([]uint64, len(s.sh.engines))
 	for i, e := range s.sh.engines {
-		harts[i] = engineHart{Lines: &e.lines, e: e, limit: e.cpu.Stats.Cycles + budget}
+		harts[i], limits[i] = &e.Guest, e.cpu.Stats.Cycles+budget
 	}
-	return smp.RunRR(harts, smpClock{s: s}, quantum)
+	return smp.RunRR(harts, func(i int) error {
+		return s.sh.engines[i].runSlice(quantum, limits[i])
+	})
 }
 
 // RunParallel executes the machine with one goroutine per hart until every
@@ -362,7 +374,7 @@ func (e *Engine) runParallelHart(budget uint64) error {
 	limit := e.cpu.Stats.Cycles + budget
 	sh.enterSlot()
 	defer sh.leaveSlot()
-	for !e.halted {
+	for !e.Guest.Halted {
 		if e.cpu.Stats.Cycles >= limit {
 			return ErrBudget
 		}
@@ -389,7 +401,7 @@ func (e *Engine) runSlice(quantum, limit uint64) error {
 		e.refreshIRQ()
 	}()
 	e.refreshIRQ()
-	for !e.halted && !e.waiting && e.GuestInstrs() < end {
+	for !e.Guest.Halted && !e.Waiting && e.GuestInstrs() < end {
 		if e.cpu.Stats.Cycles >= limit {
 			return ErrBudget
 		}
@@ -398,45 +410,4 @@ func (e *Engine) runSlice(quantum, limit uint64) error {
 		}
 	}
 	return nil
-}
-
-// engineHart adapts an Engine to the deterministic scheduler; its lines
-// answer the wake predicates.
-type engineHart struct {
-	*smp.Lines
-	e     *Engine
-	limit uint64
-}
-
-func (h engineHart) Halted() bool  { b, _ := h.e.Halted(); return b }
-func (h engineHart) Waiting() bool { return h.e.waiting }
-func (h engineHart) ClearWait()    { h.e.waiting = false }
-func (h engineHart) HaltIdle() {
-	h.e.halted = true
-	h.e.exitCode = 0
-}
-func (h engineHart) RunSlice(quantum uint64) error {
-	start := h.e.cpu.Stats.Cycles
-	if start >= h.limit {
-		return ErrBudget
-	}
-	return h.e.runSlice(quantum, h.limit)
-}
-
-// smpClock adapts the machine's virtual clock to the scheduler.
-type smpClock struct{ s *SMP }
-
-func (c smpClock) VirtualTime() uint64 { return c.s.sh.engines[0].VirtualTime() }
-func (c smpClock) TimerDeadline() (uint64, bool) {
-	return c.s.vm.Bus.TimerState()
-}
-func (c smpClock) Skip(delta uint64) {
-	sh := c.s.sh
-	for _, e := range sh.engines {
-		e.record(trace.WFIIdle, 0, e.PC(), delta)
-	}
-	sh.idleOff += delta
-	for _, e := range sh.engines {
-		e.refreshIRQ()
-	}
 }

@@ -167,7 +167,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	e.stats.JITGuestInstrs += n
 	e.stats.JITLIRInsts += len(alloc) + epilogueLIR
 	e.stats.JITCodeBytes += len(code)
-	e.record(trace.Translate, uint8(el), pc, uint64(len(code)))
+	e.Record(trace.Translate, uint8(el), pc, uint64(len(code)))
 	return blk, nil
 }
 

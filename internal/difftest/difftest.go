@@ -222,10 +222,21 @@ type Outcome struct {
 	Events  []trace.Event    // hart 0's comparable events (traced lanes)
 }
 
-// Equal reports whether two outcomes are bit-identical hart for hart and
-// wrote the same console output.
+// counterNames names the delivery counters Outcome compares, in the order
+// counters returns them.
+var counterNames = [...]string{"guest faults", "IRQs delivered", "MMIO emulations", "virtual time"}
+
+// counters returns the summed delivery counters every engine keeps through
+// the shared guest rules (smp.Guest) and the virtual clock they ran to.
+func (o Outcome) counters() [len(counterNames)]uint64 {
+	m := o.Metrics
+	return [...]uint64{m.GuestFaults, m.IRQsDelivered, m.MMIOEmulations, m.VirtualTime}
+}
+
+// Equal reports whether two outcomes are bit-identical hart for hart, wrote
+// the same console output and agree on the delivery counters.
 func (o Outcome) Equal(p Outcome) bool {
-	if len(o.Harts) != len(p.Harts) || o.Console != p.Console {
+	if len(o.Harts) != len(p.Harts) || o.Console != p.Console || o.counters() != p.counters() {
 		return false
 	}
 	for i := range o.Harts {
@@ -236,8 +247,8 @@ func (o Outcome) Equal(p Outcome) bool {
 	return true
 }
 
-// Diff describes the first per-hart difference, then any console
-// difference ("" when equal).
+// Diff describes the first per-hart difference, then any console or
+// delivery-counter difference ("" when equal).
 func (o Outcome) Diff(p Outcome) string {
 	if len(o.Harts) != len(p.Harts) {
 		return fmt.Sprintf("%d harts vs %d", len(o.Harts), len(p.Harts))
@@ -252,6 +263,12 @@ func (o Outcome) Diff(p Outcome) string {
 	}
 	if o.Console != p.Console {
 		return fmt.Sprintf("console %q vs %q", o.Console, p.Console)
+	}
+	oc, pc := o.counters(), p.counters()
+	for i, name := range counterNames {
+		if oc[i] != pc[i] {
+			return fmt.Sprintf("%s %d vs %d", name, oc[i], pc[i])
+		}
 	}
 	return ""
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/ssa"
 )
 
@@ -92,6 +93,28 @@ func TestOutcomeComparesConsole(t *testing.T) {
 	}
 	if d := a.Diff(b); !strings.Contains(d, "console") {
 		t.Errorf("diff = %q, want mention of the console", d)
+	}
+}
+
+// TestOutcomeComparesCounters checks that two runs ending in identical
+// state and console output but disagreeing on a delivery counter diverge,
+// and that the diff names the counter.
+func TestOutcomeComparesCounters(t *testing.T) {
+	st := State{Regs: make([]byte, 769), Data: []byte{0}, Instrs: 5}
+	a := Outcome{Harts: []State{st}, Metrics: metrics.Snapshot{MMIOEmulations: 2, VirtualTime: 9}}
+	for name, m := range map[string]metrics.Snapshot{
+		"guest faults":    {GuestFaults: 1, MMIOEmulations: 2, VirtualTime: 9},
+		"IRQs delivered":  {IRQsDelivered: 1, MMIOEmulations: 2, VirtualTime: 9},
+		"MMIO emulations": {VirtualTime: 9},
+		"virtual time":    {MMIOEmulations: 2, VirtualTime: 10},
+	} {
+		b := Outcome{Harts: []State{st}, Metrics: m}
+		if !a.Equal(a) || a.Equal(b) {
+			t.Errorf("Equal ignores %s", name)
+		}
+		if d := a.Diff(b); !strings.Contains(d, name) {
+			t.Errorf("diff = %q, want mention of %s", d, name)
+		}
 	}
 }
 

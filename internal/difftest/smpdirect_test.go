@@ -103,6 +103,46 @@ func TestSMPWFICrossCoreWake(t *testing.T) {
 	}
 }
 
+// TestSMPAllParkedTimerSkip parks both harts at once: hart 0 in wfi with
+// the machine timer armed far ahead as its wake source (mie.MTIE set,
+// mstatus.MIE clear, so no trap), hart 1 with only its IPI enabled. The
+// scheduler must then skip the shared clock to the timer deadline rather
+// than settle the machine: hart 0 wakes, reads the timer counter and raises
+// hart 1's IPI, and both harts run past their wfi.
+func TestSMPAllParkedTimerSkip(t *testing.T) {
+	const deadline = 200000
+	p := asm.New(RVOrg)
+	smpDispatch(p)
+	p.Li(7, rvTimerPA)
+	p.Li(8, deadline)
+	p.Sd(8, 7, device.TimerCmp)
+	p.Li(8, 1)
+	p.Sd(8, 7, device.TimerCtrl)
+	p.Li(8, rv64.MipMTIP)
+	p.Csrw(rv64.CSRMie, 8)
+	p.Wfi() // parked until the clock skips to the deadline
+	p.Ld(10, 7, device.TimerCount)
+	p.Li(7, rvIPISetPA)
+	p.Li(8, 1)
+	p.Sd(8, 7, 0)
+	p.Ecall()
+
+	p.Label("hart1")
+	p.Li(6, rv64.MipMSIP)
+	p.Csrw(rv64.CSRMie, 6)
+	p.Wfi() // parked until hart 0's IPI
+	p.Li(10, 0x57A7E1)
+	p.Ecall()
+
+	golden := runSMPDirected(t, p)
+	if got := xreg(golden, 0, 10); got < deadline {
+		t.Errorf("hart 0 timer counter after wake = %d, want >= %d (clock not skipped)", got, deadline)
+	}
+	if got := xreg(golden, 1, 10); got != 0x57A7E1 {
+		t.Errorf("hart 1 sentinel = %#x, want 0x57A7E1 (did not run past wfi)", got)
+	}
+}
+
 // TestSMPCrossHartSMCShootdown has hart 1 call a tiny function F in a tight
 // loop while hart 0 — which never executes F's page — rewrites F's add
 // immediate from +1 to +2 mid-run. The shootdown must invalidate hart 1's

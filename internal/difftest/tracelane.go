@@ -9,11 +9,11 @@ import (
 // The trace flag of any lane (Lane.Traced): differential testing of the
 // *event streams* the introspection layer emits, not just final state. The
 // comparable kinds (trace.ComparableKinds: block entries, interrupt
-// deliveries, guest exceptions) are architecturally determined — every
-// engine must produce the identical ordered sequence of (kind, arg,
-// virtual-time, pc, addr) tuples for the same program, because block
-// formation, injection boundaries and exception points are all part of the
-// shared model. A traced lane also asserts that running *with* tracing
+// deliveries, guest exceptions, device accesses) are architecturally
+// determined — every engine must produce the identical ordered sequence of
+// (kind, arg, virtual-time, pc, addr) tuples for the same program, because
+// block formation, injection boundaries, exception points and device
+// accesses are all part of the shared model. A traced lane also asserts that running *with* tracing
 // attached leaves the final architectural state bit-identical to the
 // untraced golden run: observation must not perturb.
 

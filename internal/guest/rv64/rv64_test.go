@@ -375,7 +375,7 @@ func TestMachinePagedTrapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := RawSys(m.Sys())
+	sys := RawSys(m.Sys)
 	const root = 0x700000
 	w64 := func(pa, v uint64) { binary.LittleEndian.PutUint64(m.Mem[pa:], v) }
 	w64(root, (root+0x1000)>>12<<10|PTEV)

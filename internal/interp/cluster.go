@@ -8,6 +8,7 @@ import (
 	"captive/internal/guest/port"
 	"captive/internal/metrics"
 	"captive/internal/smp"
+	"captive/internal/ssa"
 	"captive/internal/trace"
 )
 
@@ -23,8 +24,8 @@ import (
 // Machine.
 //
 // Cluster implements the machine seam (internal/machine). A one-hart cluster
-// is a uniprocessor: its hart is a standalone Machine, which idle-skips or
-// halts in wfi where cluster harts park.
+// is a uniprocessor, the standalone Machine New returns, whose wfi
+// idle-skips or halts where the harts of a larger cluster park.
 type Cluster struct {
 	Machines []*Machine
 
@@ -46,20 +47,28 @@ type Cluster struct {
 // (its wfi idle-skips or halts instead of parking).
 func NewCluster(g port.Port, module *gen.Module, ramBytes, n int) *Cluster {
 	cl := &Cluster{bus: new(device.Bus)}
+	cl.bus.Cycles = cl.virtualTime
 	mem := port.NewRAM(uint64(ramBytes))
 	for i := 0; i < n; i++ {
-		m := newHart(g, module, mem, cl.bus, i)
-		if n > 1 {
-			m.cl = cl
-		}
+		m := &Machine{Module: module, Mem: mem, cl: cl, interp: ssa.NewInterp()}
+		// Nothing is cached across accesses (the walker runs fresh every
+		// time; a scanned block never outlives a regime-changing
+		// instruction, which ends its block per the shared rules), so
+		// translation changes need no action here.
+		m.Init(g, module, make([]byte, module.Layout.Size), mem, cl.bus, port.Hooks{
+			HartID: i, CycleCount: cl.virtualTime, TranslationChanged: func() {},
+		}, cl.skip)
 		cl.Machines = append(cl.Machines, m)
 	}
 	return cl
 }
 
-// virtualTime is the cluster's shared virtual clock: total retired
-// instructions across all harts plus skipped idle time (the SMP
-// generalization of the uniprocessor Instrs+idleOff split).
+// virtualTime is the guest-visible virtual counter every hart and the bus's
+// timer read (see core.VirtualTime: the clock is engine-independent by
+// construction): total retired instructions across all harts — charged
+// block-granularly at entry, exactly like the engines' instrumentation
+// prologue, so a mid-block read sees the same value everywhere — plus the
+// time skipped while idle in wfi; the same sum the SMP engines keep.
 func (cl *Cluster) virtualTime() uint64 {
 	vt := cl.idleOff
 	for _, m := range cl.Machines {
@@ -67,6 +76,9 @@ func (cl *Cluster) virtualTime() uint64 {
 	}
 	return vt
 }
+
+// skip advances the virtual clock over time every hart spent idle in wfi.
+func (cl *Cluster) skip(delta uint64) { cl.idleOff += delta }
 
 // Console returns the guest's UART output (the shared bus).
 func (cl *Cluster) Console() string { return cl.bus.Console() }
@@ -136,7 +148,7 @@ func (cl *Cluster) SetReg(i, n int, v uint64)         { cl.Machines[i].SetReg(n,
 func (cl *Cluster) FReg(i, n int) uint64              { return cl.Machines[i].FReg(n) }
 func (cl *Cluster) PC(i int) uint64                   { return cl.Machines[i].PC() }
 func (cl *Cluster) RegState(i int) []byte             { return cl.Machines[i].RegState() }
-func (cl *Cluster) Sys(i int) port.Sys                { return cl.Machines[i].Sys() }
+func (cl *Cluster) Sys(i int) port.Sys                { return cl.Machines[i].Sys }
 func (cl *Cluster) GuestInstrs(i int) uint64          { return cl.Machines[i].Instrs }
 func (cl *Cluster) SetTrace(i int, r *trace.Recorder) { cl.Machines[i].SetTrace(r) }
 func (cl *Cluster) HartExit(i int) (bool, uint64) {
@@ -153,38 +165,9 @@ func (cl *Cluster) RunDet(limit, quantum uint64) error {
 		return err
 	}
 	cl.steps, cl.stepLimit = 0, limit
-	harts := make([]smp.Hart, len(cl.Machines))
+	harts := make([]*smp.Guest, len(cl.Machines))
 	for i, m := range cl.Machines {
-		harts[i] = clHart{&m.lines, m}
+		harts[i] = &m.Guest
 	}
-	return smp.RunRR(harts, clClock{cl}, quantum)
-}
-
-// clHart adapts a cluster member to the scheduler's hart view; its lines
-// answer the wake predicates.
-type clHart struct {
-	*smp.Lines
-	m *Machine
-}
-
-func (h clHart) Halted() bool                  { return h.m.Halted }
-func (h clHart) Waiting() bool                 { return h.m.Waiting }
-func (h clHart) ClearWait()                    { h.m.Waiting = false }
-func (h clHart) HaltIdle()                     { h.m.Halted = true; h.m.ExitCode = 0 }
-func (h clHart) RunSlice(quantum uint64) error { return h.m.RunSlice(quantum) }
-
-// clClock adapts the cluster's virtual clock to the scheduler. Skip stamps
-// one WFIIdle event per hart at the pre-skip time, exactly like the SMP
-// engines, keeping the comparable trace streams aligned.
-type clClock struct{ cl *Cluster }
-
-func (c clClock) VirtualTime() uint64 { return c.cl.virtualTime() }
-func (c clClock) TimerDeadline() (cmp uint64, armed bool) {
-	return c.cl.bus.TimerState()
-}
-func (c clClock) Skip(delta uint64) {
-	for _, m := range c.cl.Machines {
-		m.rec.Emit(trace.WFIIdle, 0, m.virtualTime(), m.PC(), delta)
-	}
-	c.cl.idleOff += delta
+	return smp.RunRR(harts, func(i int) error { return cl.Machines[i].RunSlice(quantum) })
 }

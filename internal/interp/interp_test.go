@@ -313,7 +313,7 @@ func TestMMUEnableAndTranslate(t *testing.T) {
 	if m.Reg(2) != 0xABCD {
 		t.Errorf("load under MMU = %#x", m.Reg(2))
 	}
-	if !m.Sys().MMUOn() {
+	if !m.Sys.MMUOn() {
 		t.Error("MMU should be enabled")
 	}
 }

@@ -8,16 +8,18 @@
 // level and the QEMU baseline.
 //
 // The package also owns the run contract every engine shares at any hart
-// count: the budget unit and its expiry sentinel, and each hart's interrupt
-// wiring (Lines): which hart the timer drives, what a wfi does in each run
-// mode, and when a parked hart may wake.
+// count — the budget unit and its expiry sentinel — and the hart itself
+// (Guest): its wiring, run state and event counters, and the guest rules
+// every engine applies through it.
 package smp
 
 import (
 	"errors"
 
 	"captive/internal/device"
+	"captive/internal/gen"
 	"captive/internal/guest/port"
+	"captive/internal/trace"
 )
 
 // DeciCyclesPerStep fixes the one budget unit of every engine. A run budget
@@ -31,67 +33,34 @@ const DeciCyclesPerStep = 2000
 // before the guest halts.
 var ErrBudget = errors.New("run budget exhausted before the guest halted")
 
-// Hart is one virtual CPU as the scheduler sees it. Implementations adapt
-// the engine (core.Engine) or interpreter (interp.Machine) hart state.
-type Hart interface {
-	// Halted reports whether the hart has executed its halt instruction (or
-	// been settled by HaltIdle); a halted hart is never scheduled again.
-	Halted() bool
-	// Waiting reports whether the hart is parked in wfi.
-	Waiting() bool
-	// WakeableNow reports whether an interrupt source is pending-and-enabled
-	// for the parked hart right now (the architectural wfi wake rule,
-	// ignoring global masks).
-	WakeableNow() bool
-	// TimerWakeable reports whether a future timer-line rise could wake the
-	// parked hart (only the hart wired to the timer line can say yes).
-	TimerWakeable() bool
-	// ClearWait unparks the hart; the wfi re-executes and completes.
-	ClearWait()
-	// HaltIdle settles a hart that no source can ever wake into the halted
-	// state with exit code 0 (the machine's resting state).
-	HaltIdle()
-	// RunSlice executes until at least quantum further instructions have
-	// retired, the hart halts or parks, or an engine error occurs. Slices
-	// end exactly at block boundaries: the pre-block deadline check runs a
-	// block whose entry count is below the slice end to completion, so every
-	// engine overshoots by the identical amount.
-	RunSlice(quantum uint64) error
-}
-
-// Clock is the machine's shared virtual clock as the scheduler sees it.
-type Clock interface {
-	// VirtualTime returns the current virtual time (total retired
-	// instructions across all harts plus skipped idle time).
-	VirtualTime() uint64
-	// TimerDeadline returns the timer compare value and whether the timer
-	// is armed.
-	TimerDeadline() (cmp uint64, armed bool)
-	// Skip advances virtual time by delta without retiring instructions
-	// (the SMP generalization of the single-hart wfi idle skip).
-	Skip(delta uint64)
-}
-
-// RunRR drives the harts round-robin in fixed quanta until every hart has
-// halted or an error occurs. When every live hart is parked in wfi it skips
-// virtual time to the timer deadline if that can wake one, and otherwise
-// settles the machine: no interrupt source can ever fire again, so all harts
-// halt idle — the same resting state a uniprocessor wfi reaches.
-func RunRR(harts []Hart, clk Clock, quantum uint64) error {
+// RunRR drives the harts round-robin until every hart has halted or an error
+// occurs. slice(i) runs hart i until at least one quantum of further
+// instructions has retired, the hart halts or parks, or an engine error
+// occurs. Slices end exactly at block boundaries: the pre-block deadline
+// check runs a block whose entry count is below the slice end to
+// completion, so every engine overshoots by the identical amount.
+//
+// When every live hart is parked in wfi, RunRR skips the shared virtual
+// clock to the timer deadline if that can wake one, stamping the skip on
+// every hart's trace at the pre-skip time. Otherwise it settles the machine:
+// no interrupt source can ever fire again, so all harts halt idle — the
+// same resting state a uniprocessor wfi reaches.
+func RunRR(harts []*Guest, slice func(i int) error) error {
 	for {
 		ran, live := false, false
-		for _, h := range harts {
-			if h.Halted() {
+		for i, g := range harts {
+			if g.Halted {
 				continue
 			}
 			live = true
-			if h.Waiting() {
-				if !h.WakeableNow() {
+			if g.Waiting {
+				if !g.wakeableNow() {
 					continue
 				}
-				h.ClearWait()
+				// The wfi re-executes and completes.
+				g.Waiting = false
 			}
-			if err := h.RunSlice(quantum); err != nil {
+			if err := slice(i); err != nil {
 				return err
 			}
 			ran = true
@@ -104,63 +73,193 @@ func RunRR(harts []Hart, clk Clock, quantum uint64) error {
 		}
 		// Every live hart is parked. A timer expiry in the future can only
 		// help if it reaches a parked hart that would wake on it.
-		if cmp, armed := clk.TimerDeadline(); armed && cmp > clk.VirtualTime() && timerCanWake(harts) {
-			clk.Skip(cmp - clk.VirtualTime())
+		now := harts[0].Hooks.CycleCount()
+		if cmp, armed := harts[0].Bus.TimerState(); armed && cmp > now && timerCanWake(harts) {
+			for _, g := range harts {
+				g.Record(trace.WFIIdle, 0, g.PC(), cmp-now)
+			}
+			harts[0].idle(cmp - now)
 			continue
 		}
-		for _, h := range harts {
-			if !h.Halted() {
-				h.HaltIdle()
+		for _, g := range harts {
+			if !g.Halted {
+				g.Halt(0)
 			}
 		}
 		return nil
 	}
 }
 
-func timerCanWake(harts []Hart) bool {
-	for _, h := range harts {
-		if !h.Halted() && h.Waiting() && h.TimerWakeable() {
+func timerCanWake(harts []*Guest) bool {
+	for _, g := range harts {
+		if !g.Halted && g.Waiting && g.timerWakeable() {
 			return true
 		}
 	}
 	return false
 }
 
-// Lines is one hart's interrupt inputs: its index on the machine's device
-// bus, and the guest system state that gates them. Every engine wires its
-// harts through one, so the timer wiring, the wfi decision and the wake
-// predicates have one definition; the hart adapters RunRR drives embed it.
-type Lines struct {
-	Hart  int
-	Bus   *device.Bus
+// Guest is one hart as every engine sees it: the guest state an engine
+// executes against, wired to the machine's device bus and virtual clock, and
+// the guest rules that act on it. Captive, the QEMU baseline and the golden
+// interpreter embed one per hart, so exception injection, interrupt
+// delivery, exception return, halt, wfi, device accesses and the trace stamp
+// have one definition; an engine adds only its own costs and caches.
+type Guest struct {
+	// Regs views the hart's guest register file.
+	port.Regs
+	// Sys is the hart's guest system state and Space its address space.
+	// Hooks is what the port calls back into: its HartID is the hart's
+	// index on the device bus and its CycleCount the machine's virtual
+	// clock.
 	Sys   port.Sys
-	Hooks *port.Hooks // the hart's hooks; CycleCount is the virtual clock
+	Space port.Space
+	Hooks port.Hooks
+	// Bus is the machine's device bus: the devices and interrupt lines.
+	Bus *device.Bus
+
+	// Halted and ExitCode are set by the guest halt instruction, by a port
+	// that terminates the machine on an unvectored exception or interrupt,
+	// and by a wfi nothing can wake. Waiting marks a hart parked in wfi
+	// under RunRR; its PC stays on the wfi, which re-executes on wake.
+	Halted   bool
+	ExitCode uint64
+	Waiting  bool
+
+	// Exceptions counts taken guest exceptions (halting ones included),
+	// IRQs delivered interrupts and DeviceAccesses emulated device accesses.
+	Exceptions, IRQs, DeviceAccesses uint64
+
+	devBase uint64             // guest-physical base of the device window
+	idle    func(delta uint64) // skips the machine's virtual clock
+	// rec is the attached trace recorder; nil (the default) records nothing,
+	// and every emission site (Record) is a nil compare in that state.
+	rec *trace.Recorder
+}
+
+// Init wires the hart: a register file laid out per m in file, fresh system
+// state for guest p translating over ram, the machine's device bus, and the
+// hooks h (hart index, virtual clock, translation-change callback) with the
+// hart's interrupt lines added. idle advances the machine's virtual clock
+// over time every hart spends idle in wfi.
+func (g *Guest) Init(p port.Port, m *gen.Module, file []byte, ram port.RAM, bus *device.Bus, h port.Hooks, idle func(delta uint64)) {
+	g.Regs = port.NewRegs(p, m, file)
+	g.Sys = p.NewSys()
+	g.Space = port.NewSpace(p, g.Sys, ram)
+	g.Bus = bus
+	g.devBase = p.DeviceBase()
+	g.idle = idle
+	h.TimerLine, h.SoftLine = g.TimerLine, g.softLine
+	g.Hooks = h
+}
+
+// SetTrace attaches a trace recorder (nil detaches).
+func (g *Guest) SetTrace(r *trace.Recorder) { g.rec = r }
+
+// Record emits a trace event stamped with the virtual clock. Every trace
+// site of every engine goes through it, so the clock is read only when the
+// recorder wants the kind: in parallel mode the clock loads every sibling's
+// published retire count, which that sibling rewrites on every dispatcher
+// round trip, and a disabled recorder must not make the harts share those
+// lines.
+func (g *Guest) Record(k trace.Kind, arg uint8, pc, addr uint64) {
+	if g.rec.Wants(k) {
+		g.rec.Emit(k, arg, g.Hooks.CycleCount(), pc, addr)
+	}
+}
+
+// Console returns the guest UART output.
+func (g *Guest) Console() string { return g.Bus.Console() }
+
+// Halt stops the hart with the given exit code; it never runs again.
+func (g *Guest) Halt(code uint64) { g.Halted, g.ExitCode = true, code }
+
+// enter continues at an exception or interrupt entry: the handler, or a
+// halt when the port terminates the machine.
+func (g *Guest) enter(e port.Entry) {
+	if e.Halt {
+		g.Halt(e.Code)
+	} else {
+		g.SetPC(e.PC)
+	}
+}
+
+// Raise injects a guest exception through the port: full-system guests
+// vector to their handler; user-level guests halt with the port's exit code.
+func (g *Guest) Raise(ex port.Exception) {
+	g.Record(trace.Exception, uint8(ex.Kind), ex.PC, ex.Addr)
+	g.Exceptions++
+	g.enter(g.Sys.Take(ex, g.NZCV(), &g.Hooks))
+}
+
+// DeliverIRQ takes a pending interrupt the guest accepts, and reports
+// whether it did. Engines call it only at a block boundary — the
+// interpreter before it scans a block, the DBT dispatchers (which the
+// block-entry deadline check returns to) before they look one up — so the
+// interrupted PC, the preferred return address, is always a block start and
+// delivery lands on the same retired-instruction count on every engine.
+func (g *Guest) DeliverIRQ() bool {
+	line := g.TimerLine()
+	if !g.Sys.PendingIRQ(line, &g.Hooks) {
+		return false
+	}
+	pc := g.PC()
+	g.Record(trace.IRQ, trace.LineArg(line), pc, 0)
+	g.IRQs++
+	g.enter(g.Sys.TakeIRQ(pc, line, g.NZCV(), &g.Hooks))
+	return true
+}
+
+// ERet performs the exception return: the port restores the privilege
+// level and returns the flags and the PC the hart continues at.
+func (g *Guest) ERet() {
+	pc, nzcv := g.Sys.ERet(&g.Hooks)
+	g.SetNZCV(nzcv)
+	g.SetPC(pc)
+}
+
+// Device performs a data access the address space classified as a device
+// access (port.Access.Device) at guest-physical pa, by the instruction at
+// pc: the access is stamped and counted, then reaches the device bus at its
+// offset in the device window. A read returns the value read; a write
+// stores v and returns 0.
+func (g *Guest) Device(pa uint64, width uint8, write bool, v, pc uint64) uint64 {
+	g.Record(trace.MMIO, trace.MMIOArg(width, write), pc, pa)
+	g.DeviceAccesses++
+	if write {
+		g.Bus.Write(pa-g.devBase, width, v)
+		return 0
+	}
+	return g.Bus.Read(pa-g.devBase, width)
 }
 
 // timerWired reports whether the machine timer drives this hart: only hart
 // 0 is wired to it (a uniprocessor's one hart is hart 0).
-func (l *Lines) timerWired() bool { return l.Hart == 0 }
+func (g *Guest) timerWired() bool { return g.Hooks.HartID == 0 }
 
 // TimerLine is the level of the hart's timer input.
-func (l *Lines) TimerLine() bool { return l.timerWired() && l.Bus.IRQPending() }
+func (g *Guest) TimerLine() bool { return g.timerWired() && g.Bus.IRQPending() }
 
-// SoftLine is the level of the hart's software-interrupt (IPI) input.
-func (l *Lines) SoftLine() bool { return l.Bus.SoftPending(l.Hart) }
+// softLine is the level of the hart's software-interrupt (IPI) input.
+func (g *Guest) softLine() bool { return g.Bus.SoftPending(g.Hooks.HartID) }
 
 // Timer returns the compare value of the timer wired to the hart and
 // whether it is armed; a hart it is not wired to sees it disarmed.
-func (l *Lines) Timer() (cmp uint64, armed bool) {
-	if !l.timerWired() {
+func (g *Guest) Timer() (cmp uint64, armed bool) {
+	if !g.timerWired() {
 		return 0, false
 	}
-	return l.Bus.TimerState()
+	return g.Bus.TimerState()
 }
 
-// WakeableNow implements Hart.
-func (l *Lines) WakeableNow() bool { return l.Sys.WFIWake(l.TimerLine(), l.Hooks) }
+// wakeableNow reports whether an interrupt source is pending and enabled
+// for the hart right now (the architectural wfi wake rule, ignoring global
+// masks).
+func (g *Guest) wakeableNow() bool { return g.Sys.WFIWake(g.TimerLine(), &g.Hooks) }
 
-// TimerWakeable implements Hart.
-func (l *Lines) TimerWakeable() bool { return l.timerWired() && l.Sys.WFIWake(true, l.Hooks) }
+// timerWakeable reports whether a future timer-line rise could wake the
+// hart (only the hart wired to the timer line can say yes).
+func (g *Guest) timerWakeable() bool { return g.timerWired() && g.Sys.WFIWake(true, &g.Hooks) }
 
 // WFI is what a wfi instruction does.
 type WFI uint8
@@ -174,30 +273,35 @@ const (
 	WFIHalt                // halt with exit code 0 (one hart)
 )
 
-// WFI decides what a wfi does on the hart, and for WFISkip the virtual
-// time to skip; parallel is set while the hart runs on its own goroutine
-// beside its siblings, alone when the machine has one hart. With a source
-// pending and enabled the wfi completes; delivery, if the global mask
-// allows, follows at the next block boundary. Otherwise a parallel hart
-// retries through its dispatcher: a sibling may raise its IPI line at any
-// moment, and virtual time cannot be skipped while siblings advance it. A
-// hart of a larger machine runs under RunRR and parks; RunRR wakes it (the
-// wfi re-executes and completes), skips the shared clock or settles the
-// machine. A lone hart skips to an armed timer whose interrupt is enabled,
-// and halts when no enabled source can ever wake it.
-func (l *Lines) WFI(parallel, alone bool) (WFI, uint64) {
+// WFI executes the wfi at pc and returns what it did; parallel is set while
+// the hart runs on its own goroutine beside its siblings, alone when the
+// machine has one hart. With a source pending and enabled the wfi
+// completes; delivery, if the global mask allows, follows at the next block
+// boundary. Otherwise a parallel hart retries through its dispatcher: a
+// sibling may raise its IPI line at any moment, and virtual time cannot be
+// skipped while siblings advance it. A hart of a larger machine runs under
+// RunRR and parks; RunRR wakes it (the wfi re-executes and completes),
+// skips the shared clock or settles the machine. A lone hart skips to an
+// armed timer whose interrupt is enabled, and halts when no enabled source
+// can ever wake it.
+func (g *Guest) WFI(pc uint64, parallel, alone bool) WFI {
 	switch {
-	case l.WakeableNow():
-		return WFIComplete, 0
+	case g.wakeableNow():
+		return WFIComplete
 	case parallel:
-		return WFIRetry, 0
+		return WFIRetry
 	case !alone:
-		return WFIPark, 0
+		g.Waiting = true
+		g.SetPC(pc)
+		return WFIPark
 	}
-	if cmp, armed := l.Timer(); armed && l.Sys.WFIWake(true, l.Hooks) {
-		if now := l.Hooks.CycleCount(); cmp > now {
-			return WFISkip, cmp - now
+	if cmp, armed := g.Timer(); armed && g.timerWakeable() {
+		if now := g.Hooks.CycleCount(); cmp > now {
+			g.Record(trace.WFIIdle, 0, pc, cmp-now)
+			g.idle(cmp - now)
+			return WFISkip
 		}
 	}
-	return WFIHalt, 0
+	g.Halt(0)
+	return WFIHalt
 }

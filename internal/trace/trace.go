@@ -80,11 +80,12 @@ const AllKinds = uint32(1<<kindCount) - 1
 
 // ComparableKinds selects the kinds whose ordered streams are identical
 // across engines by architectural contract: block entries, interrupt
-// deliveries and exception injections. The remaining kinds are engine
-// diagnostics (chaining elides block exits, softmmu and host-MMU paths
-// reach MMIO/SMC events differently) and are excluded from cross-engine
-// equality checks.
-const ComparableKinds = uint32(1<<BlockEnter | 1<<IRQ | 1<<Exception)
+// deliveries, exception injections and device accesses (every engine emits
+// the last through one shared rule, smp.Guest.Device). The remaining kinds
+// are engine diagnostics and are excluded from cross-engine equality
+// checks: chaining elides block exits, and a store invalidates translations
+// (SMC) only on the engines that keep them.
+const ComparableKinds = uint32(1<<BlockEnter | 1<<IRQ | 1<<Exception | 1<<MMIO)
 
 // Event is one structured trace record. It is a fixed-size value with no
 // pointers so rings of events are a single allocation and sinks can encode

@@ -43,9 +43,9 @@ func TestRecorderMask(t *testing.T) {
 }
 
 // TestComparableKinds pins the cross-engine comparable set; difftest's trace
-// lane depends on exactly these three kinds being architecturally ordered.
+// lane depends on exactly these four kinds being architecturally ordered.
 func TestComparableKinds(t *testing.T) {
-	want := KindMask(BlockEnter, IRQ, Exception)
+	want := KindMask(BlockEnter, IRQ, Exception, MMIO)
 	if ComparableKinds != want {
 		t.Errorf("ComparableKinds = %#x, want %#x", ComparableKinds, want)
 	}
