@@ -137,16 +137,16 @@ func (g *Guest) Run(budget uint64) (Status, error) {
 }
 
 // Reg reads guest register Xn (0..31; 31 is SP).
-func (g *Guest) Reg(n int) uint64 { return g.m.Reg(0, n) }
+func (g *Guest) Reg(n int) uint64 { return g.m.Hart(0).Reg(n) }
 
 // SetReg writes guest register Xn.
-func (g *Guest) SetReg(n int, v uint64) { g.m.SetReg(0, n, v) }
+func (g *Guest) SetReg(n int, v uint64) { g.m.Hart(0).SetReg(n, v) }
 
 // FReg reads the low 64 bits of vector register Vn.
-func (g *Guest) FReg(n int) uint64 { return g.m.FReg(0, n) }
+func (g *Guest) FReg(n int) uint64 { return g.m.Hart(0).FReg(n) }
 
 // PC returns the guest program counter.
-func (g *Guest) PC() uint64 { return g.m.PC(0) }
+func (g *Guest) PC() uint64 { return g.m.Hart(0).PC() }
 
 // Console returns everything the guest wrote to its UART.
 func (g *Guest) Console() string { return g.m.Console() }

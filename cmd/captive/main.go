@@ -173,8 +173,7 @@ func run(guest string, spec machine.Spec, image []byte, load, entry uint64, obs 
 	fmt.Printf("\n--- %s halted=%v exit=%d ---\n", title, halted, code)
 	if m.N() > 1 {
 		for i := 0; i < m.N(); i++ {
-			_, code := m.HartExit(i)
-			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, m.GuestInstrs(i), code)
+			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, m.GuestInstrs(i), m.Hart(i).ExitCode)
 		}
 	}
 	ms := m.Metrics()

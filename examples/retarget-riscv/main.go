@@ -145,7 +145,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", kind, err)
 		}
-		result, instrs := m.Reg(0, 11), m.GuestInstrs(0)
+		result, instrs := m.Hart(0).Reg(11), m.GuestInstrs(0)
 		fmt.Printf("%-10s 12! = %-12d %8d guest instructions", kind.String()+":", result, instrs)
 		if cycles := m.Metrics().SimDeciCycles; cycles > 0 {
 			fmt.Printf(", %10.0f cycles (%.2f µs simulated)",
@@ -154,7 +154,7 @@ func main() {
 		fmt.Println()
 		if golden == nil {
 			golden = m
-		} else if result != golden.Reg(0, 11) || instrs != golden.GuestInstrs(0) {
+		} else if result != golden.Hart(0).Reg(11) || instrs != golden.GuestInstrs(0) {
 			log.Fatalf("%s diverges from the interpreter", kind)
 		}
 	}
@@ -175,11 +175,11 @@ func main() {
 			log.Fatalf("%s: %v", kind, err)
 		}
 		fmt.Printf("%-10s fault cause=%d tval=%#x resumed=%#x %8d guest instructions (satp=%#x, %d host faults)\n",
-			kind.String()+":", m.Reg(0, 20), m.Reg(0, 21), m.Reg(0, 12), m.GuestInstrs(0),
-			rv64.RawSys(m.Sys(0)).Satp, m.Metrics().HostFaults)
+			kind.String()+":", m.Hart(0).Reg(20), m.Hart(0).Reg(21), m.Hart(0).Reg(12), m.GuestInstrs(0),
+			rv64.RawSys(m.Hart(0).Sys).Satp, m.Metrics().HostFaults)
 		if golden == nil {
 			golden = m
-		} else if m.Reg(0, 21) != golden.Reg(0, 21) || m.GuestInstrs(0) != golden.GuestInstrs(0) || m.Reg(0, 12) != golden.Reg(0, 12) {
+		} else if m.Hart(0).Reg(21) != golden.Hart(0).Reg(21) || m.GuestInstrs(0) != golden.GuestInstrs(0) || m.Hart(0).Reg(12) != golden.Hart(0).Reg(12) {
 			log.Fatalf("%s diverges from the interpreter on the paged boot", kind)
 		}
 	}

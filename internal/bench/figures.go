@@ -304,7 +304,7 @@ func table2() ([]perf.Table, error) {
 	for i, in := range inputs {
 		x86 := softfloat.Sqrt64(in.bits, softfloat.SemX86)
 		arm := softfloat.Sqrt64(in.bits, softfloat.SemARM)
-		got := m.FReg(0, i+8)
+		got := m.Hart(0).FReg(i + 8)
 		if got != arm {
 			return nil, fmt.Errorf("table2: captive fsqrt(%s) = %#x, want ARM %#x", in.name, got, arm)
 		}

@@ -54,7 +54,7 @@ func run(s machine.Spec, img Image) (machine.Machine, error) {
 		}
 	}
 	if err := m.Run(budget); err != nil {
-		return nil, fmt.Errorf("%w (pc=%#x)", err, m.PC(0))
+		return nil, fmt.Errorf("%w (pc=%#x)", err, m.Hart(0).PC())
 	}
 	if halted, _ := m.Exit(); !halted {
 		return nil, fmt.Errorf("did not halt")
@@ -74,7 +74,7 @@ func runImage(s machine.Spec, img Image, name string, sumReg int) (Result, error
 	res.Seconds = perf.Seconds(res.Metrics.SimDeciCycles)
 	res.GuestInstrs = res.Metrics.GuestInstrs
 	for i := 0; i < m.N(); i++ {
-		res.Checksum ^= m.Reg(i, sumReg)
+		res.Checksum ^= m.Hart(i).Reg(sumReg)
 	}
 	_, res.ExitCode = m.Exit()
 	res.Console = m.Console()

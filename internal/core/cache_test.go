@@ -21,7 +21,7 @@ func TestExitAt(t *testing.T) {
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(kind.name, func(t *testing.T) {
 			m := ga64.MustModule()
-			e := newJITEngine(t, ga64.Port{}, m, kind.qemu)
+			e := newEngine(t, ga64.Port{}, m, kind.qemu)
 			if err := e.LoadImage(randomCode(m, 29, blocks), jitBase, jitBase); err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestExitAt(t *testing.T) {
 // not grow by one entry per re-chain.
 func TestChainRecordsBounded(t *testing.T) {
 	const iterations = 1000
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0)
 	p.MovI(1, iterations)

@@ -10,23 +10,36 @@ import (
 	"testing"
 
 	"captive/internal/core"
+	"captive/internal/gen"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/guest/port"
 	"captive/internal/hvm"
 	"captive/internal/interp"
 )
 
-func newEngine(t *testing.T) *core.Engine {
+// newEngine returns a uniprocessor engine for guest g at the offline level
+// of m: Captive, or with qemu the QEMU baseline.
+func newEngine(t testing.TB, g port.Port, m *gen.Module, qemu bool) *core.Engine {
 	t.Helper()
 	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.New(vm, ga64.Port{}, ga64.MustModule())
+	build := core.New
+	if qemu {
+		build = core.NewQEMU
+	}
+	e, err := build(vm, g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// newGA64Engine returns a uniprocessor engine for the GA64 guest at O4.
+func newGA64Engine(t testing.TB, qemu bool) *core.Engine {
+	return newEngine(t, ga64.Port{}, ga64.MustModule(), qemu)
 }
 
 // runCaptive assembles and runs a program to halt under the Captive engine.
@@ -48,7 +61,7 @@ func runCaptive(t *testing.T, e *core.Engine, p *asm.Program) {
 }
 
 func TestEngineArithmetic(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 100)
 	p.MovI(1, 42)
@@ -73,7 +86,7 @@ func TestEngineArithmetic(t *testing.T) {
 }
 
 func TestEngineLoop(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0)
 	p.MovI(1, 1)
@@ -98,7 +111,7 @@ func TestEngineLoop(t *testing.T) {
 }
 
 func TestEngineMemory(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x200000)
 	p.MovI(1, 0xCAFEBABE12345678)
@@ -122,7 +135,7 @@ func TestEngineMemory(t *testing.T) {
 }
 
 func TestEngineFloatingPoint(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovF(0, 0, 1.5)
 	p.MovF(1, 1, 2.5)
@@ -155,7 +168,7 @@ func TestEngineFloatingPoint(t *testing.T) {
 }
 
 func TestEngineUART(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, ga64.UARTBase)
 	for _, ch := range "captive" {
@@ -173,7 +186,7 @@ func TestEngineUART(t *testing.T) {
 }
 
 func TestEngineExceptionsAndEret(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x8000)
 	p.Msr(ga64.SysVBAR, 0)
@@ -200,7 +213,7 @@ func TestEngineExceptionsAndEret(t *testing.T) {
 }
 
 func TestEngineMMUAndUserMode(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x8000)
 	p.Msr(ga64.SysVBAR, 0)
@@ -260,7 +273,7 @@ func emitEnableMMU(p *asm.Program) {
 }
 
 func TestEngineDataAbort(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x8000)
 	p.Msr(ga64.SysVBAR, 0)
@@ -285,7 +298,7 @@ func TestEngineDataAbort(t *testing.T) {
 }
 
 func TestEngineSelfModifyingCode(t *testing.T) {
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	p := asm.New(0x1000)
 	// Run a function twice; between runs, overwrite one of its
 	// instructions (movz x0,#1 -> movz x0,#2) and tlbi-style sync.
@@ -383,7 +396,7 @@ func TestEngineDifferentialRandom(t *testing.T) {
 		}
 
 		// Captive run.
-		e := newEngine(t)
+		e := newGA64Engine(t, false)
 		if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +444,7 @@ func TestEngineRecursionDifferential(t *testing.T) {
 		p.Ret()
 		return p
 	}
-	e := newEngine(t)
+	e := newGA64Engine(t, false)
 	runCaptive(t, e, build())
 	if e.Reg(0) != 2584 {
 		t.Errorf("fib(18) = %d, want 2584", e.Reg(0))

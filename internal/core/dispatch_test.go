@@ -10,29 +10,8 @@ import (
 	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
-	"captive/internal/hvm"
 	"captive/internal/trace"
 )
-
-// newKindEngine builds a Captive or QEMU-baseline engine for the dispatch
-// tests.
-func newKindEngine(t testing.TB, qemu bool) *core.Engine {
-	t.Helper()
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e *core.Engine
-	if qemu {
-		e, err = core.NewQEMU(vm, ga64.Port{}, ga64.MustModule())
-	} else {
-		e, err = core.New(vm, ga64.Port{}, ga64.MustModule())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // loadHotLoop installs a never-ending two-block loop (back-edge chains on
 // both engines) and warms it up until every block is translated, chained
@@ -112,7 +91,7 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 		{"captive-unchained", false, true}, {"qemu-unchained", true, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, cfg.qemu)
+			e := newGA64Engine(t, cfg.qemu)
 			e.ChainingOff = cfg.unchained
 			loadHotLoop(t, e)
 			allocs := testing.AllocsPerRun(50, func() {
@@ -141,7 +120,7 @@ func TestSlowPathsAllocFree(t *testing.T) {
 		qemu bool
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, cfg.qemu)
+			e := newGA64Engine(t, cfg.qemu)
 			h := asm.New(0x8000) // sync-same vector: skip the faulting load
 			h.Mrs(3, ga64.SysELR)
 			h.AddI(3, 3, 4)
@@ -212,7 +191,7 @@ func TestDispatchTracingAllocFree(t *testing.T) {
 		{"qemu-unchained-enabled-ring", true, true, all},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, cfg.qemu)
+			e := newGA64Engine(t, cfg.qemu)
 			e.ChainingOff = cfg.unchained
 			e.SetTrace(trace.NewRecorder(trace.NewRing(4096), cfg.mask))
 			loadHotLoop(t, e)
@@ -239,7 +218,7 @@ func TestTracingInvariance(t *testing.T) {
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(cfg.name, func(t *testing.T) {
 			run := func(rec *trace.Recorder) (uint64, uint64, uint64) {
-				e := newKindEngine(t, cfg.qemu)
+				e := newGA64Engine(t, cfg.qemu)
 				e.SetTrace(rec)
 				p := asm.New(0x1000)
 				p.MovI(0, 0)
@@ -272,7 +251,7 @@ func TestTracingInvariance(t *testing.T) {
 // -benchmem runs (the CI dispatch-alloc-gate job fails the build on a
 // non-zero allocs/op here). One op is a 500k deci-cycle budget slice.
 func BenchmarkDispatchChained(b *testing.B) {
-	e := newKindEngine(b, false)
+	e := newGA64Engine(b, false)
 	loadHotLoop(b, e)
 	start := e.Metrics().HostInsts
 	b.ReportAllocs()
@@ -295,7 +274,7 @@ func BenchmarkDispatchChained(b *testing.B) {
 // wall time by the round trips taken. The CI dispatch-alloc-gate job fails
 // the build on a non-zero allocs/op here.
 func BenchmarkDispatchUnchained(b *testing.B) {
-	e := newKindEngine(b, false)
+	e := newGA64Engine(b, false)
 	e.ChainingOff = true
 	loadHotLoop(b, e)
 	start := e.Metrics().DispatchLoops
@@ -325,7 +304,7 @@ func TestEnginePatchedBlockRerun(t *testing.T) {
 		qemu bool
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, cfg.qemu)
+			e := newGA64Engine(t, cfg.qemu)
 			p := asm.New(0x1000)
 			p.BL("patch") // translate + execute the original routine
 			p.Mov(20, 7)  // x20 = original x7 (1)

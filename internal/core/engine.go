@@ -44,8 +44,8 @@ const (
 )
 
 // Engine is the Captive execution engine for one guest vCPU (or, with
-// Kind == BackendQEMU, the QEMU-style baseline). A uniprocessor machine is
-// one Engine; an SMP machine is N engines over one shared struct (smp.go).
+// Kind == BackendQEMU, the QEMU-style baseline). Every engine is one vCPU of
+// an SMP machine (smp.go); a uniprocessor is a one-vCPU SMP.
 type Engine struct {
 	// Guest is the vCPU's guest state, its register file in host physical
 	// memory, and the guest rules every engine applies (internal/smp); the
@@ -56,9 +56,9 @@ type Engine struct {
 	cpu    *vx64.CPU
 	module *gen.Module
 
-	// sh is the machine-shared translation and clock state (one engine per
-	// entry of sh.engines).
-	sh *shared
+	// sh is the machine: the translation and clock state the vCPUs share
+	// (one engine per entry of sh.engines).
+	sh *SMP
 
 	// Per-vCPU state-page placement (hvm.Layout.StatePAOf(id)).
 	statePA uint64
@@ -106,8 +106,8 @@ type Engine struct {
 	lastExit *Block
 
 	// sliceEnd is the retired-instruction count at which the current
-	// deterministic-scheduler slice ends (^0 outside runSlice); refreshIRQ
-	// folds it into the block-entry deadline.
+	// deterministic-scheduler slice ends (^0 outside a RunDet slice);
+	// refreshIRQ folds it into the block-entry deadline.
 	sliceEnd uint64
 	// pubInstrs is this hart's retire count as last published at a
 	// dispatcher checkpoint — what siblings (and the device bus) read in
@@ -135,18 +135,24 @@ type itlbEntry struct {
 // offline level and pass them in directly. The VM must be a single-vCPU
 // layout; multi-vCPU machines go through NewSMP.
 func New(vm *hvm.VM, g port.Port, module *gen.Module) (*Engine, error) {
-	if len(vm.CPUs) != 1 {
-		return nil, fmt.Errorf("core: New on a %d-vCPU VM; use NewSMP", len(vm.CPUs))
-	}
-	engines, err := newEngines(vm, g, module)
+	return newUP(vm, g, module, BackendCaptive)
+}
+
+// newUP creates the one engine of a uniprocessor machine, refusing a VM with
+// more vCPUs.
+func newUP(vm *hvm.VM, g port.Port, module *gen.Module, kind BackendKind) (*Engine, error) {
+	s, err := newSMP(vm, g, module, kind)
 	if err != nil {
 		return nil, err
 	}
-	return engines[0], nil
+	if len(s.engines) != 1 {
+		return nil, fmt.Errorf("core: New on a %d-vCPU VM; use NewSMP", len(s.engines))
+	}
+	return s.engines[0], nil
 }
 
-// newEngine creates the engine for vCPU id over the machine-shared state.
-func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) (*Engine, error) {
+// newEngine creates the engine for vCPU id of the machine sh.
+func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *SMP) (*Engine, error) {
 	if module.Layout.Size > 0x1000 {
 		return nil, fmt.Errorf("core: register file (%d bytes) exceeds its page", module.Layout.Size)
 	}
@@ -244,16 +250,6 @@ func (e *Engine) refreshIRQ() {
 		dl = e.sliceEnd
 	}
 	e.vm.Phys.W64(e.statePA+hvm.StateIRQDl, dl)
-}
-
-// LoadImage loads a guest image at a guest physical address and points the
-// guest PC at entry.
-func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
-	if err := e.vm.RAM.Load(data, gpa); err != nil {
-		return err
-	}
-	e.SetPC(entry)
-	return nil
 }
 
 // --- exception injection -------------------------------------------------------
@@ -355,11 +351,24 @@ func (e *Engine) translatePCSlow(pc uint64) (uint64, bool) {
 var ErrBudget = smp.ErrBudget
 
 // Run executes the guest until it halts or the deci-cycle budget expires.
-func (e *Engine) Run(budget uint64) error {
-	limit := e.cpu.Stats.Cycles + budget
-	for !e.Guest.Halted {
+func (e *Engine) Run(budget uint64) error { return e.run(^uint64(0), e.cpu.Stats.Cycles+budget) }
+
+// run is the dispatcher loop of every run mode: it dispatches until the hart
+// halts or parks in wfi, end instructions have retired, or the simulated
+// clock reaches limit (ErrBudget). A parallel hart passes a stop-the-world
+// checkpoint and publishes its retire count before each dispatch.
+func (e *Engine) run(end, limit uint64) error {
+	for !e.Guest.Halted && !e.Waiting {
+		n := e.GuestInstrs()
+		if n >= end {
+			break
+		}
 		if e.cpu.Stats.Cycles >= limit {
 			return ErrBudget
+		}
+		if e.sh.parallel {
+			e.sh.checkpoint()
+			e.pubInstrs.Store(n)
 		}
 		if err := e.dispatchOnce(limit); err != nil {
 			return err
@@ -778,6 +787,4 @@ func (e *Engine) Cycles() uint64 { return e.cpu.Stats.Cycles }
 
 // LoadUser copies additional image data (e.g. a user program) into guest
 // RAM without changing the PC.
-func (e *Engine) LoadUser(data []byte, gpa uint64) error {
-	return e.vm.RAM.Load(data, gpa)
-}
+func (e *Engine) LoadUser(data []byte, gpa uint64) error { return e.Mem.Load(data, gpa) }

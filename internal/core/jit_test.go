@@ -59,25 +59,6 @@ func withoutProfileSlots(t *testing.T, code []byte) []byte {
 	return out
 }
 
-// newJITEngine returns a uniprocessor engine of either kind for g at the
-// offline level of m.
-func newJITEngine(t *testing.T, g port.Port, m *gen.Module, qemu bool) *core.Engine {
-	t.Helper()
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newEngine := core.New
-	if qemu {
-		newEngine = core.NewQEMU
-	}
-	e, err := newEngine(vm, g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // TestTranslationHistoryIndependent translates one set of blocks in three
 // orders: in address order on a fresh engine, in reverse on a second fresh
 // engine, and shuffled on that engine after a flush. Every block's code
@@ -107,7 +88,7 @@ func TestTranslationHistoryIndependent(t *testing.T) {
 					}
 					img := randomCode(m, 19, words)
 					engine := func() *core.Engine {
-						e := newJITEngine(t, g.port, m, kind.qemu)
+						e := newEngine(t, g.port, m, kind.qemu)
 						if err := e.LoadImage(img, jitBase, jitBase); err != nil {
 							t.Fatal(err)
 						}
@@ -164,7 +145,7 @@ func TestTranslateAllocBound(t *testing.T) {
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(kind.name, func(t *testing.T) {
 			m := ga64.MustModule()
-			e := newJITEngine(t, ga64.Port{}, m, kind.qemu)
+			e := newEngine(t, ga64.Port{}, m, kind.qemu)
 			// AllocsPerRun's warm-up call takes the first perRun blocks,
 			// the measured call the next perRun.
 			if err := e.LoadImage(randomCode(m, 23, 2*perRun), jitBase, jitBase); err != nil {
@@ -206,7 +187,7 @@ func TestEpilogueBytes(t *testing.T) {
 		t.Run(kind.name, func(t *testing.T) {
 			const blocks = 300
 			m := ga64.MustModule()
-			e := newJITEngine(t, ga64.Port{}, m, kind.qemu)
+			e := newEngine(t, ga64.Port{}, m, kind.qemu)
 			if err := e.LoadImage(randomCode(m, 29, blocks), jitBase, jitBase); err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func profProgram() *asm.Program {
 // profRun executes profProgram and returns the snapshot.
 func profRun(t *testing.T, qemu, chainingOff bool) []core.BlockProfile {
 	t.Helper()
-	e := newKindEngine(t, qemu)
+	e := newGA64Engine(t, qemu)
 	e.ChainingOff = chainingOff
 	runCaptive(t, e, profProgram())
 	return e.ProfileSnapshot()
@@ -135,7 +135,7 @@ func TestProfileRankingChainingInvariant(t *testing.T) {
 // TestProfileDecay checks the aging API halves both counters and a
 // subsequent snapshot reflects it.
 func TestProfileDecay(t *testing.T) {
-	e := newKindEngine(t, false)
+	e := newGA64Engine(t, false)
 	runCaptive(t, e, profProgram())
 	before := e.ProfileSnapshot()
 	e.ProfileDecay(1)
@@ -193,7 +193,7 @@ func TestStatsPathParity(t *testing.T) {
 		return p
 	}
 	run := func(qemu bool) metrics.Snapshot {
-		e := newKindEngine(t, qemu)
+		e := newGA64Engine(t, qemu)
 		runCaptive(t, e, build())
 		return e.Metrics()
 	}
@@ -233,7 +233,7 @@ func TestMetricsSnapshot(t *testing.T) {
 		qemu bool
 	}{{"captive", false}, {"qemu", true}} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newKindEngine(t, cfg.qemu)
+			e := newGA64Engine(t, cfg.qemu)
 			runCaptive(t, e, profProgram())
 			m := e.Metrics()
 			wantEngine := "captive"

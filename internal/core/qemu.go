@@ -59,15 +59,7 @@ const (
 // NewQEMU creates the QEMU-style baseline engine in a host VM for the guest
 // architecture described by g.
 func NewQEMU(vm *hvm.VM, g port.Port, module *gen.Module) (*Engine, error) {
-	e, err := New(vm, g, module)
-	if err != nil {
-		return nil, err
-	}
-	e.Kind = BackendQEMU
-	e.SoftFP = true
-	e.softTLBOff = int32(vm.Layout.SoftTLBOf(0) - e.statePA)
-	e.flushSoftTLB()
-	return e, nil
+	return newUP(vm, g, module, BackendQEMU)
 }
 
 // softTLBEntryPA returns the physical address of this vCPU's entry i.

@@ -5,27 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
-	"captive/internal/hvm"
 )
 
-func newQemuEngine(t *testing.T) *core.Engine {
-	t.Helper()
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := core.NewQEMU(vm, ga64.Port{}, ga64.MustModule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 func TestQemuArithmeticAndMemory(t *testing.T) {
-	e := newQemuEngine(t)
+	e := newGA64Engine(t, true)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x200000)
 	p.MovI(1, 0xCAFEBABE12345678)
@@ -48,7 +33,7 @@ func TestQemuArithmeticAndMemory(t *testing.T) {
 }
 
 func TestQemuSoftFloat(t *testing.T) {
-	e := newQemuEngine(t)
+	e := newGA64Engine(t, true)
 	p := asm.New(0x1000)
 	p.MovF(0, 0, 1.5)
 	p.MovF(1, 1, 2.5)
@@ -66,7 +51,7 @@ func TestQemuSoftFloat(t *testing.T) {
 }
 
 func TestQemuExceptionsAndMMU(t *testing.T) {
-	e := newQemuEngine(t)
+	e := newGA64Engine(t, true)
 	p := asm.New(0x1000)
 	p.MovI(0, 0x8000)
 	p.Msr(ga64.SysVBAR, 0)
@@ -101,7 +86,7 @@ func TestQemuExceptionsAndMMU(t *testing.T) {
 }
 
 func TestQemuUART(t *testing.T) {
-	e := newQemuEngine(t)
+	e := newGA64Engine(t, true)
 	p := asm.New(0x1000)
 	p.MovI(0, ga64.UARTBase)
 	for _, ch := range "tcg" {
@@ -116,7 +101,7 @@ func TestQemuUART(t *testing.T) {
 }
 
 func TestQemuSMC(t *testing.T) {
-	e := newQemuEngine(t)
+	e := newGA64Engine(t, true)
 	p := asm.New(0x1000)
 	p.MovI(asm.SP, 0x100000)
 	p.BL("f")
@@ -189,14 +174,14 @@ func TestQemuVsCaptiveDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ec := newEngine(t)
+		ec := newGA64Engine(t, false)
 		if err := ec.LoadImage(img, 0x1000, 0x1000); err != nil {
 			t.Fatal(err)
 		}
 		if err := ec.Run(1_000_000_000); err != nil {
 			t.Fatalf("trial %d captive: %v", trial, err)
 		}
-		eq := newQemuEngine(t)
+		eq := newGA64Engine(t, true)
 		if err := eq.LoadImage(img, 0x1000, 0x1000); err != nil {
 			t.Fatal(err)
 		}

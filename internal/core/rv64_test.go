@@ -12,26 +12,7 @@ import (
 	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
 )
-
-func newRV64Engine(t *testing.T, qemu bool) *core.Engine {
-	t.Helper()
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e *core.Engine
-	if qemu {
-		e, err = core.NewQEMU(vm, rv64.Port{}, rv64.MustModule())
-	} else {
-		e, err = core.New(vm, rv64.Port{}, rv64.MustModule())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // runRV64 assembles and runs an RV64 program to its ecall exit.
 func runRV64(t *testing.T, e *core.Engine, p *rvasm.Program) {
@@ -65,7 +46,7 @@ func rv64Factorial() *rvasm.Program {
 
 func TestRV64CaptiveEngine(t *testing.T) {
 	for _, qemu := range []bool{false, true} {
-		e := newRV64Engine(t, qemu)
+		e := newEngine(t, rv64.Port{}, rv64.MustModule(), qemu)
 		runRV64(t, e, rv64Factorial())
 		if e.Reg(11) != 479001600 {
 			t.Errorf("qemu=%v: 12! = %d, want 479001600", qemu, e.Reg(11))
@@ -93,7 +74,7 @@ func TestRV64LazyMaterializationRegression(t *testing.T) {
 	p.Div(14, 19, 20) // division by zero: div yields -1
 	p.Ecall()
 	for _, qemu := range []bool{false, true} {
-		e := newRV64Engine(t, qemu)
+		e := newEngine(t, rv64.Port{}, rv64.MustModule(), qemu)
 		runRV64(t, e, p)
 		if e.Reg(12) != 0x12e0 || e.Reg(13) != 0x12e0 || e.Reg(14) != ^uint64(0) {
 			t.Errorf("qemu=%v: x12=%#x x13=%#x x14=%#x", qemu, e.Reg(12), e.Reg(13), e.Reg(14))
@@ -153,7 +134,7 @@ func TestRV64PagedSupervisorBoot(t *testing.T) {
 	p.Csrw(rv64.CSRMtvec, rvasm.X0)
 	p.Ecall()
 	for _, qemu := range []bool{false, true} {
-		e := newRV64Engine(t, qemu)
+		e := newEngine(t, rv64.Port{}, rv64.MustModule(), qemu)
 		runRV64(t, e, p)
 		if e.Reg(12) != 0x51 {
 			t.Errorf("qemu=%v: body did not resume past the fault: x12=%#x", qemu, e.Reg(12))
@@ -184,7 +165,7 @@ func TestRV64WildAccessHalts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newRV64Engine(t, false)
+	e := newEngine(t, rv64.Port{}, rv64.MustModule(), false)
 	if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
 		t.Fatal(err)
 	}

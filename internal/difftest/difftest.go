@@ -300,14 +300,14 @@ func (l *Lane) Run(p *Program, id EngineID) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("%s: %w", id, err)
 	}
 	o := Outcome{Console: m.Console(), Metrics: m.Metrics(), Events: events.Events}
-	for h := 0; h < m.N(); h++ {
-		halted, code := m.HartExit(h)
-		if !halted {
-			return Outcome{}, fmt.Errorf("%s: hart %d did not halt", id, h)
+	for i := 0; i < m.N(); i++ {
+		h := m.Hart(i)
+		if !h.Halted {
+			return Outcome{}, fmt.Errorf("%s: hart %d did not halt", id, i)
 		}
-		st := State{RV64: l.RV64, Regs: m.RegState(h), Instrs: m.GuestInstrs(h), ExitCode: code}
+		st := State{RV64: l.RV64, Regs: h.RegState(), Instrs: m.GuestInstrs(i), ExitCode: h.ExitCode}
 		if l.Snapshot != nil {
-			st.CSRs = l.Snapshot(m.Sys(h))
+			st.CSRs = l.Snapshot(h.Sys)
 		}
 		o.Harts = append(o.Harts, st)
 	}
@@ -322,8 +322,9 @@ func (l *Lane) Run(p *Program, id EngineID) (Outcome, error) {
 }
 
 // Check generates the lane's program for a seed, runs it through the engine
-// matrix and compares every configuration against the golden interpreter,
-// minimizing on divergence.
+// matrix and compares every configuration against the golden interpreter. A
+// divergent configuration is reported as a *Mismatch, unminimized: its
+// Minimize reduces the program.
 func (l *Lane) Check(seed int64, ops int) error {
 	p, err := l.Generate(seed, ops)
 	if err != nil {
@@ -352,7 +353,7 @@ func (l *Lane) Check(seed int64, ops int) error {
 			return fmt.Errorf("difftest: %s seed %d: %w", l.Name, seed, err)
 		}
 		if !o.Equal(golden) {
-			return &Mismatch{Seed: seed, ID: id, Detail: golden.Diff(o), Minimized: l.Minimize(p, id), RV64: l.RV64}
+			return &Mismatch{Seed: seed, ID: id, Detail: golden.Diff(o), RV64: l.RV64, lane: l, prog: p}
 		}
 		if l.Trace {
 			if d := DiffEvents(golden.Events, o.Events); d != "" {
@@ -394,15 +395,21 @@ func (l *Lane) Minimize(p *Program, id EngineID) []uint32 {
 	return minimizeWords(words, nopWord(l.RV64), stillFails)
 }
 
-// Mismatch describes a differential failure, including the minimized
-// reproducer.
+// Mismatch describes a differential failure and, once minimized, its
+// minimized reproducer.
 type Mismatch struct {
 	Seed      int64
 	ID        EngineID
 	Detail    string
-	Minimized []uint32 // minimized instruction words of the main image
+	Minimized []uint32 // minimized instruction words of the main image (nil: not minimized)
 	RV64      bool     // failure from an RV64 lane
+
+	lane *Lane
+	prog *Program
 }
+
+// Minimize reduces the failing program (Lane.Minimize) into Minimized.
+func (m *Mismatch) Minimize() { m.Minimized = m.lane.Minimize(m.prog, m.ID) }
 
 // Error implements error.
 func (m *Mismatch) Error() string {
@@ -412,6 +419,10 @@ func (m *Mismatch) Error() string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "difftest: %s seed %d: %s diverges from %s: %s\n", arch, m.Seed, m.ID, Golden, m.Detail)
+	if m.Minimized == nil {
+		sb.WriteString("program not minimized\n")
+		return sb.String()
+	}
 	fmt.Fprintf(&sb, "minimized program (%d live words):\n", countLive(m.Minimized, nop))
 	for i, w := range m.Minimized {
 		if w == nop {

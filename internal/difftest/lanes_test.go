@@ -1,7 +1,9 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -49,6 +51,21 @@ func TestRunMatrixExecutes(t *testing.T)     { testRunMatrix(t, User) }
 func TestRV64RunMatrixExecutes(t *testing.T) { testRunMatrix(t, RV64User) }
 func TestSMPRunMatrixExecutes(t *testing.T)  { testRunMatrix(t, SMP) }
 
+// minimizeOnce limits minimization to the first mismatch of the package run:
+// a divergence every program shows would otherwise spend minutes reducing
+// each failing seed. Every mismatch still fails its test.
+var minimizeOnce sync.Once
+
+// check is l.Check, minimizing the first mismatch of the package run.
+func check(l *Lane, seed int64, ops int) error {
+	err := l.Check(seed, ops)
+	var m *Mismatch
+	if errors.As(err, &m) {
+		minimizeOnce.Do(m.Minimize)
+	}
+	return err
+}
+
 // testCorpus replays the lane's committed regression corpus on every engine
 // configuration. Traced replays run every fourth seed under -short.
 func testCorpus(t *testing.T, l *Lane) {
@@ -56,7 +73,7 @@ func testCorpus(t *testing.T, l *Lane) {
 		if testing.Short() && l.Trace && i%4 != 0 {
 			continue
 		}
-		if err := l.Check(c.Seed, c.Ops); err != nil {
+		if err := check(l, c.Seed, c.Ops); err != nil {
 			t.Errorf("%s corpus seed %d (ops %d):\n%v", l.Name, c.Seed, c.Ops, err)
 		}
 	}
@@ -71,7 +88,7 @@ func testSweep(t *testing.T, l *Lane) {
 	}
 	sweepShards(t, n, func(i int) error {
 		seed, ops := l.Sweep.Base+int64(i), 40+(i%5)*l.Sweep.OpsStep
-		if err := l.Check(seed, ops); err != nil {
+		if err := check(l, seed, ops); err != nil {
 			return fmt.Errorf("%s sweep seed %d (ops %d):\n%w", l.Name, seed, ops, err)
 		}
 		return nil

@@ -49,9 +49,6 @@ type sysPort struct {
 // Raw exposes the underlying system state (tests, examples).
 func (p *sysPort) Raw() *Sys { return &p.sys }
 
-// Reset implements port.Sys.
-func (p *sysPort) Reset() { p.sys.Reset() }
-
 // EL implements port.Sys.
 func (p *sysPort) EL() uint8 { return p.sys.EL }
 

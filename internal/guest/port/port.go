@@ -126,8 +126,6 @@ type Entry struct {
 // level, the exception model and the MMU configuration. One Sys exists per
 // engine instance and is never shared.
 type Sys interface {
-	// Reset puts the system state into its architectural reset state.
-	Reset()
 	// EL returns the current exception (privilege) level. Level 0 is the
 	// unprivileged level; engines run it in the host's user ring.
 	EL() uint8
@@ -202,7 +200,8 @@ type Port interface {
 	// Module builds (or returns the cached) generated module at the given
 	// offline optimization level.
 	Module(level ssa.OptLevel) (*gen.Module, error)
-	// NewSys creates the per-machine system state.
+	// NewSys creates the per-machine system state in its architectural
+	// reset state.
 	NewSys() Sys
 	// Banks names the register-file banks.
 	Banks() Banks

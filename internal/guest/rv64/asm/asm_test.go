@@ -5,7 +5,6 @@ import (
 
 	"captive/internal/guest/rv64"
 	"captive/internal/interp"
-	"captive/internal/ssa"
 )
 
 // newMachine creates the unified reference interpreter for the RV64 guest —
@@ -13,11 +12,7 @@ import (
 // encodings, so every builder is executed through the golden engine.
 func newMachine(t *testing.T) *interp.Machine {
 	t.Helper()
-	m, err := interp.NewAt(rv64.Port{}, ssa.O4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return interp.New(rv64.Port{}, rv64.MustModule(), 1<<20)
 }
 
 // run assembles p and executes it on the reference interpreter.

@@ -74,9 +74,6 @@ type sysPort struct {
 // Raw exposes the underlying system state (tests, examples).
 func (p *sysPort) Raw() *Sys { return &p.sys }
 
-// Reset implements port.Sys.
-func (p *sysPort) Reset() { p.sys.Reset() }
-
 // EL implements port.Sys: RISC-V privilege modes map directly onto exception
 // levels (U=0 runs in the host's user ring; S=1 and M=3 are privileged).
 func (p *sysPort) EL() uint8 { return p.sys.Mode }

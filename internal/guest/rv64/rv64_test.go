@@ -6,7 +6,6 @@ import (
 
 	"captive/internal/guest/port"
 	"captive/internal/interp"
-	"captive/internal/ssa"
 )
 
 // RISC-V instruction encoders for tests (real RV64I encodings).
@@ -42,10 +41,7 @@ func prog(words ...uint32) []byte {
 // rv64.Port — the same golden configuration the difftest lanes use.
 func run(t *testing.T, words ...uint32) *interp.Machine {
 	t.Helper()
-	m, err := interp.NewAt(Port{}, ssa.O4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := interp.New(Port{}, MustModule(), 1<<20)
 	if err := m.LoadImage(prog(words...), 0x1000, 0x1000); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +367,7 @@ func TestRegimeShiftFiresHooks(t *testing.T) {
 // read-only megapage, the fault vectoring to the M handler (which clears
 // mtvec and exits through the vectorless ecall path).
 func TestMachinePagedTrapRoundTrip(t *testing.T) {
-	m, err := interp.NewAt(Port{}, ssa.O4, 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := interp.New(Port{}, MustModule(), 8<<20)
 	sys := RawSys(m.Sys)
 	const root = 0x700000
 	w64 := func(pa, v uint64) { binary.LittleEndian.PutUint64(m.Mem[pa:], v) }

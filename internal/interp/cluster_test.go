@@ -20,7 +20,7 @@ func TestClusterSharesRAM(t *testing.T) {
 		t.Errorf("a %d-hart cluster with %d MiB of RAM allocated %.1f MiB, want under %d MiB",
 			harts, ramBytes>>20, float64(got)/(1<<20), 2*ramBytes>>20)
 	}
-	if &cl.Machines[harts-1].Mem[0] != &cl.Machines[0].Mem[0] || cl.Machines[harts-1].Bus != cl.bus {
+	if &cl.Machines[harts-1].Mem[0] != &cl.Machines[0].Mem[0] || cl.Machines[harts-1].Bus != cl.Machines[0].Bus {
 		t.Error("harts do not share guest RAM and the device bus")
 	}
 }

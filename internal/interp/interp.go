@@ -31,15 +31,15 @@ import (
 // hart of a Cluster (a one-hart cluster for a standalone machine).
 type Machine struct {
 	// Guest is the hart's guest state and the guest rules every engine
-	// applies (internal/smp): the register file, the system state, the run
-	// state (Halted, ExitCode, Waiting) and the event counters. The golden
-	// model emits the same trace vocabulary as the DBT engines through it,
-	// stamped with the same engine-independent virtual clock, so the
-	// comparable streams (trace.ComparableKinds) match event-for-event.
+	// applies (internal/smp): the register file, the system state, guest
+	// RAM (Mem), the run state (Halted, ExitCode, Waiting) and the event
+	// counters. The golden model emits the same trace vocabulary as the DBT
+	// engines through it, stamped with the same engine-independent virtual
+	// clock, so the comparable streams (trace.ComparableKinds) match
+	// event-for-event.
 	smp.Guest
 
 	Module *gen.Module
-	Mem    port.RAM // guest physical memory
 
 	// Instrs counts retired guest instructions block-granularly: the whole
 	// block is charged when it is entered, exactly like the engines'
@@ -78,26 +78,6 @@ func (m *Machine) Metrics() metrics.Snapshot {
 		IRQsDelivered:  m.IRQs,
 		MMIOEmulations: m.DeviceAccesses,
 	}
-}
-
-// NewAt builds the guest module at the given offline optimization level and
-// creates a machine around it.
-func NewAt(g port.Port, level ssa.OptLevel, ramBytes int) (*Machine, error) {
-	module, err := g.Module(level)
-	if err != nil {
-		return nil, err
-	}
-	return New(g, module, ramBytes), nil
-}
-
-// LoadImage copies a program image into guest physical memory and points
-// the PC at its entry.
-func (m *Machine) LoadImage(data []byte, loadPA, entry uint64) error {
-	if err := m.Mem.Load(data, loadPA); err != nil {
-		return err
-	}
-	m.SetPC(entry)
-	return nil
 }
 
 // state adapter: Machine implements ssa.State (ReadBank and WriteBank
@@ -213,17 +193,14 @@ func (m *Machine) scanBlock() bool {
 	return true
 }
 
-// Step executes one guest instruction (entering a new block first when
-// needed). It returns false when the machine has halted.
-func (m *Machine) Step() (bool, error) {
-	if m.Halted {
-		return false, nil
-	}
+// step executes one guest instruction of a live hart, entering a new block
+// first when needed.
+func (m *Machine) step() error {
 	if m.blockIdx >= len(m.block) {
 		// Interrupt delivery point: every block entry is a boundary, the
 		// same one the engines' dispatcher and block-entry IRQCHK observe.
 		if (m.DeliverIRQ() && m.Halted) || !m.scanBlock() {
-			return !m.Halted, nil
+			return nil
 		}
 	}
 	d := m.block[m.blockIdx]
@@ -233,7 +210,7 @@ func (m *Machine) Step() (bool, error) {
 	m.fields = d.AppendFields(m.fields[:0])
 	ok, err := m.interp.Run(d.Info.Action, m.fields, m)
 	if err != nil {
-		return false, fmt.Errorf("interp: %s at pc %#x (%s): %w", m.Module.Arch, pc, d.Info.Name, err)
+		return fmt.Errorf("interp: %s at pc %#x (%s): %w", m.Module.Arch, pc, d.Info.Name, err)
 	}
 	if ok && !m.wrotePC {
 		m.SetPC(pc + port.InstrBytes)
@@ -242,46 +219,39 @@ func (m *Machine) Step() (bool, error) {
 		m.block = m.block[:0]
 		m.blockIdx = 0
 	}
-	return !m.Halted, nil
+	return nil
 }
 
-// Run executes until halt or the step limit; it returns the number of
-// instructions retired during this call. The limit counts steps rather than
-// retired instructions so that exception loops through undecodable memory
-// still terminate; running out of it returns an error wrapping
-// smp.ErrBudget.
+// Run executes a standalone machine until halt or the step limit; it
+// returns the number of instructions retired during this call. The limit
+// counts steps rather than retired instructions so that exception loops
+// through undecodable memory still terminate; running out of it returns an
+// error wrapping smp.ErrBudget.
 func (m *Machine) Run(limit uint64) (uint64, error) {
 	start := m.Instrs
-	for steps := uint64(0); steps < limit; steps++ {
-		alive, err := m.Step()
-		if err != nil {
-			return m.Instrs - start, err
-		}
-		if !alive {
-			return m.Instrs - start, nil
-		}
-	}
-	return m.Instrs - start, fmt.Errorf("interp: step limit %d exceeded at pc %#x: %w", limit, m.PC(), smp.ErrBudget)
+	m.cl.steps, m.cl.stepLimit = 0, limit
+	err := m.run(^uint64(0))
+	return m.Instrs - start, err
 }
 
-// RunSlice executes until at least quantum further instructions have
-// retired, or the hart halts or parks in wfi. Slices end exactly at block
-// boundaries: a block entered while the retired count is still below the
-// slice end runs to completion, so the overshoot is identical to the DBT
-// engines' (which test the slice end only in their dispatcher). Steps are
-// charged against the owning cluster's step budget so exception loops
-// through undecodable memory still terminate.
-func (m *Machine) RunSlice(quantum uint64) error {
-	end := m.Instrs + quantum
+// run is the step loop of every run mode: it steps until the hart halts or
+// parks in wfi, or reaches a block boundary with end instructions retired.
+// Slices of the deterministic scheduler end exactly at block boundaries: a
+// block entered while the retired count is still below the slice end runs
+// to completion, so the overshoot is identical to the DBT engines' (which
+// test the slice end only in their dispatcher). Every step is charged to the
+// cluster's step budget.
+func (m *Machine) run(end uint64) error {
+	cl := m.cl
 	for !m.Halted && !m.Waiting {
 		if m.blockIdx >= len(m.block) && m.Instrs >= end {
 			return nil
 		}
-		if m.cl.steps >= m.cl.stepLimit {
-			return fmt.Errorf("interp: cluster step limit %d exceeded at hart %d pc %#x: %w", m.cl.stepLimit, m.Hooks.HartID, m.PC(), smp.ErrBudget)
+		if cl.steps >= cl.stepLimit {
+			return fmt.Errorf("interp: step limit %d exceeded at hart %d pc %#x: %w", cl.stepLimit, m.Hooks.HartID, m.PC(), smp.ErrBudget)
 		}
-		m.cl.steps++
-		if _, err := m.Step(); err != nil {
+		cl.steps++
+		if err := m.step(); err != nil {
 			return err
 		}
 	}

@@ -8,9 +8,10 @@
 // kind, guest port, offline level, sizes and hart count into a running
 // machine.
 //
-// core.SMP and interp.Cluster implement Machine; a uniprocessor is the
-// one-hart case and runs the uniprocessor paths (core.Engine.Run,
-// interp.Machine.Run) unchanged.
+// core.SMP and interp.Cluster implement Machine; both embed smp.Machine,
+// the list of their harts, for every method no engine implements
+// differently. A uniprocessor is the one-hart case and runs the
+// uniprocessor paths (core.Engine.Run, interp.Machine.Run) unchanged.
 package machine
 
 import (
@@ -52,16 +53,15 @@ type Machine interface {
 
 	// N returns the hart count; the methods below view hart i.
 	N() int
-	Reg(i, n int) uint64
-	SetReg(i, n int, v uint64)
-	FReg(i, n int) uint64
-	PC(i int) uint64
-	// RegState is the architectural register file below the PC slot, the
-	// engine-independent state differential tests compare.
-	RegState(i int) []byte
-	Sys(i int) port.Sys
-	HartExit(i int) (halted bool, code uint64)
+	// Hart is hart i as every engine keeps it: its registers (RegState is
+	// the engine-independent state differential tests compare), system
+	// state, run state and event counters.
+	Hart(i int) *smp.Guest
+	// GuestInstrs returns the instructions hart i has retired.
 	GuestInstrs(i int) uint64
+	// SetTrace attaches a trace recorder to hart i. Attach through it, not
+	// through Hart(i).SetTrace: the DBT engines also install the hook that
+	// records their block entries here.
 	SetTrace(i int, r *trace.Recorder)
 }
 

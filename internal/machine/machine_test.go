@@ -116,12 +116,12 @@ func viaMachine(t *testing.T, kind machine.Kind, p program, harts int) result {
 	}
 	var r result
 	for i := 0; i < m.N(); i++ {
-		halted, code := m.HartExit(i)
-		if !halted {
+		h := m.Hart(i)
+		if !h.Halted {
 			t.Fatalf("hart %d did not halt", i)
 		}
-		r.regs = append(r.regs, m.RegState(i))
-		r.exits = append(r.exits, code)
+		r.regs = append(r.regs, h.RegState())
+		r.exits = append(r.exits, h.ExitCode)
 		r.instrs = append(r.instrs, m.GuestInstrs(i))
 	}
 	ms := m.Metrics()
@@ -319,6 +319,30 @@ func TestBudgetSentinel(t *testing.T) {
 	}
 }
 
+// TestRunDetZeroQuantum holds that the deterministic scheduler refuses a zero
+// quantum on every engine, at one and two harts: each slice would end before
+// its first block, and the scheduler would loop without retiring anything.
+func TestRunDetZeroQuantum(t *testing.T) {
+	for _, kind := range []machine.Kind{machine.Interp, machine.Captive, machine.QEMU} {
+		for _, harts := range []int{1, 2} {
+			m, err := machine.New(machine.Spec{Kind: kind, Guest: rv64.Port{}, RAMBytes: ram,
+				CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20, Harts: harts, Quantum: quantum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch x := m.(type) {
+			case *core.SMP:
+				err = x.RunDet(budget, 0)
+			case *interp.Cluster:
+				err = x.RunDet(budget, 0)
+			}
+			if err == nil {
+				t.Errorf("%s x%d: RunDet with quantum 0 returned no error", kind, harts)
+			}
+		}
+	}
+}
+
 // TestAddressWrap loads and reads 8 bytes at guest physical 2^64-4, where
 // the end address wraps past zero: every engine, at one and two harts, must
 // return an error and must not panic.
@@ -424,8 +448,8 @@ func TestWildAddress(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < harts; i++ {
-			_, code := m.HartExit(i)
-			ends = append(ends, hartEnd{code, m.GuestInstrs(i), string(m.RegState(i))})
+			h := m.Hart(i)
+			ends = append(ends, hartEnd{h.ExitCode, m.GuestInstrs(i), string(h.RegState())})
 		}
 		return ends
 	}
@@ -472,13 +496,13 @@ func TestSetRegZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < harts; i++ {
-				m.SetReg(i, 0, 42)
+				m.Hart(i).SetReg(0, 42)
 			}
 			if err := m.Run(budget); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < harts; i++ {
-				if x0, x1 := m.Reg(i, 0), m.Reg(i, 1); x0 != 0 || x1 != 1 {
+				if x0, x1 := m.Hart(i).Reg(0), m.Hart(i).Reg(1); x0 != 0 || x1 != 1 {
 					t.Errorf("%s x%d hart %d: x0 = %#x, x1 = %#x after SetReg(x0, 42), want 0 and 1", kind, harts, i, x0, x1)
 				}
 			}

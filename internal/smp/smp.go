@@ -8,9 +8,10 @@
 // level and the QEMU baseline.
 //
 // The package also owns the run contract every engine shares at any hart
-// count — the budget unit and its expiry sentinel — and the hart itself
-// (Guest): its wiring, run state and event counters, and the guest rules
-// every engine applies through it.
+// count — the budget unit and its expiry sentinel — the hart itself (Guest):
+// its wiring, run state and event counters, and the guest rules every engine
+// applies through it — and the machine (Machine), the list of a machine's
+// harts with the engine-independent half of the machine seam.
 package smp
 
 import (
@@ -115,7 +116,9 @@ type Guest struct {
 	Sys   port.Sys
 	Space port.Space
 	Hooks port.Hooks
-	// Bus is the machine's device bus: the devices and interrupt lines.
+	// Mem is the machine's guest RAM and Bus its device bus: the devices
+	// and interrupt lines. Every hart of a machine shares both.
+	Mem port.RAM
 	Bus *device.Bus
 
 	// Halted and ExitCode are set by the guest halt instruction, by a port
@@ -146,11 +149,20 @@ func (g *Guest) Init(p port.Port, m *gen.Module, file []byte, ram port.RAM, bus 
 	g.Regs = port.NewRegs(p, m, file)
 	g.Sys = p.NewSys()
 	g.Space = port.NewSpace(p, g.Sys, ram)
-	g.Bus = bus
+	g.Mem, g.Bus = ram, bus
 	g.devBase = p.DeviceBase()
 	g.idle = idle
 	h.TimerLine, h.SoftLine = g.TimerLine, g.softLine
 	g.Hooks = h
+}
+
+// LoadImage copies an image into guest RAM and points the hart at entry.
+func (g *Guest) LoadImage(data []byte, pa, entry uint64) error {
+	if err := g.Mem.Load(data, pa); err != nil {
+		return err
+	}
+	g.SetPC(entry)
+	return nil
 }
 
 // SetTrace attaches a trace recorder (nil detaches).
@@ -305,3 +317,50 @@ func (g *Guest) WFI(pc uint64, parallel, alone bool) WFI {
 	g.Halt(0)
 	return WFIHalt
 }
+
+// Machine is the list of a machine's harts, which share one guest RAM and
+// one device bus. The engines' machines (core.SMP, interp.Cluster) embed it
+// for the half of the machine seam (internal/machine) no engine implements
+// differently; each adds its run modes, metrics and retire counts.
+type Machine struct {
+	Harts []*Guest
+}
+
+// N returns the hart count.
+func (m *Machine) N() int { return len(m.Harts) }
+
+// Hart returns hart i.
+func (m *Machine) Hart(i int) *Guest { return m.Harts[i] }
+
+// LoadImage copies an image into guest RAM and points every hart at entry.
+func (m *Machine) LoadImage(data []byte, pa, entry uint64) error {
+	if err := m.LoadData(data, pa); err != nil {
+		return err
+	}
+	for _, g := range m.Harts {
+		g.SetPC(entry)
+	}
+	return nil
+}
+
+// LoadData copies bytes into guest RAM.
+func (m *Machine) LoadData(data []byte, pa uint64) error { return m.Harts[0].Mem.Load(data, pa) }
+
+// ReadRAM copies guest RAM starting at pa into dst.
+func (m *Machine) ReadRAM(pa uint64, dst []byte) error { return m.Harts[0].Mem.Copy(dst, pa) }
+
+// Exit reports whether every hart has halted, and hart 0's exit code.
+func (m *Machine) Exit() (bool, uint64) {
+	for _, g := range m.Harts {
+		if !g.Halted {
+			return false, 0
+		}
+	}
+	return true, m.Harts[0].ExitCode
+}
+
+// Console returns the guest UART output.
+func (m *Machine) Console() string { return m.Harts[0].Console() }
+
+// SetTrace attaches a trace recorder to hart i (nil detaches).
+func (m *Machine) SetTrace(i int, r *trace.Recorder) { m.Harts[i].SetTrace(r) }
