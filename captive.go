@@ -55,7 +55,7 @@ const (
 type Config struct {
 	Engine         EngineKind
 	GuestRAMBytes  int  // default 64 MiB
-	CodeCacheBytes int  // default 16 MiB
+	CodeCacheBytes int  // default 16 MiB, at most 1 GiB
 	SoftFloat      bool // Captive only: use helper-call FP (§3.6.2 ablation)
 	DisableChain   bool // disable block chaining (Fig. 21 methodology)
 	OptLevel       int  // offline optimization level 1..4 (default 4, §3.6.1)

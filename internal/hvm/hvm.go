@@ -50,8 +50,8 @@ const LowHalfMask = 0x0000_7FFF_FFFF_FFFF
 // Config sizes the host virtual machine.
 type Config struct {
 	GuestRAMBytes  int // guest DRAM size (max 256 MiB)
-	CodeCacheBytes int // translated-code cache
-	PTPoolBytes    int // host page-table pool
+	CodeCacheBytes int // translated-code cache (1 MiB to 1 GiB)
+	PTPoolBytes    int // host page-table pool (1 MiB to 1 GiB)
 	VCPUs          int // guest vCPU count; 0 means 1 (uniprocessor)
 }
 
@@ -126,8 +126,9 @@ func New(cfg Config) (*VM, error) {
 	if cfg.GuestRAMBytes <= 0 || cfg.GuestRAMBytes > 256<<20 {
 		return nil, fmt.Errorf("hvm: guest RAM must be in (0, 256 MiB], got %d", cfg.GuestRAMBytes)
 	}
-	if cfg.CodeCacheBytes < 1<<20 || cfg.PTPoolBytes < 1<<20 {
-		return nil, fmt.Errorf("hvm: code cache and PT pool must be at least 1 MiB")
+	// The host CPU keys code-region offsets in 32 bits (vx64.SetCodeRegion).
+	if cfg.CodeCacheBytes < 1<<20 || cfg.PTPoolBytes < 1<<20 || cfg.CodeCacheBytes > 1<<30 || cfg.PTPoolBytes > 1<<30 {
+		return nil, fmt.Errorf("hvm: code cache and PT pool must be in [1 MiB, 1 GiB]")
 	}
 	n := cfg.VCPUs
 	if n <= 0 {

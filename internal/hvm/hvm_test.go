@@ -54,6 +54,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{GuestRAMBytes: 1 << 20, CodeCacheBytes: 0, PTPoolBytes: 1 << 20}); err == nil {
 		t.Error("tiny code cache must be rejected")
 	}
+	if _, err := New(Config{GuestRAMBytes: 1 << 20, CodeCacheBytes: 1<<30 + 1, PTPoolBytes: 1 << 20}); err == nil {
+		t.Error("code cache over 1 GiB must be rejected")
+	}
+	if _, err := New(Config{GuestRAMBytes: 1 << 20, CodeCacheBytes: 1 << 20, PTPoolBytes: 1<<30 + 1}); err == nil {
+		t.Error("PT pool over 1 GiB must be rejected")
+	}
 }
 
 func TestGuestImageAndPhysRead(t *testing.T) {

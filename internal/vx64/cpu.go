@@ -246,11 +246,14 @@ type CPU struct {
 	fetchOK     bool
 	fetchCPL    uint8
 
-	// trap is the pending trap recorded by execOp and step when they
-	// return false, and the record Run hands back — a field rather than a
-	// return value so neither the hot dispatch loops nor a superblock exit
-	// copy the (large) Trap struct.
+	// trap is the pending trap recorded by execRun and step when they
+	// report an exit, and the record Run hands back — a field rather than
+	// a return value so neither the hot dispatch loops nor a superblock
+	// exit copy the (large) Trap struct. flt is likewise the one record of
+	// a failed translation (fail), so raising a host fault allocates
+	// nothing.
 	trap Trap
+	flt  fault
 
 	// Kick is the cross-CPU doorbell: when set (from any goroutine), the
 	// next block-entry IRQCHK traps out to the embedder regardless of its
@@ -293,13 +296,18 @@ func (c *CPU) ProfPause() {
 }
 
 // SetCodeRegion declares [lo, hi) of physical memory as the generated-code
-// region and enables superblock execution over it.
+// region and enables superblock execution over it. Superblocks key
+// code-region offsets in 32 bits, so a region must be smaller than 4 GiB
+// (hvm.New bounds it to 1 GiB); a larger one panics.
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
+	if hi-lo >= 1<<32 {
+		panic("vx64: code region of 4 GiB or more")
+	}
 	c.codeLo, c.codeHi = lo, hi
 	c.sbTab = make([]sbSlot, sbTableSize)
 	// A zeroed slot reads as a run at offset 0 built on generation-0
 	// pages, so the slot offset 0 hashes to starts with a key no run has.
-	c.sbTab[sbHash(0)].off = ^uint64(0)
+	c.sbTab[sbHash(0)].off = ^uint32(0)
 	if c.sbArena == nil {
 		c.sbArena = new(sbArena)
 	}
@@ -397,7 +405,7 @@ func (c *CPU) translate(va uint64, access Access, cpl uint8) (uint64, *fault) {
 	if c.DirectBase != 0 && va >= c.DirectBase {
 		pa := va - c.DirectBase
 		if pa >= uint64(len(c.Phys)) {
-			return 0, &fault{addr: va, access: access, bus: true}
+			return 0, c.fail(va, access, true)
 		}
 		return pa, nil
 	}
@@ -406,10 +414,10 @@ func (c *CPU) translate(va uint64, access Access, cpl uint8) (uint64, *fault) {
 	e := &c.tlb[vaPage%tlbSize]
 	if e.vaPage == vaPage && e.pcid == pcid {
 		if access == AccessWrite && !e.write {
-			return 0, &fault{addr: va, access: access}
+			return 0, c.fail(va, access, false)
 		}
 		if cpl == 3 && !e.user {
-			return 0, &fault{addr: va, access: access}
+			return 0, c.fail(va, access, false)
 		}
 		c.Stats.TLBHits++
 		return e.paPage<<PageShift | va&PageMask, nil
@@ -418,14 +426,14 @@ func (c *CPU) translate(va uint64, access Access, cpl uint8) (uint64, *fault) {
 	c.Stats.Cycles += CostTLBMiss
 	paPage, write, user, ok := c.walk(va)
 	if !ok {
-		return 0, &fault{addr: va, access: access}
+		return 0, c.fail(va, access, false)
 	}
 	*e = tlbEntry{vaPage: vaPage, pcid: pcid, paPage: paPage, write: write, user: user}
 	if access == AccessWrite && !write {
-		return 0, &fault{addr: va, access: access}
+		return 0, c.fail(va, access, false)
 	}
 	if cpl == 3 && !user {
-		return 0, &fault{addr: va, access: access}
+		return 0, c.fail(va, access, false)
 	}
 	return paPage<<PageShift | va&PageMask, nil
 }
@@ -469,7 +477,7 @@ func (c *CPU) memRead(va uint64, size uint8) (uint64, *fault) {
 		return 0, f
 	}
 	if pa+uint64(size) > uint64(len(c.Phys)) {
-		return 0, &fault{addr: va, access: AccessRead, bus: true}
+		return 0, c.fail(va, AccessRead, true)
 	}
 	switch size {
 	case 1:
@@ -501,7 +509,7 @@ func (c *CPU) memWrite(va uint64, size uint8, v uint64) *fault {
 		}
 	}
 	if pa+uint64(size) > uint64(len(c.Phys)) {
-		return &fault{addr: va, access: AccessWrite, bus: true}
+		return c.fail(va, AccessWrite, true)
 	}
 	switch size {
 	case 1:
@@ -525,24 +533,24 @@ func (c *CPU) ea(m Mem) uint64 {
 	return a
 }
 
-// fetchInst decodes the instruction at RIP from memory, using the fetch
-// translation cache.
-func (c *CPU) fetchInst() (Inst, int, *fault) {
+// fetchInst decodes the instruction at RIP from memory into *inst, using
+// the fetch translation cache, and returns its encoded length.
+func (c *CPU) fetchInst(inst *Inst) (int, *fault) {
 	va := c.RIP
 	vaPage := va >> PageShift
 	if !(c.fetchOK && c.fetchVAPage == vaPage && c.fetchCPL == c.CPL) {
 		pa, f := c.translate(va, AccessExec, c.CPL)
 		if f != nil {
-			return Inst{}, 0, f
+			return 0, f
 		}
 		c.fetchVAPage, c.fetchPAPage, c.fetchCPL, c.fetchOK = vaPage, pa>>PageShift, c.CPL, true
 	}
 	pa := c.fetchPAPage<<PageShift | va&PageMask
-	inst, n, err := Decode(c.Phys, int(pa))
+	n, err := decode(inst, c.Phys, int(pa))
 	if err != nil {
-		return Inst{}, 0, &fault{addr: va, access: AccessExec, bus: true}
+		return 0, c.fail(va, AccessExec, true)
 	}
-	return inst, n, nil
+	return n, nil
 }
 
 func (c *CPU) setZS(v uint64) {
@@ -573,6 +581,13 @@ func (c *CPU) aluLogic(r uint64) uint64 {
 	return r
 }
 
+// fail records a translation failure in the CPU's own fault record and
+// returns it; the record is read before the next access can fail.
+func (c *CPU) fail(va uint64, access Access, bus bool) *fault {
+	c.flt = fault{addr: va, access: access, bus: bus}
+	return &c.flt
+}
+
 // pageFault finalizes a translation fault into a Trap.
 func (c *CPU) pageFault(f *fault, inst *Inst, next uint64) Trap {
 	c.Stats.Faults++
@@ -592,10 +607,12 @@ func (c *CPU) pageFault(f *fault, inst *Inst, next uint64) Trap {
 // have been consumed (measured from the current Stats.Cycles).
 //
 // Inside the declared code region, fetches through the direct map execute
-// as superblocks (superblock.go): predecoded straight-line runs dispatched
-// without the per-instruction fetch-translation check, decode and budget
-// comparison. The architectural outcome — registers, memory,
-// Stats.Insts, Stats.Cycles, trap points — is bit-identical to stepping.
+// as superblocks (superblock.go): predecoded straight-line runs, each
+// retired once at entry and executed by one pass of execRun, without the
+// per-instruction fetch-translation check, decode and budget comparison. A
+// run the budget may expire inside is stepped instead. The architectural
+// outcome — registers, memory, Stats, profile cells, trap points — is
+// bit-identical to stepping.
 //
 // The returned trap is the CPU's own record, valid until the next Run or
 // Step: no exit copies the (large) Trap struct.
@@ -627,347 +644,376 @@ func (c *CPU) Step() Trap {
 	return c.trap
 }
 
-// step executes a single instruction. It returns true when execution can
-// continue, or false with the trap recorded in c.trap.
+// step executes a single instruction, decoded from memory: the reference
+// semantics superblocks reproduce. It retires the instruction and runs it
+// as a one-op run through execRun, so every op has one definition. It
+// returns true when execution can continue, or false with the trap
+// recorded in c.trap.
 func (c *CPU) step() bool {
-	inst, n, f := c.fetchInst()
+	var op [1]Inst
+	n, f := c.fetchInst(&op[0])
 	if f != nil {
 		c.trap = c.pageFault(f, nil, c.RIP)
 		return false
 	}
-	next := c.RIP + uint64(n)
 	c.Stats.Insts++
-	c.Stats.Cycles += opCost[inst.Op]
-	return c.execOp(&inst, next)
+	c.Stats.Cycles += opCost[op[0].Op]
+	return c.execRun(op[:], []uint8{uint8(n)}) == 1
 }
 
-// execOp executes one decoded instruction whose fall-through successor is
-// next. It returns true when execution can continue (c.RIP updated by the
-// instruction), or false with the trap recorded in c.trap — kept out of the
-// return path because Trap is a large struct and this is the hottest
-// function in the simulator. Instruction accounting (Stats.Insts and the
-// opCost charge) is the caller's job, so step and the superblock loop
-// retire identically.
-func (c *CPU) execOp(inst *Inst, next uint64) bool {
+// execRun executes a run of decoded ops in one loop, ops[i] encoded in
+// lens[i] bytes and starting at RIP, and returns how many completed:
+// len(ops) with RIP at the run's successor, or the index of the op that
+// left the run, with the trap recorded in c.trap — kept out of the return
+// path because Trap is a large struct and this is the hottest loop in the
+// simulator.
+//
+// The caller retires the whole run at entry: Stats.Insts by len(ops) and
+// Stats.Cycles by every op's opCost; the ops add only their dynamic
+// charges (TLB misses, a taken branch, a fault). An op that leaves early
+// takes the ops after it back out, since they never ran, so Stats read
+// exactly as stepping leaves them. Only ops that end a run and PROFCNT
+// read Stats mid-run; the former are last, and PROFCNT corrects by the
+// suffix that buildSuperblock stashed on it (zero when stepping).
+func (c *CPU) execRun(ops []Inst, lens []uint8) int {
+	lens = lens[:len(ops)]
 	R := &c.R
-	switch inst.Op {
-	case NOP:
-	case MOVrr:
-		R[inst.Rd] = R[inst.Rs]
-	case MOVI8, MOVI32, MOVI64:
-		R[inst.Rd] = uint64(inst.Imm)
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32:
-		size, sign := loadWidth(inst.Op)
-		v, f := c.memRead(c.ea(inst.M), size)
-		if f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-		if sign {
-			v = signExtend(v, size)
-		}
-		R[inst.Rd] = v
-	case STORE8, STORE16, STORE32, STORE64:
-		size := storeWidth(inst.Op)
-		if f := c.memWrite(c.ea(inst.M), size, R[inst.Rs]); f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-	case IRQCHK:
-		v, f := c.memRead(c.ea(inst.M), 8)
-		if f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-		if R[inst.Rs] >= v || c.Kick.Load() {
-			c.RIP = next
-			c.trap = Trap{Kind: TrapIRQ, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-	case PROFCNT:
-		// Marker-to-marker attribution. The mark is taken CostLoad early so
-		// each block's own instrumentation prologue LOAD64 (always an L1-hit
-		// direct-map access: exactly CostLoad, no TLB charge) is attributed
-		// to the block it opens, not the block it closes — preserving the
-		// per-entry deltas of the old dispatcher-side profiler.
-		m := c.Stats.Cycles - CostLoad
-		if c.profLast >= 0 {
-			c.Prof[c.profLast].Cycles += m - c.profMark
-		}
-		c.profLast = int32(inst.Imm)
-		c.profMark = m
-		c.Prof[inst.Imm].Runs++
-		if c.TraceBlock != nil {
-			c.TraceBlock()
-		}
-	case LEA:
-		R[inst.Rd] = c.ea(inst.M)
-	case ADDrr:
-		R[inst.Rd] = c.aluAdd(R[inst.Rd], R[inst.Rs])
-	case ADDri:
-		R[inst.Rd] = c.aluAdd(R[inst.Rd], uint64(inst.Imm))
-	case SUBrr:
-		R[inst.Rd] = c.aluSub(R[inst.Rd], R[inst.Rs])
-	case SUBri:
-		R[inst.Rd] = c.aluSub(R[inst.Rd], uint64(inst.Imm))
-	case ANDrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] & R[inst.Rs])
-	case ANDri:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] & uint64(inst.Imm))
-	case ORrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] | R[inst.Rs])
-	case ORri:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] | uint64(inst.Imm))
-	case XORrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] ^ R[inst.Rs])
-	case XORri:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] ^ uint64(inst.Imm))
-	case SHLrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] << (R[inst.Rs] & 63))
-	case SHLri:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] << (uint64(inst.Imm) & 63))
-	case SHRrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] >> (R[inst.Rs] & 63))
-	case SHRri:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] >> (uint64(inst.Imm) & 63))
-	case SARrr:
-		R[inst.Rd] = c.aluLogic(uint64(int64(R[inst.Rd]) >> (R[inst.Rs] & 63)))
-	case SARri:
-		R[inst.Rd] = c.aluLogic(uint64(int64(R[inst.Rd]) >> (uint64(inst.Imm) & 63)))
-	case MULrr:
-		R[inst.Rd] = c.aluLogic(R[inst.Rd] * R[inst.Rs])
-	case UMULH:
-		hi, _ := bits.Mul64(R[inst.Rd], R[inst.Rs])
-		R[inst.Rd] = hi
-	case SMULH:
-		R[inst.Rd] = uint64(mulHighSigned(int64(R[inst.Rd]), int64(R[inst.Rs])))
-	case UDIVrr:
-		d := R[inst.Rs]
-		if d == 0 {
-			c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		R[inst.Rd] /= d
-	case SDIVrr:
-		d := int64(R[inst.Rs])
-		a := int64(R[inst.Rd])
-		if d == 0 || (a == -1<<63 && d == -1) {
-			c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		R[inst.Rd] = uint64(a / d)
-	case UREMrr:
-		d := R[inst.Rs]
-		if d == 0 {
-			c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		R[inst.Rd] %= d
-	case SREMrr:
-		d := int64(R[inst.Rs])
-		a := int64(R[inst.Rd])
-		if d == 0 || (a == -1<<63 && d == -1) {
-			c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		R[inst.Rd] = uint64(a % d)
-	case NEGr:
-		R[inst.Rd] = c.aluSub(0, R[inst.Rd])
-	case NOTr:
-		R[inst.Rd] = ^R[inst.Rd]
-	case CMPrr:
-		c.aluSub(R[inst.Rd], R[inst.Rs])
-	case CMPri:
-		c.aluSub(R[inst.Rd], uint64(inst.Imm))
-	case TESTrr:
-		c.aluLogic(R[inst.Rd] & R[inst.Rs])
-	case TESTri:
-		c.aluLogic(R[inst.Rd] & uint64(inst.Imm))
-	case SETcc:
-		if c.F.Eval(inst.Cond) {
-			R[inst.Rd] = 1
-		} else {
-			R[inst.Rd] = 0
-		}
-	case CMOVcc:
-		if c.F.Eval(inst.Cond) {
+	i := 0
+run:
+	for ; i < len(ops); i++ {
+		inst := &ops[i]
+		next := c.RIP + uint64(lens[i])
+		switch inst.Op {
+		case NOP:
+		case MOVrr:
 			R[inst.Rd] = R[inst.Rs]
-		}
-	case RDNZCV:
-		var v uint64
-		if c.F.S {
-			v |= 8
-		}
-		if c.F.Z {
-			v |= 4
-		}
-		if c.F.C {
-			v |= 2
-		}
-		if c.F.O {
-			v |= 1
-		}
-		R[inst.Rd] = v
-	case JCC:
-		if c.F.Eval(inst.Cond) {
-			c.Stats.Cycles += CostBrTaken - CostBrFall
+		case MOVI8, MOVI32, MOVI64:
+			R[inst.Rd] = uint64(inst.Imm)
+		case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32:
+			size, sign := loadWidth(inst.Op)
+			v, f := c.memRead(c.ea(inst.M), size)
+			if f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+			if sign {
+				v = signExtend(v, size)
+			}
+			R[inst.Rd] = v
+		case STORE8, STORE16, STORE32, STORE64:
+			size := storeWidth(inst.Op)
+			if f := c.memWrite(c.ea(inst.M), size, R[inst.Rs]); f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+		case IRQCHK:
+			v, f := c.memRead(c.ea(inst.M), 8)
+			if f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+			if R[inst.Rs] >= v || c.Kick.Load() {
+				c.RIP = next
+				c.trap = Trap{Kind: TrapIRQ, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+		case PROFCNT:
+			// Marker-to-marker attribution. The mark is taken CostLoad early so
+			// each block's own instrumentation prologue LOAD64 (always an L1-hit
+			// direct-map access: exactly CostLoad, no TLB charge) is attributed
+			// to the block it opens, not the block it closes — preserving the
+			// per-entry deltas of the old dispatcher-side profiler. The ops
+			// after this one were retired at entry but have not run: the mark
+			// leaves out their stashed cost, and the trace hook sees Stats
+			// without them, exactly as when stepping.
+			m := c.Stats.Cycles - CostLoad - uint64(inst.restCost)
+			if c.profLast >= 0 {
+				c.Prof[c.profLast].Cycles += m - c.profMark
+			}
+			c.profLast = int32(inst.Imm)
+			c.profMark = m
+			c.Prof[inst.Imm].Runs++
+			if c.TraceBlock != nil {
+				c.Stats.Insts -= uint64(inst.restN)
+				c.Stats.Cycles -= uint64(inst.restCost)
+				c.TraceBlock()
+				c.Stats.Insts += uint64(inst.restN)
+				c.Stats.Cycles += uint64(inst.restCost)
+			}
+		case LEA:
+			R[inst.Rd] = c.ea(inst.M)
+		case ADDrr:
+			R[inst.Rd] = c.aluAdd(R[inst.Rd], R[inst.Rs])
+		case ADDri:
+			R[inst.Rd] = c.aluAdd(R[inst.Rd], uint64(inst.Imm))
+		case SUBrr:
+			R[inst.Rd] = c.aluSub(R[inst.Rd], R[inst.Rs])
+		case SUBri:
+			R[inst.Rd] = c.aluSub(R[inst.Rd], uint64(inst.Imm))
+		case ANDrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] & R[inst.Rs])
+		case ANDri:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] & uint64(inst.Imm))
+		case ORrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] | R[inst.Rs])
+		case ORri:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] | uint64(inst.Imm))
+		case XORrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] ^ R[inst.Rs])
+		case XORri:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] ^ uint64(inst.Imm))
+		case SHLrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] << (R[inst.Rs] & 63))
+		case SHLri:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] << (uint64(inst.Imm) & 63))
+		case SHRrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] >> (R[inst.Rs] & 63))
+		case SHRri:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] >> (uint64(inst.Imm) & 63))
+		case SARrr:
+			R[inst.Rd] = c.aluLogic(uint64(int64(R[inst.Rd]) >> (R[inst.Rs] & 63)))
+		case SARri:
+			R[inst.Rd] = c.aluLogic(uint64(int64(R[inst.Rd]) >> (uint64(inst.Imm) & 63)))
+		case MULrr:
+			R[inst.Rd] = c.aluLogic(R[inst.Rd] * R[inst.Rs])
+		case UMULH:
+			hi, _ := bits.Mul64(R[inst.Rd], R[inst.Rs])
+			R[inst.Rd] = hi
+		case SMULH:
+			R[inst.Rd] = uint64(mulHighSigned(int64(R[inst.Rd]), int64(R[inst.Rs])))
+		case UDIVrr:
+			d := R[inst.Rs]
+			if d == 0 {
+				c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			R[inst.Rd] /= d
+		case SDIVrr:
+			d := int64(R[inst.Rs])
+			a := int64(R[inst.Rd])
+			if d == 0 || (a == -1<<63 && d == -1) {
+				c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			R[inst.Rd] = uint64(a / d)
+		case UREMrr:
+			d := R[inst.Rs]
+			if d == 0 {
+				c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			R[inst.Rd] %= d
+		case SREMrr:
+			d := int64(R[inst.Rs])
+			a := int64(R[inst.Rd])
+			if d == 0 || (a == -1<<63 && d == -1) {
+				c.trap = Trap{Kind: TrapDivide, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			R[inst.Rd] = uint64(a % d)
+		case NEGr:
+			R[inst.Rd] = c.aluSub(0, R[inst.Rd])
+		case NOTr:
+			R[inst.Rd] = ^R[inst.Rd]
+		case CMPrr:
+			c.aluSub(R[inst.Rd], R[inst.Rs])
+		case CMPri:
+			c.aluSub(R[inst.Rd], uint64(inst.Imm))
+		case TESTrr:
+			c.aluLogic(R[inst.Rd] & R[inst.Rs])
+		case TESTri:
+			c.aluLogic(R[inst.Rd] & uint64(inst.Imm))
+		case SETcc:
+			if c.F.Eval(inst.Cond) {
+				R[inst.Rd] = 1
+			} else {
+				R[inst.Rd] = 0
+			}
+		case CMOVcc:
+			if c.F.Eval(inst.Cond) {
+				R[inst.Rd] = R[inst.Rs]
+			}
+		case RDNZCV:
+			var v uint64
+			if c.F.S {
+				v |= 8
+			}
+			if c.F.Z {
+				v |= 4
+			}
+			if c.F.C {
+				v |= 2
+			}
+			if c.F.O {
+				v |= 1
+			}
+			R[inst.Rd] = v
+		case JCC:
+			if c.F.Eval(inst.Cond) {
+				c.Stats.Cycles += CostBrTaken - CostBrFall
+				next = uint64(int64(next) + inst.Imm)
+			}
+		case JMP:
 			next = uint64(int64(next) + inst.Imm)
-		}
-	case JMP:
-		next = uint64(int64(next) + inst.Imm)
-	case JMPR:
-		next = R[inst.Rd]
-	case CALL, CALLR:
-		sp := R[RSP] - 8
-		if f := c.memWrite(sp, 8, next); f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-		R[RSP] = sp
-		if inst.Op == CALL {
-			next = uint64(int64(next) + inst.Imm)
-		} else {
+		case JMPR:
 			next = R[inst.Rd]
-		}
-	case RET:
-		v, f := c.memRead(R[RSP], 8)
-		if f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-		R[RSP] += 8
-		next = v
-	case HELPER:
-		id := int(inst.Imm)
-		if id >= len(c.Helpers) || c.Helpers[id] == nil {
+		case CALL, CALLR:
+			sp := R[RSP] - 8
+			if f := c.memWrite(sp, 8, next); f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+			R[RSP] = sp
+			if inst.Op == CALL {
+				next = uint64(int64(next) + inst.Imm)
+			} else {
+				next = R[inst.Rd]
+			}
+		case RET:
+			v, f := c.memRead(R[RSP], 8)
+			if f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+			R[RSP] += 8
+			next = v
+		case HELPER:
+			id := int(inst.Imm)
+			if id >= len(c.Helpers) || c.Helpers[id] == nil {
+				c.trap = Trap{Kind: TrapInvalidOp, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			c.Stats.Helpers++
+			c.RIP = next // helpers observe the post-call RIP
+			if c.Helpers[id](c) == HelperExit {
+				c.trap = Trap{Kind: TrapHelperExit, RIP: c.RIP, NextRIP: next, Code: c.R[R0]}
+				break run
+			}
+			next = c.RIP // a helper may redirect control
+		case TRAP:
+			c.Stats.Traps++
+			c.RIP = next
+			c.trap = Trap{Kind: TrapSoft, Vec: uint8(inst.Imm), RIP: c.RIP, NextRIP: next}
+			break run
+		case SYSCALL:
+			c.Stats.Traps++
+			c.RIP = next
+			c.trap = Trap{Kind: TrapSyscall, RIP: c.RIP, NextRIP: next}
+			break run
+		case SYSRET:
+			c.RIP = next
+			c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
+			break run
+		case HLT:
+			c.RIP = next
+			c.trap = Trap{Kind: TrapHlt, RIP: c.RIP, NextRIP: next}
+			break run
+		case INport, OUTport:
+			// Port I/O always exits to the hypervisor (KVM-style).
+			c.RIP = next
+			c.trap = Trap{Kind: TrapSoft, Vec: 0xFE, RIP: c.RIP, NextRIP: next, Inst: *inst}
+			break run
+		case WRCR3:
+			if c.CPL != 0 {
+				c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			v := R[inst.Rd]
+			newPCID := uint16(v & pcidMask)
+			c.CR3 = v &^ uint64(CR3NoFlush)
+			if v&CR3NoFlush == 0 {
+				c.flushPCID(newPCID)
+				c.Stats.Cycles += CostWrCR3 - opCost[WRCR3]
+			} else {
+				c.Stats.Cycles += CostWrCR3PCID - opCost[WRCR3]
+			}
+			c.fetchOK = false
+		case RDCR3:
+			if c.CPL != 0 {
+				c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			R[inst.Rd] = c.CR3
+		case INVLPG:
+			if c.CPL != 0 {
+				c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			c.Invlpg(R[inst.Rd])
+		case TLBFLUSHALL:
+			if c.CPL != 0 {
+				c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
+				break run
+			}
+			c.FlushTLB()
+		case FLD:
+			v, f := c.memRead(c.ea(inst.M), 8)
+			if f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+			c.X[inst.Rd] = v
+		case FST:
+			if f := c.memWrite(c.ea(inst.M), 8, c.X[inst.Rs]); f != nil {
+				c.trap = c.pageFault(f, inst, next)
+				break run
+			}
+		case FMOVxr:
+			c.X[inst.Rd] = R[inst.Rs]
+		case FMOVrx:
+			R[inst.Rd] = c.X[inst.Rs]
+		case FMOVxx:
+			c.X[inst.Rd] = c.X[inst.Rs]
+		case FADD:
+			c.X[inst.Rd] = softfloat.Add64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FSUB:
+			c.X[inst.Rd] = softfloat.Sub64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FMUL:
+			c.X[inst.Rd] = softfloat.Mul64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FDIV:
+			c.X[inst.Rd] = softfloat.Div64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FMIN:
+			c.X[inst.Rd] = softfloat.Min64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FMAX:
+			c.X[inst.Rd] = softfloat.Max64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
+		case FSQRT:
+			c.X[inst.Rd] = softfloat.Sqrt64(c.X[inst.Rs], softfloat.SemX86)
+		case FNEG:
+			c.X[inst.Rd] = softfloat.Neg64(c.X[inst.Rs])
+		case FABS:
+			c.X[inst.Rd] = softfloat.Abs64(c.X[inst.Rs])
+		case FCMP:
+			fl := softfloat.Cmp64(c.X[inst.Rd], c.X[inst.Rs])
+			// UCOMISD mapping: unordered => Z,C,U; less => C; equal => Z.
+			c.F = Flags{}
+			switch fl {
+			case softfloat.FlagC | softfloat.FlagV: // unordered
+				c.F.Z, c.F.C, c.F.U = true, true, true
+			case softfloat.FlagZ | softfloat.FlagC: // equal
+				c.F.Z = true
+			case softfloat.FlagN: // less
+				c.F.C = true
+			}
+		case CVTSI2SD:
+			c.X[inst.Rd] = softfloat.I64ToF64(int64(R[inst.Rs]))
+		case CVTUI2SD:
+			c.X[inst.Rd] = softfloat.U64ToF64(R[inst.Rs])
+		case CVTSD2SI:
+			R[inst.Rd] = uint64(softfloat.F64ToI64(c.X[inst.Rs], softfloat.SemX86))
+		case CVTSD2UI:
+			R[inst.Rd] = softfloat.F64ToU64(c.X[inst.Rs])
+		default:
 			c.trap = Trap{Kind: TrapInvalidOp, RIP: c.RIP, NextRIP: next}
-			return false
+			break run
 		}
-		c.Stats.Helpers++
-		c.RIP = next // helpers observe the post-call RIP
-		if c.Helpers[id](c) == HelperExit {
-			c.trap = Trap{Kind: TrapHelperExit, RIP: c.RIP, NextRIP: next, Code: c.R[R0]}
-			return false
-		}
-		next = c.RIP // a helper may redirect control
-	case TRAP:
-		c.Stats.Traps++
 		c.RIP = next
-		c.trap = Trap{Kind: TrapSoft, Vec: uint8(inst.Imm), RIP: c.RIP, NextRIP: next}
-		return false
-	case SYSCALL:
-		c.Stats.Traps++
-		c.RIP = next
-		c.trap = Trap{Kind: TrapSyscall, RIP: c.RIP, NextRIP: next}
-		return false
-	case SYSRET:
-		c.RIP = next
-		c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
-		return false
-	case HLT:
-		c.RIP = next
-		c.trap = Trap{Kind: TrapHlt, RIP: c.RIP, NextRIP: next}
-		return false
-	case INport, OUTport:
-		// Port I/O always exits to the hypervisor (KVM-style).
-		c.RIP = next
-		c.trap = Trap{Kind: TrapSoft, Vec: 0xFE, RIP: c.RIP, NextRIP: next, Inst: *inst}
-		return false
-	case WRCR3:
-		if c.CPL != 0 {
-			c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		v := R[inst.Rd]
-		newPCID := uint16(v & pcidMask)
-		c.CR3 = v &^ uint64(CR3NoFlush)
-		if v&CR3NoFlush == 0 {
-			c.flushPCID(newPCID)
-			c.Stats.Cycles += CostWrCR3 - opCost[WRCR3]
-		} else {
-			c.Stats.Cycles += CostWrCR3PCID - opCost[WRCR3]
-		}
-		c.fetchOK = false
-	case RDCR3:
-		if c.CPL != 0 {
-			c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		R[inst.Rd] = c.CR3
-	case INVLPG:
-		if c.CPL != 0 {
-			c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		c.Invlpg(R[inst.Rd])
-	case TLBFLUSHALL:
-		if c.CPL != 0 {
-			c.trap = Trap{Kind: TrapGP, RIP: c.RIP, NextRIP: next}
-			return false
-		}
-		c.FlushTLB()
-	case FLD:
-		v, f := c.memRead(c.ea(inst.M), 8)
-		if f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-		c.X[inst.Rd] = v
-	case FST:
-		if f := c.memWrite(c.ea(inst.M), 8, c.X[inst.Rs]); f != nil {
-			c.trap = c.pageFault(f, inst, next)
-			return false
-		}
-	case FMOVxr:
-		c.X[inst.Rd] = R[inst.Rs]
-	case FMOVrx:
-		R[inst.Rd] = c.X[inst.Rs]
-	case FMOVxx:
-		c.X[inst.Rd] = c.X[inst.Rs]
-	case FADD:
-		c.X[inst.Rd] = softfloat.Add64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FSUB:
-		c.X[inst.Rd] = softfloat.Sub64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FMUL:
-		c.X[inst.Rd] = softfloat.Mul64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FDIV:
-		c.X[inst.Rd] = softfloat.Div64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FMIN:
-		c.X[inst.Rd] = softfloat.Min64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FMAX:
-		c.X[inst.Rd] = softfloat.Max64(c.X[inst.Rs], c.X[inst.Rs2], softfloat.SemX86)
-	case FSQRT:
-		c.X[inst.Rd] = softfloat.Sqrt64(c.X[inst.Rs], softfloat.SemX86)
-	case FNEG:
-		c.X[inst.Rd] = softfloat.Neg64(c.X[inst.Rs])
-	case FABS:
-		c.X[inst.Rd] = softfloat.Abs64(c.X[inst.Rs])
-	case FCMP:
-		fl := softfloat.Cmp64(c.X[inst.Rd], c.X[inst.Rs])
-		// UCOMISD mapping: unordered => Z,C,U; less => C; equal => Z.
-		c.F = Flags{}
-		switch fl {
-		case softfloat.FlagC | softfloat.FlagV: // unordered
-			c.F.Z, c.F.C, c.F.U = true, true, true
-		case softfloat.FlagZ | softfloat.FlagC: // equal
-			c.F.Z = true
-		case softfloat.FlagN: // less
-			c.F.C = true
-		}
-	case CVTSI2SD:
-		c.X[inst.Rd] = softfloat.I64ToF64(int64(R[inst.Rs]))
-	case CVTUI2SD:
-		c.X[inst.Rd] = softfloat.U64ToF64(R[inst.Rs])
-	case CVTSD2SI:
-		R[inst.Rd] = uint64(softfloat.F64ToI64(c.X[inst.Rs], softfloat.SemX86))
-	case CVTSD2UI:
-		R[inst.Rd] = softfloat.F64ToU64(c.X[inst.Rs])
-	default:
-		c.trap = Trap{Kind: TrapInvalidOp, RIP: c.RIP, NextRIP: next}
-		return false
 	}
-	c.RIP = next
-	return true
+	// The ops after one that left were retired at entry but never ran.
+	for j := i + 1; j < len(ops); j++ {
+		c.Stats.Insts--
+		c.Stats.Cycles -= opCost[ops[j].Op]
+	}
+	return i
 }
 
 func loadWidth(op Op) (size uint8, sign bool) {

@@ -252,6 +252,13 @@ type Inst struct {
 	// Dead is set by the register allocator for instructions whose results
 	// are unused; the encoder skips them (§2.3.3–2.3.4).
 	Dead bool
+
+	// restN and restCost are set only on the superblock arena's copy of a
+	// run's PROFCNT (buildSuperblock): the count and summed base cost of
+	// the ops after it in its run, which the run retires at entry. They
+	// fill Inst's padding (it stays 32 bytes), and decode leaves them zero.
+	restN    uint8
+	restCost uint16
 }
 
 var opNames = [opCount]string{

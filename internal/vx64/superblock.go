@@ -12,13 +12,27 @@ package vx64
 // A superblock is a predecoded straight-line run of instructions starting
 // at some code-region offset and ending at the first instruction that can
 // redirect control, leave the simulated CPU, or change translation state.
-// runSuperblock executes the run in a tight loop: translation hoisted out
-// entirely, the budget check amortized to one conservative comparison at
-// block entry (falling back to per-op checks only when the budget could
-// expire mid-block), and per-op dispatch straight over the predecoded
-// slice. Architectural behaviour — register file, memory, Stats.Insts,
-// Stats.Cycles, trap kinds and trap points — is bit-identical to calling
-// Step in a loop; TestSuperblockStepEquivalence pins this.
+// runSuperblock executes it in one loop, execRun, with no call and no
+// bookkeeping per op:
+//
+//   - Retirement at entry. When the budget clears the run's worst-case
+//     cost, the run's instruction count and summed base cost are added to
+//     Stats once, and execRun runs every op. An op that leaves early (a
+//     fault, a firing IRQCHK or Kick, a divide, #GP) settles Stats by
+//     taking back the count and base cost of the ops after it.
+//   - The PROFCNT stash. PROFCNT is the only op that reads Stats before
+//     its run ends (every other reader ends a run, so it is last). The
+//     build stashes on its arena copy the count and base cost of the ops
+//     after it; PROFCNT leaves that cost out of its profile mark, and takes
+//     both off Stats around the trace hook. A run holds at most one
+//     PROFCNT: a second one ends the run before it.
+//   - Stepping at the budget boundary. When the budget may expire inside
+//     the run, runSuperblock steps one instruction instead: stepping is the
+//     reference the fast path reproduces.
+//
+// Architectural behaviour — register file, memory, Stats, profile cells,
+// trap kinds and trap points — is bit-identical to calling Step in a loop;
+// TestSuperblockStepEquivalence pins this.
 //
 // Coherence: superblocks are invalidated by InvalidateCode, which the
 // engines call on chain patch/unpatch (core/chain.go), block installation
@@ -55,9 +69,9 @@ const (
 // sbSlot is one direct-mapped cache slot: the key and the precomputed
 // fields of one predecoded straight-line run, whose ops sit in the arena
 // at [start, start+n). It holds no pointer, so the table costs the
-// collector nothing.
+// collector nothing, and it is 32 bytes.
 type sbSlot struct {
-	off uint64 // code-region offset of the run's first instruction
+	off uint32 // code-region offset of the run's first instruction (SetCodeRegion bounds it)
 
 	// worst bounds the deci-cycles the whole run can consume before its
 	// last instruction completes (base costs plus a TLB-miss allowance per
@@ -66,6 +80,7 @@ type sbSlot struct {
 	// budget check is needed: the original Step loop would not have
 	// stopped mid-run either.
 	worst uint32
+	base  uint32 // summed opCost of the run's ops, retired at entry
 	start uint16 // arena index of the first op (sbArenaOps fits)
 	n     uint8  // ops in the run (sbMaxOps fits)
 
@@ -119,47 +134,30 @@ func opWorstCost(op Op) uint64 {
 // (which the caller has resolved from a direct-map RIP). It returns true
 // when execution must return to the embedder, with the trap in c.trap;
 // false hands control back to the Run loop — either the run completed (RIP
-// is at its successor) or the budget expired (Run re-checks and reports
-// TrapBudget), exactly as the stepped loop would. No Trap is copied on any
-// exit.
+// is at its successor) or, with the budget within the run's worst case of
+// its limit, one instruction was stepped (Run re-checks the budget and
+// reports TrapBudget once it expires), exactly as the stepped loop would.
+// No Trap is copied on any exit.
 func (c *CPU) runSuperblock(off uint64, limit uint64) bool {
 	sb := &c.sbTab[sbHash(off)]
-	if sb.off != off || sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
+	if uint64(sb.off) != off || sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
 		if !c.buildSuperblock(sb, off) {
 			// step raises the same bus fault stepping would, or runs the
 			// instruction that ends past the code region.
 			return !c.step()
 		}
 	}
+	if c.Stats.Cycles+uint64(sb.worst) >= limit {
+		// The budget may expire inside the run: step one instruction, and
+		// let Run check the budget before the next.
+		return !c.step()
+	}
+	// The budget cannot expire before the run's last instruction starts:
+	// retire the run once and execute it with no per-op checks at all.
+	c.Stats.Insts += uint64(sb.n)
+	c.Stats.Cycles += uint64(sb.base)
 	ops := c.sbArena.ops[sb.start:][:sb.n]
-	lens := c.sbArena.lens[sb.start:][:len(ops)]
-	if c.Stats.Cycles+uint64(sb.worst) < limit {
-		// The budget cannot expire before the run's last instruction
-		// starts: dispatch with no per-op checks at all.
-		for i := range ops {
-			inst := &ops[i]
-			c.Stats.Insts++
-			c.Stats.Cycles += opCost[inst.Op]
-			if !c.execOp(inst, c.RIP+uint64(lens[i])) {
-				return true
-			}
-		}
-		return false
-	}
-	// Budget may expire mid-run: replicate the stepped loop's
-	// check-before-every-instruction semantics.
-	for i := range ops {
-		if c.Stats.Cycles >= limit {
-			return false
-		}
-		inst := &ops[i]
-		c.Stats.Insts++
-		c.Stats.Cycles += opCost[inst.Op]
-		if !c.execOp(inst, c.RIP+uint64(lens[i])) {
-			return true
-		}
-	}
-	return false
+	return c.execRun(ops, c.sbArena.lens[sb.start:]) < len(ops)
 }
 
 // buildSuperblock decodes the straight-line run starting at code-region
@@ -167,7 +165,9 @@ func (c *CPU) runSuperblock(off uint64, limit uint64) bool {
 // sb with it and raises sbHigh to the run's end. It reports false, leaving sb
 // alone, when the first instruction does not decode or ends past the code
 // region (step runs it and reports any fault); a later such instruction
-// ends the run before it.
+// ends the run before it, as does a second PROFCNT. The same pass stashes
+// on the run's PROFCNT the count and base cost of the ops after it
+// (execRun).
 //
 // A run that might not fit behind the arena's last one recycles the arena
 // from index 0. Every live superblock's ops are in the arena, and every one
@@ -182,17 +182,22 @@ func (c *CPU) buildSuperblock(sb *sbSlot, off uint64) bool {
 	}
 	a, start := c.sbArena, c.sbNext
 	i := start
-	var worst uint64
+	var worst, base, profBase uint64
+	prof := -1
 	pa := c.codeLo + off
 	for i-start < sbMaxOps && pa < c.codeHi {
 		inst := &a.ops[i]
 		n, err := decode(inst, c.Phys, int(pa))
-		if err != nil || pa+uint64(n) > c.codeHi {
+		if err != nil || pa+uint64(n) > c.codeHi || inst.Op == PROFCNT && prof >= 0 {
 			break
 		}
 		a.lens[i] = uint8(n)
-		i++
 		worst += opWorstCost(inst.Op)
+		base += opCost[inst.Op]
+		if inst.Op == PROFCNT {
+			prof, profBase = i, base
+		}
+		i++
 		pa += uint64(n)
 		if endsSuperblock(inst.Op) {
 			break
@@ -201,10 +206,15 @@ func (c *CPU) buildSuperblock(sb *sbSlot, off uint64) bool {
 	if i == start {
 		return false
 	}
+	if prof >= 0 {
+		// At most sbMaxOps-1 ops follow, each but the last costing at most
+		// CostFPSqrt, so the cost fits the stash's 16 bits.
+		a.ops[prof].restN, a.ops[prof].restCost = uint8(i-1-prof), uint16(base-profBase)
+	}
 	c.sbNext = i
 	end := pa - c.codeLo
 	pg0, pg1 := uint32(off>>PageShift), uint32((end-1)>>PageShift)
-	*sb = sbSlot{off: off, worst: uint32(worst), start: uint16(start), n: uint8(i - start),
+	*sb = sbSlot{off: uint32(off), worst: uint32(worst), base: uint32(base), start: uint16(start), n: uint8(i - start),
 		pg0: pg0, pg1: pg1, gen0: c.sbPageGen[pg0], gen1: c.sbPageGen[pg1]}
 	c.sbHigh = max(c.sbHigh, end)
 	return true

@@ -1,7 +1,9 @@
 package vx64
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // runStepped replicates Run's semantics with per-instruction stepping and
@@ -77,67 +79,192 @@ func sbTestProgram(c *CPU) uint64 {
 	return directBase
 }
 
+// sbExitProgram assembles a loop of two blocks in the engines' shape, each
+// opening with the instrumentation prologue (icount LOAD64, IRQCHK,
+// PROFCNT), the first falling straight into the second, and returns the
+// entry VA. Its runs leave early in three ways, each resumed by
+// resumeExits: a load from one of eight pages, unmapped until its first
+// touch; a divide whose divisor is zero every fourth iteration; and an
+// IRQCHK whose deadline the embedder keeps moving ahead. Block-entry hooks
+// and profile cells see the runs' retirement at entry.
+func sbExitProgram(c *CPU) uint64 {
+	const state = 0x9000 // icount at +0x08, IRQ deadline at +0x70
+	db := uint64(directBase)
+	c.Phys.W64(state+0x70, 5)
+	for pa := uint64(0x40000); pa < 0x48000; pa += 8 {
+		c.Phys.W64(pa, pa*0x9E3779B97F4A7C15)
+	}
+	c.CR3 = 0x20000 // an empty root table; resumeExits maps pages from 0x21000
+	c.Prof = make([]ProfCell, 2)
+	icount := Mem{Base: RSTA, Disp: 0x08, Index: NoReg, Scale: 1}
+	deadline := Mem{Base: RSTA, Disp: 0x70, Index: NoReg, Scale: 1}
+	prologue := func(slot int64) []Inst {
+		return []Inst{
+			{Op: LOAD64, Rd: 7, M: icount},
+			{Op: IRQCHK, Rs: 7, M: deadline},
+			{Op: PROFCNT, Imm: slot},
+		}
+	}
+	at := asm(c.Phys, 0,
+		Inst{Op: MOVI32, Rd: 0, Imm: 24}, // iterations
+		Inst{Op: XORrr, Rd: 1, Rs: 1},
+		Inst{Op: MOVI64, Rd: uint16(RSTA), Imm: int64(db + state)},
+	)
+	loop := at
+	at = asm(c.Phys, at, prologue(0)...)
+	at = asm(c.Phys, at,
+		Inst{Op: MOVrr, Rd: 2, Rs: 0},
+		Inst{Op: ANDri, Rd: 2, Imm: 7},
+		Inst{Op: SHLri, Rd: 2, Imm: PageShift},
+		Inst{Op: ADDri, Rd: 2, Imm: 0x400000},
+		Inst{Op: LOAD64, Rd: 3, M: Mem{Base: R2, Index: NoReg, Scale: 1}}, // paged
+		Inst{Op: ADDrr, Rd: 1, Rs: 3},
+		Inst{Op: ADDri, Rd: 7, Imm: 1},
+		Inst{Op: STORE64, Rs: 7, M: icount},
+	)
+	// The second block follows with no branch between: a run holds one
+	// PROFCNT, so a run through the first block ends at this one's.
+	at = asm(c.Phys, at, prologue(1)...)
+	at = asm(c.Phys, at,
+		Inst{Op: MOVrr, Rd: 4, Rs: 0},
+		Inst{Op: ANDri, Rd: 4, Imm: 3},
+		Inst{Op: MOVrr, Rd: 5, Rs: 1},
+		Inst{Op: UDIVrr, Rd: 5, Rs: 4}, // divisor zero every fourth iteration
+		Inst{Op: ADDrr, Rd: 1, Rs: 5},
+		Inst{Op: ADDri, Rd: 7, Imm: 1},
+		Inst{Op: STORE64, Rs: 7, M: icount},
+		Inst{Op: ADDri, Rd: 0, Imm: -1},
+		Inst{Op: CMPri, Rd: 0, Imm: 0},
+	)
+	jcc := at
+	at = asm(c.Phys, at, Inst{Op: JCC, Cond: CondNE})
+	asm(c.Phys, jcc, Inst{Op: JCC, Cond: CondNE, Imm: int64(loop) - int64(at)})
+	asm(c.Phys, at, Inst{Op: HLT})
+	return directBase
+}
+
+// resumeExits plays the embedder for sbExitProgram: it maps the page a
+// load faulted on, makes a zero divisor one, and moves a fired IRQ
+// deadline seven retired instructions ahead.
+func resumeExits(c *CPU, tr Trap) bool {
+	switch tr.Kind {
+	case TrapPageFault:
+		page := tr.Addr &^ PageMask
+		alloc := 0x21000 + 3*PageSize*c.Stats.Faults
+		buildPageTables(c.Phys, c.CR3, &alloc, page, page-0x400000+0x40000, PTEPresent|PTEWrite)
+	case TrapDivide:
+		c.R[4] = 1
+	case TrapIRQ:
+		c.Phys.W64(0x9070, c.Phys.R64(0x9008)+7)
+	default:
+		return false
+	}
+	return true
+}
+
+// resumeSoft resumes sbTestProgram past its software traps.
+func resumeSoft(c *CPU, tr Trap) bool { return tr.Kind == TrapSoft }
+
 // runCopied runs one budget slice through Run and copies out the trap, which
 // Run hands back as the CPU's own record.
 func runCopied(c *CPU, cycleBudget uint64) Trap { return *c.Run(cycleBudget) }
 
-// runToCompletion drives a CPU like an embedder: resume after soft traps,
-// stop on halt, budget exhaustion or anything unexpected. exec runs one
-// budget slice (runCopied or runStepped).
-func runToCompletion(t *testing.T, c *CPU, exec func(*CPU, uint64) Trap, slice uint64) (Trap, int) {
+// runToCompletion drives a CPU like an embedder: close the profile interval
+// after every exit, continue after budget exhaustion, let resume handle the
+// program's own traps, and stop on halt or anything else. exec runs one
+// budget slice (runCopied or runStepped). It returns every trap resumed.
+func runToCompletion(t *testing.T, c *CPU, exec func(*CPU, uint64) Trap, slice uint64, resume func(*CPU, Trap) bool) (Trap, []Trap) {
 	t.Helper()
-	resumes := 0
+	var resumed []Trap
 	for i := 0; i < 1_000_000; i++ {
 		tr := exec(c, slice)
-		switch tr.Kind {
-		case TrapSoft:
-			resumes++
+		c.ProfPause()
+		switch {
+		case tr.Kind == TrapBudget:
 			continue
-		case TrapBudget:
+		case tr.Kind == TrapHlt:
+			return tr, resumed
+		case resume(c, tr):
+			resumed = append(resumed, tr)
 			continue
-		case TrapHlt:
-			return tr, resumes
 		default:
 			t.Fatalf("unexpected trap %v", tr)
 		}
 	}
 	t.Fatal("program did not halt")
-	return Trap{}, resumes
+	return Trap{}, resumed
 }
 
 // TestSuperblockStepEquivalence pins the tentpole invariant: superblock
 // execution is bit-identical to per-Step execution — register file, flags,
-// RIP, trap sequence and the Stats counters (Insts and Cycles in
-// particular), across budget slices that expire at every possible point
-// inside and between superblocks.
+// RIP, trap sequence, the Stats counters (Insts and Cycles in particular),
+// the profile cells and the Stats each block-entry hook sees — across
+// budget slices that expire at every possible point inside and between
+// superblocks, on a program whose runs complete and on one whose runs
+// leave early.
 func TestSuperblockStepEquivalence(t *testing.T) {
-	slices := []uint64{1, 7, 23, 97, 211, 997, 5003, 1 << 20}
-	for _, slice := range slices {
-		a := newTestCPU()
-		b := newTestCPU()
-		entryA := sbTestProgram(a)
-		entryB := sbTestProgram(b)
-		a.RIP, b.RIP = entryA, entryB
+	programs := []struct {
+		name   string
+		setup  func(*CPU) uint64
+		resume func(*CPU, Trap) bool
+		exits  []TrapKind // each resumed at least once
+	}{
+		{"complete", sbTestProgram, resumeSoft, []TrapKind{TrapSoft}},
+		{"early-exits", sbExitProgram, resumeExits, []TrapKind{TrapPageFault, TrapDivide, TrapIRQ}},
+	}
+	sizes := []uint64{1, 7, 23, 97, 211, 997, 5003, 1 << 20}
+	for _, p := range programs {
+		for _, slice := range sizes {
+			a := newTestCPU()
+			b := newTestCPU()
+			var hooksA, hooksB [][2]uint64
+			a.TraceBlock = func() { hooksA = append(hooksA, [2]uint64{a.Stats.Insts, a.Stats.Cycles}) }
+			b.TraceBlock = func() { hooksB = append(hooksB, [2]uint64{b.Stats.Insts, b.Stats.Cycles}) }
+			a.RIP, b.RIP = p.setup(a), p.setup(b)
 
-		trA, resA := runToCompletion(t, a, runCopied, slice)
-		trB, resB := runToCompletion(t, b, runStepped, slice)
+			trA, resA := runToCompletion(t, a, runCopied, slice, p.resume)
+			trB, resB := runToCompletion(t, b, runStepped, slice, p.resume)
 
-		if trA != trB {
-			t.Fatalf("slice %d: final traps differ: %+v vs %+v", slice, trA, trB)
+			if trA != trB {
+				t.Fatalf("%s, slice %d: final traps differ: %+v vs %+v", p.name, slice, trA, trB)
+			}
+			if !slices.Equal(resA, resB) {
+				t.Fatalf("%s, slice %d: trap sequences differ:\n run: %v\nstep: %v", p.name, slice, resA, resB)
+			}
+			if a.R != b.R || a.X != b.X || a.F != b.F || a.RIP != b.RIP {
+				t.Fatalf("%s, slice %d: architectural state diverged:\n run: R=%v rip=%#x\nstep: R=%v rip=%#x",
+					p.name, slice, a.R, a.RIP, b.R, b.RIP)
+			}
+			if a.Stats != b.Stats {
+				t.Fatalf("%s, slice %d: stats diverged:\n run: %+v\nstep: %+v", p.name, slice, a.Stats, b.Stats)
+			}
+			if !slices.Equal(a.Prof, b.Prof) {
+				t.Fatalf("%s, slice %d: profile cells diverged:\n run: %+v\nstep: %+v", p.name, slice, a.Prof, b.Prof)
+			}
+			if !slices.Equal(hooksA, hooksB) {
+				t.Fatalf("%s, slice %d: block-entry hooks saw different (Insts, Cycles):\n run: %v\nstep: %v",
+					p.name, slice, hooksA, hooksB)
+			}
+			if string(a.Phys) != string(b.Phys) {
+				t.Fatalf("%s, slice %d: memory diverged", p.name, slice)
+			}
+			for _, k := range p.exits {
+				if !slices.ContainsFunc(resA, func(tr Trap) bool { return tr.Kind == k }) {
+					t.Fatalf("%s, slice %d: no %v trap was resumed", p.name, slice, k)
+				}
+			}
 		}
-		if resA != resB {
-			t.Fatalf("slice %d: soft-trap counts differ: %d vs %d", slice, resA, resB)
-		}
-		if a.R != b.R || a.X != b.X || a.F != b.F || a.RIP != b.RIP {
-			t.Fatalf("slice %d: architectural state diverged:\n run: R=%v rip=%#x\nstep: R=%v rip=%#x",
-				slice, a.R, a.RIP, b.R, b.RIP)
-		}
-		if a.Stats != b.Stats {
-			t.Fatalf("slice %d: stats diverged:\n run: %+v\nstep: %+v", slice, a.Stats, b.Stats)
-		}
-		if string(a.Phys) != string(b.Phys) {
-			t.Fatalf("slice %d: memory diverged", slice)
-		}
+	}
+}
+
+// TestSuperblockLayout holds the sizes the table and arena are budgeted
+// by: a slot is 32 bytes, and PROFCNT's stash fits Inst's padding.
+func TestSuperblockLayout(t *testing.T) {
+	if n := unsafe.Sizeof(sbSlot{}); n != 32 {
+		t.Errorf("sbSlot is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Inst{}); n != 32 {
+		t.Errorf("Inst is %d bytes, want 32", n)
 	}
 }
 
@@ -357,8 +484,8 @@ func TestSuperblockArenaRecycle(t *testing.T) {
 	compare := func(pass string) {
 		t.Helper()
 		a.RIP, b.RIP = directBase, directBase
-		trA, _ := runToCompletion(t, a, runCopied, 1<<30)
-		trB, _ := runToCompletion(t, b, runStepped, 1<<30)
+		trA, _ := runToCompletion(t, a, runCopied, 1<<30, resumeSoft)
+		trB, _ := runToCompletion(t, b, runStepped, 1<<30, resumeSoft)
 		if trA != trB || a.R != b.R || a.F != b.F || a.RIP != b.RIP || a.Stats != b.Stats {
 			t.Fatalf("%s: run r0=%d r1=%d stats %+v; stepped r0=%d r1=%d stats %+v",
 				pass, a.R[0], a.R[1], a.Stats, b.R[0], b.R[1], b.Stats)
