@@ -345,39 +345,10 @@ func movImm(d uint16, v uint64) vx64.Inst {
 	}
 }
 
+// loadOpFor returns the load of a guest value of type ty: its width, and
+// sign-extending when ty is signed.
 func loadOpFor(ty adl.TypeName) vx64.Op {
-	switch ty.Bits() {
-	case 8:
-		if ty.Signed() {
-			return vx64.LOADS8
-		}
-		return vx64.LOAD8
-	case 16:
-		if ty.Signed() {
-			return vx64.LOADS16
-		}
-		return vx64.LOAD16
-	case 32:
-		if ty.Signed() {
-			return vx64.LOADS32
-		}
-		return vx64.LOAD32
-	default:
-		return vx64.LOAD64
-	}
-}
-
-func storeOpFor(width uint8) vx64.Op {
-	switch width {
-	case 1:
-		return vx64.STORE8
-	case 2:
-		return vx64.STORE16
-	case 4:
-		return vx64.STORE32
-	default:
-		return vx64.STORE64
-	}
+	return vx64.MemOp(vx64.Load, uint8(ty.Bits()/8), ty.Signed())
 }
 
 // fitsImm32 reports whether v is usable as a sign-extended 32-bit ALU
@@ -572,19 +543,6 @@ func (e *Emitter) BankRead(bank *ssa.Bank, idx gen.Val) gen.Val {
 	return e.newNode(node{kind: nGPR, ty: bank.Type, gpr: d})
 }
 
-// forceBankLoads materializes pending lazy bank loads (ordering barrier
-// before a bank write).
-func (e *Emitter) forceBankLoads() {
-	pending := e.pendingBankLoads
-	e.pendingBankLoads = e.pendingBankLoads[:0]
-	for _, v := range pending {
-		n := &e.nodes[v]
-		if n.kind == nLoadBank && n.gpr == 0 && n.fpr == 0 {
-			e.matG(v)
-		}
-	}
-}
-
 // BankWriteFixed implements gen.Emitter.
 func (e *Emitter) BankWriteFixed(bank *ssa.Bank, idx uint64, val gen.Val) {
 	e.forceBankLoads()
@@ -597,7 +555,7 @@ func (e *Emitter) BankWriteFixed(bank *ssa.Bank, idx uint64, val gen.Val) {
 		return
 	}
 	g := e.matG(val)
-	e.emit(vx64.Inst{Op: storeOpFor(uint8(bank.Stride)), Rs: g,
+	e.emit(vx64.Inst{Op: vx64.MemOp(vx64.Store, uint8(bank.Stride), false), Rs: g,
 		M: vx64.Mem{Base: vx64.RRF, Index: vx64.NoReg, Scale: 1, Disp: off}})
 }
 
@@ -606,9 +564,22 @@ func (e *Emitter) BankWrite(bank *ssa.Bank, idx gen.Val, val gen.Val) {
 	e.forceBankLoads()
 	i := e.matG(idx)
 	g := e.matG(val)
-	e.emit(vx64.Inst{Op: storeOpFor(uint8(bank.Stride)), Rs: g,
+	e.emit(vx64.Inst{Op: vx64.MemOp(vx64.Store, uint8(bank.Stride), false), Rs: g,
 		M:       vx64.Mem{Base: vx64.RRF, Disp: int32(bank.Offset), Scale: uint8(bank.Stride), Index: vx64.Reg(0)},
 		MIndexV: i})
+}
+
+// forceBankLoads materializes pending lazy bank loads (ordering barrier
+// before a bank write).
+func (e *Emitter) forceBankLoads() {
+	pending := e.pendingBankLoads
+	e.pendingBankLoads = e.pendingBankLoads[:0]
+	for _, v := range pending {
+		n := &e.nodes[v]
+		if n.kind == nLoadBank && n.gpr == 0 && n.fpr == 0 {
+			e.matG(v)
+		}
+	}
 }
 
 // Binary implements gen.Emitter with DAG-level constant folding.

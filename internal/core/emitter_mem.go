@@ -57,20 +57,9 @@ func (e *Emitter) MemRead(width uint8, ty adl.TypeName, addr gen.Val) gen.Val {
 	}
 	ha := e.emitGuestAddr(addr)
 	d := e.newG()
-	var op vx64.Op
+	op := vx64.MemOp(vx64.Load, width, false)
 	if ty.Signed() {
 		op = loadOpFor(ty)
-	} else {
-		switch width {
-		case 1:
-			op = vx64.LOAD8
-		case 2:
-			op = vx64.LOAD16
-		case 4:
-			op = vx64.LOAD32
-		default:
-			op = vx64.LOAD64
-		}
 	}
 	e.emit(vx64.Inst{Op: op, Rd: d, M: vx64.Mem{Disp: 0, Scale: 1, Index: vx64.NoReg}, MBaseV: ha})
 	return e.newNode(node{kind: nGPR, ty: ty, gpr: d})
@@ -82,10 +71,10 @@ func (e *Emitter) MemWrite(width uint8, addr, val gen.Val) {
 		e.memWriteQEMU(width, addr, val)
 		return
 	}
+	op := vx64.MemOp(vx64.Store, width, false)
 	ha := e.emitGuestAddr(addr)
 	g := e.matG(val)
-	e.emit(vx64.Inst{Op: storeOpFor(width), Rs: g,
-		M: vx64.Mem{Disp: 0, Scale: 1, Index: vx64.NoReg}, MBaseV: ha})
+	e.emit(vx64.Inst{Op: op, Rs: g, M: vx64.Mem{Disp: 0, Scale: 1, Index: vx64.NoReg}, MBaseV: ha})
 }
 
 // --- helper calls ------------------------------------------------------------

@@ -603,57 +603,25 @@ func (e *Engine) handleHostFault(trap *vx64.Trap) (bool, error) {
 func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 	e.cpu.Stats.Cycles += costMMIOEmulate
 	in := trap.Inst
-	var width uint8
-	var load bool
-	var fp bool
-	switch in.Op {
-	case vx64.LOAD8, vx64.LOADS8:
-		width, load = 1, true
-	case vx64.LOAD16, vx64.LOADS16:
-		width, load = 2, true
-	case vx64.LOAD32, vx64.LOADS32:
-		width, load = 4, true
-	case vx64.LOAD64:
-		width, load = 8, true
-	case vx64.STORE8:
-		width = 1
-	case vx64.STORE16:
-		width = 2
-	case vx64.STORE32:
-		width = 4
-	case vx64.STORE64:
-		width = 8
-	case vx64.FLD:
-		width, load, fp = 8, true, true
-	case vx64.FST:
-		width, fp = 8, true
-	default:
-		return fmt.Errorf("core: MMIO fault from non-memory instruction %v", in)
-	}
-	if load {
-		v := e.Device(gpa, width, false, 0, e.cpu.R[vx64.RPC])
-		if in.Op == vx64.LOADS8 {
-			v = uint64(int64(int8(v)))
-		} else if in.Op == vx64.LOADS16 {
-			v = uint64(int64(int16(v)))
-		} else if in.Op == vx64.LOADS32 {
-			v = uint64(int64(int32(v)))
-		}
-		if fp {
+	row := in.Op.Info()
+	switch {
+	case row.Mem && row.Dir == vx64.Load && row.Rd.Def():
+		v := row.Extend(e.Device(gpa, row.Width, false, 0, e.cpu.R[vx64.RPC]))
+		if row.Rd.FP() {
 			e.cpu.X[in.Rd] = v
 		} else {
 			e.cpu.R[in.Rd] = v
 		}
-	} else {
-		var v uint64
-		if fp {
+	case row.Mem && row.Dir == vx64.Store:
+		v := e.cpu.R[in.Rs]
+		if row.Rs.FP() {
 			v = e.cpu.X[in.Rs]
-		} else {
-			v = e.cpu.R[in.Rs]
 		}
-		e.Device(gpa, width, true, v, e.cpu.R[vx64.RPC])
+		e.Device(gpa, row.Width, true, v, e.cpu.R[vx64.RPC])
 		// A device write may have armed, disarmed or retargeted the timer.
 		e.refreshIRQ()
+	default:
+		return fmt.Errorf("core: MMIO fault from non-memory instruction %v", in)
 	}
 	e.cpu.RIP = trap.NextRIP
 	return nil

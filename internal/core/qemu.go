@@ -127,21 +127,10 @@ func (e *Emitter) emitSoftMMU(width uint8, addr gen.Val, write bool, storeVal ge
 		MIndexV: idx})
 	e.emitPure(vx64.Inst{Op: vx64.ADDrr, Rd: addend, Rs: a})
 	if write {
-		e.emit(vx64.Inst{Op: storeOpFor(width), Rs: sv,
+		e.emit(vx64.Inst{Op: vx64.MemOp(vx64.Store, width, false), Rs: sv,
 			M: vx64.Mem{Disp: 0, Scale: 1, Index: vx64.NoReg}, MBaseV: addend})
 	} else {
-		var op vx64.Op
-		switch width {
-		case 1:
-			op = vx64.LOAD8
-		case 2:
-			op = vx64.LOAD16
-		case 4:
-			op = vx64.LOAD32
-		default:
-			op = vx64.LOAD64
-		}
-		e.emit(vx64.Inst{Op: op, Rd: dst,
+		e.emit(vx64.Inst{Op: vx64.MemOp(vx64.Load, width, false), Rd: dst,
 			M: vx64.Mem{Disp: 0, Scale: 1, Index: vx64.NoReg}, MBaseV: addend})
 	}
 	join := e.splitHere()

@@ -27,115 +27,19 @@ var fprPool = []uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 var gprShuttles = []uint16{7, 8, 12}
 var fprShuttles = []uint16{13, 14, 15}
 
-// opnd describes one register operand slot of an instruction.
+// opnd is one register operand of an instruction: the field holding it
+// and, from the opcode table, its roles and register class.
 type opnd struct {
 	field *uint16 // pointer to Rd/Rs/Rs2/MBaseV/MIndexV
-	fp    bool
-	use   bool
-	def   bool
+	vx64.Operand
 }
 
 // class is the operand's register class: 0 for GPRs, 1 for FP registers.
 func (o opnd) class() int {
-	if o.fp {
+	if o.FP() {
 		return 1
 	}
 	return 0
-}
-
-// appendOperands appends the register operands of an instruction, with
-// their def/use roles and register class, to out.
-func appendOperands(out []opnd, li *LInst) []opnd {
-	i := &li.I
-	add := func(f *uint16, fp, use, def bool) {
-		if *f != 0 || def || use {
-			out = append(out, opnd{field: f, fp: fp, use: use, def: def})
-		}
-	}
-	switch i.Op {
-	case vx64.NOP, vx64.RET, vx64.SYSCALL, vx64.SYSRET, vx64.HLT,
-		vx64.TLBFLUSHALL, vx64.JMP, vx64.JCC, vx64.HELPER, vx64.TRAP,
-		vx64.PROFCNT:
-		// no register operands
-	case vx64.MOVrr:
-		add(&i.Rd, false, false, true)
-		add(&i.Rs, false, true, false)
-	case vx64.MOVI8, vx64.MOVI32, vx64.MOVI64, vx64.SETcc, vx64.RDNZCV:
-		add(&i.Rd, false, false, true)
-	case vx64.CMOVcc:
-		add(&i.Rd, false, true, true)
-		add(&i.Rs, false, true, false)
-	case vx64.LOAD8, vx64.LOAD16, vx64.LOAD32, vx64.LOAD64,
-		vx64.LOADS8, vx64.LOADS16, vx64.LOADS32, vx64.LEA:
-		add(&i.Rd, false, false, true)
-	case vx64.STORE8, vx64.STORE16, vx64.STORE32, vx64.STORE64, vx64.IRQCHK:
-		add(&i.Rs, false, true, false)
-	case vx64.ADDrr, vx64.SUBrr, vx64.ANDrr, vx64.ORrr, vx64.XORrr,
-		vx64.SHLrr, vx64.SHRrr, vx64.SARrr, vx64.MULrr, vx64.UMULH, vx64.SMULH,
-		vx64.UDIVrr, vx64.SDIVrr, vx64.UREMrr, vx64.SREMrr:
-		add(&i.Rd, false, true, true)
-		add(&i.Rs, false, true, false)
-	case vx64.ADDri, vx64.SUBri, vx64.ANDri, vx64.ORri, vx64.XORri,
-		vx64.SHLri, vx64.SHRri, vx64.SARri:
-		add(&i.Rd, false, true, true)
-	case vx64.NEGr, vx64.NOTr:
-		add(&i.Rd, false, true, true)
-	case vx64.CMPrr, vx64.TESTrr:
-		add(&i.Rd, false, true, false)
-		add(&i.Rs, false, true, false)
-	case vx64.CMPri, vx64.TESTri:
-		add(&i.Rd, false, true, false)
-	case vx64.JMPR, vx64.CALLR, vx64.WRCR3, vx64.INVLPG:
-		add(&i.Rd, false, true, false)
-	case vx64.RDCR3:
-		add(&i.Rd, false, false, true)
-	case vx64.INport:
-		add(&i.Rd, false, false, true)
-	case vx64.OUTport:
-		add(&i.Rs, false, true, false)
-	case vx64.FLD:
-		add(&i.Rd, true, false, true)
-	case vx64.FST:
-		add(&i.Rs, true, true, false)
-	case vx64.FMOVxr:
-		add(&i.Rd, true, false, true)
-		add(&i.Rs, false, true, false)
-	case vx64.FMOVrx:
-		add(&i.Rd, false, false, true)
-		add(&i.Rs, true, true, false)
-	case vx64.FMOVxx, vx64.FSQRT, vx64.FNEG, vx64.FABS:
-		add(&i.Rd, true, false, true)
-		add(&i.Rs, true, true, false)
-	case vx64.FADD, vx64.FSUB, vx64.FMUL, vx64.FDIV, vx64.FMIN, vx64.FMAX:
-		add(&i.Rd, true, false, true)
-		add(&i.Rs, true, true, false)
-		add(&i.Rs2, true, true, false)
-	case vx64.FCMP:
-		add(&i.Rd, true, true, false)
-		add(&i.Rs, true, true, false)
-	case vx64.CVTSI2SD, vx64.CVTUI2SD:
-		add(&i.Rd, true, false, true)
-		add(&i.Rs, false, true, false)
-	case vx64.CVTSD2SI, vx64.CVTSD2UI:
-		add(&i.Rd, false, false, true)
-		add(&i.Rs, true, true, false)
-	default:
-		panic(fmt.Sprintf("core: operands: unhandled op %v", i.Op))
-	}
-	// Memory-operand virtual registers are uses.
-	switch i.Op {
-	case vx64.LOAD8, vx64.LOAD16, vx64.LOAD32, vx64.LOAD64,
-		vx64.LOADS8, vx64.LOADS16, vx64.LOADS32, vx64.LEA,
-		vx64.STORE8, vx64.STORE16, vx64.STORE32, vx64.STORE64,
-		vx64.FLD, vx64.FST, vx64.IRQCHK:
-		if i.MBaseV != 0 {
-			out = append(out, opnd{field: &i.MBaseV, fp: false, use: true})
-		}
-		if i.MIndexV != 0 {
-			out = append(out, opnd{field: &i.MIndexV, fp: false, use: true})
-		}
-	}
-	return out
 }
 
 // interval is one virtual register's live range and assignment.
@@ -201,7 +105,7 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 
 	// --- dead-code marking (backward, with use counts) ---
 	for _, o := range a.ops {
-		if *o.field >= firstVreg && o.use {
+		if *o.field >= firstVreg && o.Use() {
 			a.uses[o.class()][*o.field-firstVreg]++
 		}
 	}
@@ -213,7 +117,7 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 		ops := a.operands(idx)
 		deadOK := false
 		for _, o := range ops {
-			if o.def && *o.field >= firstVreg {
+			if o.Def() && *o.field >= firstVreg {
 				if a.uses[o.class()][*o.field-firstVreg] == 0 {
 					deadOK = true
 				} else {
@@ -226,7 +130,7 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 			li.I.Dead = true
 			stats.Dead++
 			for _, o := range ops {
-				if o.use && *o.field >= firstVreg {
+				if o.Use() && *o.field >= firstVreg {
 					a.uses[o.class()][*o.field-firstVreg]--
 				}
 			}
@@ -340,7 +244,7 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 			}
 			// Spilled: shuttle through a reserved register.
 			var sh uint16
-			if o.fp {
+			if o.FP() {
 				if fprS >= len(fprShuttles) {
 					return nil, stats, fmt.Errorf("core: out of FP shuttles")
 				}
@@ -354,16 +258,16 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 				gprS++
 			}
 			disp := int32(-8 * (iv.slot + 1))
-			if o.use {
+			if o.Use() {
 				ld := vx64.LOAD64
-				if o.fp {
+				if o.FP() {
 					ld = vx64.FLD
 				}
 				a.out = append(a.out, LInst{I: vx64.Inst{Op: ld, Rd: sh,
 					M: vx64.Mem{Base: vx64.RSP, Index: vx64.NoReg, Scale: 1, Disp: disp}}, Target: noTarget})
 			}
-			if o.def {
-				defStores[nDefs] = deferred{reg: sh, slot: iv.slot, fp: o.fp}
+			if o.Def() {
+				defStores[nDefs] = deferred{reg: sh, slot: iv.slot, fp: o.FP()}
 				nDefs++
 			}
 			*o.field = sh
@@ -392,4 +296,31 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 		}
 	}
 	return a.out, stats, nil
+}
+
+// appendOperands appends the register operands of an instruction to out, in
+// the order Rd, Rs, Rs2, memory base, memory index: the register fields its
+// opcode's row names, then the memory operand's virtual registers, which
+// are GPR uses.
+func appendOperands(out []opnd, li *LInst) []opnd {
+	i := &li.I
+	row := i.Op.Info()
+	if row.Rd != 0 {
+		out = append(out, opnd{&i.Rd, row.Rd})
+	}
+	if row.Rs != 0 {
+		out = append(out, opnd{&i.Rs, row.Rs})
+	}
+	if row.Rs2 != 0 {
+		out = append(out, opnd{&i.Rs2, row.Rs2})
+	}
+	if row.Mem {
+		if i.MBaseV != 0 {
+			out = append(out, opnd{&i.MBaseV, vx64.OpUse})
+		}
+		if i.MIndexV != 0 {
+			out = append(out, opnd{&i.MIndexV, vx64.OpUse})
+		}
+	}
+	return out
 }

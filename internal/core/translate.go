@@ -193,10 +193,10 @@ type encoder struct {
 	patches []patch
 }
 
-// patch is a branch whose rel32 awaits its target block's offset.
+// patch is a branch whose rel32, its last four bytes, awaits its target
+// block's offset.
 type patch struct {
-	immPos int // byte position of the rel32 field
-	end    int // byte position the displacement is relative to
+	end    int // byte position the displacement is relative to: the branch's end
 	target gen.BlockRef
 }
 
@@ -220,19 +220,12 @@ func (c *encoder) encode(lir []LInst, blocks int) ([]byte, error) {
 		if li.I.Dead {
 			continue
 		}
-		start := len(buf)
 		buf = vx64.Encode(buf, &li.I)
 		if li.Target != noTarget {
-			var immPos int
-			switch li.I.Op {
-			case vx64.JCC:
-				immPos = start + 2 // opcode, cond, rel32
-			case vx64.JMP:
-				immPos = start + 1
-			default:
+			if !li.I.Op.Info().Form.Rel32() {
 				return nil, fmt.Errorf("core: target on non-branch %v", li.I.Op)
 			}
-			c.patches = append(c.patches, patch{immPos: immPos, end: len(buf), target: li.Target})
+			c.patches = append(c.patches, patch{end: len(buf), target: li.Target})
 		}
 	}
 	c.code = buf
@@ -248,7 +241,7 @@ func (c *encoder) encode(lir []LInst, blocks int) ([]byte, error) {
 		if rel < -(1<<31) || rel >= 1<<31 {
 			return nil, fmt.Errorf("core: branch displacement overflow")
 		}
-		binary.LittleEndian.PutUint32(buf[p.immPos:], uint32(int32(rel)))
+		binary.LittleEndian.PutUint32(buf[p.end-4:], uint32(int32(rel)))
 	}
 	return buf, nil
 }

@@ -690,19 +690,15 @@ run:
 		case MOVI8, MOVI32, MOVI64:
 			R[inst.Rd] = uint64(inst.Imm)
 		case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32:
-			size, sign := loadWidth(inst.Op)
-			v, f := c.memRead(c.ea(inst.M), size)
+			r := &opTable[inst.Op]
+			v, f := c.memRead(c.ea(inst.M), r.Width)
 			if f != nil {
 				c.trap = c.pageFault(f, inst, next)
 				break run
 			}
-			if sign {
-				v = signExtend(v, size)
-			}
-			R[inst.Rd] = v
+			R[inst.Rd] = r.Extend(v)
 		case STORE8, STORE16, STORE32, STORE64:
-			size := storeWidth(inst.Op)
-			if f := c.memWrite(c.ea(inst.M), size, R[inst.Rs]); f != nil {
+			if f := c.memWrite(c.ea(inst.M), opTable[inst.Op].Width, R[inst.Rs]); f != nil {
 				c.trap = c.pageFault(f, inst, next)
 				break run
 			}
@@ -726,6 +722,10 @@ run:
 			// after this one were retired at entry but have not run: the mark
 			// leaves out their stashed cost, and the trace hook sees Stats
 			// without them, exactly as when stepping.
+			if uint64(inst.Imm) >= uint64(len(c.Prof)) {
+				c.trap = Trap{Kind: TrapInvalidOp, RIP: c.RIP, NextRIP: next}
+				break run
+			}
 			m := c.Stats.Cycles - CostLoad - uint64(inst.restCost)
 			if c.profLast >= 0 {
 				c.Prof[c.profLast].Cycles += m - c.profMark
@@ -1014,38 +1014,6 @@ run:
 		c.Stats.Cycles -= opCost[ops[j].Op]
 	}
 	return i
-}
-
-func loadWidth(op Op) (size uint8, sign bool) {
-	switch op {
-	case LOAD8:
-		return 1, false
-	case LOAD16:
-		return 2, false
-	case LOAD32:
-		return 4, false
-	case LOAD64:
-		return 8, false
-	case LOADS8:
-		return 1, true
-	case LOADS16:
-		return 2, true
-	default:
-		return 4, true
-	}
-}
-
-func storeWidth(op Op) uint8 {
-	switch op {
-	case STORE8:
-		return 1
-	case STORE16:
-		return 2
-	case STORE32:
-		return 4
-	default:
-		return 8
-	}
 }
 
 func signExtend(v uint64, size uint8) uint64 {

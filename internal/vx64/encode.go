@@ -2,12 +2,14 @@ package vx64
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
 // Instruction encoding: one opcode byte followed by operand bytes whose
-// layout is fixed per opcode. Memory operands use a compact variable-length
-// form so generated-code size statistics (§3.4 of the paper) are meaningful:
+// layout is fixed by the opcode's form (table.go). Memory operands use a
+// compact variable-length form so generated-code size statistics (§3.4 of
+// the paper) are meaningful:
 //
 //	byte 0: bits 0–3 base register, bits 4–5 displacement kind
 //	        (0 = none, 1 = int8, 2 = int32), bit 6 = has index
@@ -23,6 +25,43 @@ const (
 	disp8    = 1
 	disp32   = 2
 )
+
+// decodeMem decodes a memory operand starting at buf[i]; it returns the
+// operand and the index just past it.
+func decodeMem(buf []byte, i int) (Mem, int, error) {
+	if i >= len(buf) {
+		return Mem{}, i, errTruncated
+	}
+	b0 := buf[i]
+	i++
+	m := Mem{Base: Reg(b0 & 0xF), Index: NoReg, Scale: 1}
+	if b0&(1<<6) != 0 {
+		if i >= len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		b1 := buf[i]
+		i++
+		m.Index = Reg(b1 & 0xF)
+		m.Scale = 1 << ((b1 >> 4) & 3)
+	}
+	switch (b0 >> 4) & 3 {
+	case disp8:
+		if i >= len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		m.Disp = int32(int8(buf[i]))
+		i++
+	case disp32:
+		if i+4 > len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		m.Disp = int32(binary.LittleEndian.Uint32(buf[i:]))
+		i += 4
+	}
+	return m, i, nil
+}
+
+var errTruncated = errors.New("vx64: truncated instruction")
 
 func appendMem(buf []byte, m Mem) []byte {
 	var kind byte
@@ -69,107 +108,57 @@ func appendMem(buf []byte, m Mem) []byte {
 // buffer. It panics on virtual-register leftovers (Rd/Rs >= 16 for register
 // operands), which indicates a register-allocator bug.
 func Encode(buf []byte, inst *Inst) []byte {
+	if inst.Op >= opCount {
+		panic(fmt.Sprintf("vx64: cannot encode op %v", inst.Op))
+	}
 	ck := func(r uint16) byte {
 		if r >= 16 {
 			panic(fmt.Sprintf("vx64: unallocated virtual register %d in %v", r, *inst))
 		}
 		return byte(r)
 	}
+	le := binary.LittleEndian
 	buf = append(buf, byte(inst.Op))
-	switch inst.Op {
-	case NOP, RET, SYSCALL, SYSRET, HLT, TLBFLUSHALL:
-		// no operands
-	case MOVrr, ADDrr, SUBrr, ANDrr, ORrr, XORrr, SHLrr, SHRrr, SARrr,
-		MULrr, UMULH, SMULH, UDIVrr, SDIVrr, UREMrr, SREMrr, CMPrr, TESTrr,
-		FMOVxx, FSQRT, FNEG, FABS, FMOVxr, FMOVrx,
-		CVTSI2SD, CVTUI2SD, CVTSD2SI, CVTSD2UI, FCMP:
+	switch opTable[inst.Op].Form {
+	case FormR:
+		buf = append(buf, ck(inst.Rd))
+	case FormRR:
 		buf = append(buf, ck(inst.Rd), ck(inst.Rs))
-	case FADD, FSUB, FMUL, FDIV, FMIN, FMAX:
+	case FormRRR:
 		buf = append(buf, ck(inst.Rd), ck(inst.Rs), ck(inst.Rs2))
-	case MOVI8:
+	case FormRImm8:
 		buf = append(buf, ck(inst.Rd), byte(int8(inst.Imm)))
-	case MOVI32:
-		buf = append(buf, ck(inst.Rd))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(inst.Imm)))
-	case MOVI64:
-		buf = append(buf, ck(inst.Rd))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(inst.Imm))
-	case ADDri, SUBri, ANDri, ORri, XORri, CMPri, TESTri:
-		buf = append(buf, ck(inst.Rd))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(inst.Imm)))
-	case SHLri, SHRri, SARri:
+	case FormRShift:
 		buf = append(buf, ck(inst.Rd), byte(inst.Imm&63))
-	case NEGr, NOTr, JMPR, CALLR, WRCR3, RDCR3, INVLPG, RDNZCV:
-		buf = append(buf, ck(inst.Rd))
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32, LEA, FLD:
-		buf = append(buf, ck(inst.Rd))
-		buf = appendMem(buf, inst.M)
-	case STORE8, STORE16, STORE32, STORE64, FST, IRQCHK:
-		buf = append(buf, ck(inst.Rs))
-		buf = appendMem(buf, inst.M)
-	case SETcc:
+	case FormRImm32:
+		buf = le.AppendUint32(append(buf, ck(inst.Rd)), uint32(int32(inst.Imm)))
+	case FormRImm64:
+		buf = le.AppendUint64(append(buf, ck(inst.Rd)), uint64(inst.Imm))
+	case FormRdMem:
+		buf = appendMem(append(buf, ck(inst.Rd)), inst.M)
+	case FormRsMem:
+		buf = appendMem(append(buf, ck(inst.Rs)), inst.M)
+	case FormCondR:
 		buf = append(buf, byte(inst.Cond), ck(inst.Rd))
-	case CMOVcc:
+	case FormCondRR:
 		buf = append(buf, byte(inst.Cond), ck(inst.Rd), ck(inst.Rs))
-	case JCC:
-		buf = append(buf, byte(inst.Cond))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(inst.Imm)))
-	case JMP, CALL:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(inst.Imm)))
-	case PROFCNT:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(inst.Imm))
-	case HELPER:
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(inst.Imm))
-	case TRAP:
+	case FormCondRel32:
+		buf = le.AppendUint32(append(buf, byte(inst.Cond)), uint32(int32(inst.Imm)))
+	case FormRel32:
+		buf = le.AppendUint32(buf, uint32(int32(inst.Imm)))
+	case FormUImm32:
+		buf = le.AppendUint32(buf, uint32(inst.Imm))
+	case FormImm16:
+		buf = le.AppendUint16(buf, uint16(inst.Imm))
+	case FormImm8:
 		buf = append(buf, byte(inst.Imm))
-	case INport:
-		buf = append(buf, ck(inst.Rd))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(inst.Imm))
-	case OUTport:
-		buf = append(buf, ck(inst.Rs))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(inst.Imm))
-	default:
-		panic(fmt.Sprintf("vx64: cannot encode op %v", inst.Op))
+	case FormRdImm16:
+		buf = le.AppendUint16(append(buf, ck(inst.Rd)), uint16(inst.Imm))
+	case FormRsImm16:
+		buf = le.AppendUint16(append(buf, ck(inst.Rs)), uint16(inst.Imm))
 	}
 	return buf
 }
-
-// decodeMem decodes a memory operand starting at buf[i]; it returns the
-// operand and the index just past it.
-func decodeMem(buf []byte, i int) (Mem, int, error) {
-	if i >= len(buf) {
-		return Mem{}, i, errTruncated
-	}
-	b0 := buf[i]
-	i++
-	m := Mem{Base: Reg(b0 & 0xF), Index: NoReg, Scale: 1}
-	if b0&(1<<6) != 0 {
-		if i >= len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		b1 := buf[i]
-		i++
-		m.Index = Reg(b1 & 0xF)
-		m.Scale = 1 << ((b1 >> 4) & 3)
-	}
-	switch (b0 >> 4) & 3 {
-	case disp8:
-		if i >= len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		m.Disp = int32(int8(buf[i]))
-		i++
-	case disp32:
-		if i+4 > len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		m.Disp = int32(binary.LittleEndian.Uint32(buf[i:]))
-		i += 4
-	}
-	return m, i, nil
-}
-
-var errTruncated = fmt.Errorf("vx64: truncated instruction")
 
 // Decode decodes one instruction from buf starting at off. It returns the
 // instruction and its encoded length.
@@ -183,7 +172,8 @@ func Decode(buf []byte, off int) (Inst, int, error) {
 }
 
 // decode decodes one instruction from buf starting at off into *inst and
-// returns its encoded length.
+// returns its encoded length. An opcode byte past the table or a register
+// byte of 16 or more is invalid.
 func decode(inst *Inst, buf []byte, off int) (int, error) {
 	if off >= len(buf) {
 		return 0, errTruncated
@@ -194,131 +184,100 @@ func decode(inst *Inst, buf []byte, off int) (int, error) {
 		return 0, fmt.Errorf("vx64: invalid opcode %#x at %#x", buf[off], off)
 	}
 	inst.Op = op
-	i := off + 1
-	need := func(n int) error {
-		if i+n > len(buf) {
-			return errTruncated
+	// Each form checks its own length, a constant, so the reads after the
+	// check need no bounds checks; regs collects the register bytes.
+	b := buf[off+1:]
+	n := 0 // operand bytes before any memory operand
+	var regs byte
+	mem := false
+	le := binary.LittleEndian
+	switch opTable[op].Form {
+	case FormR:
+		if n = 1; len(b) >= n {
+			inst.Rd, regs = uint16(b[0]), b[0]
 		}
-		return nil
-	}
-	var err error
-	switch op {
-	case NOP, RET, SYSCALL, SYSRET, HLT, TLBFLUSHALL:
-	case MOVrr, ADDrr, SUBrr, ANDrr, ORrr, XORrr, SHLrr, SHRrr, SARrr,
-		MULrr, UMULH, SMULH, UDIVrr, SDIVrr, UREMrr, SREMrr, CMPrr, TESTrr,
-		FMOVxx, FSQRT, FNEG, FABS, FMOVxr, FMOVrx,
-		CVTSI2SD, CVTUI2SD, CVTSD2SI, CVTSD2UI, FCMP:
-		if err = need(2); err == nil {
-			inst.Rd, inst.Rs = uint16(buf[i]), uint16(buf[i+1])
-			i += 2
+	case FormRR:
+		if n = 2; len(b) >= n {
+			inst.Rd, inst.Rs, regs = uint16(b[0]), uint16(b[1]), b[0]|b[1]
 		}
-	case FADD, FSUB, FMUL, FDIV, FMIN, FMAX:
-		if err = need(3); err == nil {
-			inst.Rd, inst.Rs, inst.Rs2 = uint16(buf[i]), uint16(buf[i+1]), uint16(buf[i+2])
-			i += 3
+	case FormRRR:
+		if n = 3; len(b) >= n {
+			inst.Rd, inst.Rs, inst.Rs2, regs = uint16(b[0]), uint16(b[1]), uint16(b[2]), b[0]|b[1]|b[2]
 		}
-	case MOVI8:
-		if err = need(2); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(int8(buf[i+1]))
-			i += 2
+	case FormRImm8:
+		if n = 2; len(b) >= n {
+			inst.Rd, inst.Imm, regs = uint16(b[0]), int64(int8(b[1])), b[0]
 		}
-	case MOVI32:
-		if err = need(5); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(int32(binary.LittleEndian.Uint32(buf[i+1:])))
-			i += 5
+	case FormRShift:
+		if n = 2; len(b) >= n {
+			inst.Rd, inst.Imm, regs = uint16(b[0]), int64(b[1]), b[0]
 		}
-	case MOVI64:
-		if err = need(9); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(binary.LittleEndian.Uint64(buf[i+1:]))
-			i += 9
+	case FormRImm32:
+		if n = 5; len(b) >= n {
+			inst.Rd, inst.Imm, regs = uint16(b[0]), int64(int32(le.Uint32(b[1:]))), b[0]
 		}
-	case ADDri, SUBri, ANDri, ORri, XORri, CMPri, TESTri:
-		if err = need(5); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(int32(binary.LittleEndian.Uint32(buf[i+1:])))
-			i += 5
+	case FormRImm64:
+		if n = 9; len(b) >= n {
+			inst.Rd, inst.Imm, regs = uint16(b[0]), int64(le.Uint64(b[1:])), b[0]
 		}
-	case SHLri, SHRri, SARri:
-		if err = need(2); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(buf[i+1])
-			i += 2
+	case FormRdMem:
+		if n = 1; len(b) >= n {
+			inst.Rd, regs, mem = uint16(b[0]), b[0], true
 		}
-	case NEGr, NOTr, JMPR, CALLR, WRCR3, RDCR3, INVLPG, RDNZCV:
-		if err = need(1); err == nil {
-			inst.Rd = uint16(buf[i])
-			i++
+	case FormRsMem:
+		if n = 1; len(b) >= n {
+			inst.Rs, regs, mem = uint16(b[0]), b[0], true
 		}
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32, LEA, FLD:
-		if err = need(1); err == nil {
-			inst.Rd = uint16(buf[i])
-			i++
-			inst.M, i, err = decodeMem(buf, i)
+	case FormCondR:
+		if n = 2; len(b) >= n {
+			inst.Cond, inst.Rd, regs = Cond(b[0]), uint16(b[1]), b[1]
 		}
-	case STORE8, STORE16, STORE32, STORE64, FST, IRQCHK:
-		if err = need(1); err == nil {
-			inst.Rs = uint16(buf[i])
-			i++
-			inst.M, i, err = decodeMem(buf, i)
+	case FormCondRR:
+		if n = 3; len(b) >= n {
+			inst.Cond, inst.Rd, inst.Rs, regs = Cond(b[0]), uint16(b[1]), uint16(b[2]), b[1]|b[2]
 		}
-	case SETcc:
-		if err = need(2); err == nil {
-			inst.Cond = Cond(buf[i])
-			inst.Rd = uint16(buf[i+1])
-			i += 2
+	case FormCondRel32:
+		if n = 5; len(b) >= n {
+			inst.Cond, inst.Imm = Cond(b[0]), int64(int32(le.Uint32(b[1:])))
 		}
-	case CMOVcc:
-		if err = need(3); err == nil {
-			inst.Cond = Cond(buf[i])
-			inst.Rd = uint16(buf[i+1])
-			inst.Rs = uint16(buf[i+2])
-			i += 3
+	case FormRel32:
+		if n = 4; len(b) >= n {
+			inst.Imm = int64(int32(le.Uint32(b)))
 		}
-	case JCC:
-		if err = need(5); err == nil {
-			inst.Cond = Cond(buf[i])
-			inst.Imm = int64(int32(binary.LittleEndian.Uint32(buf[i+1:])))
-			i += 5
+	case FormUImm32:
+		// Zero-extended: PROFCNT's Imm is a profile-arena slot, never negative.
+		if n = 4; len(b) >= n {
+			inst.Imm = int64(le.Uint32(b))
 		}
-	case JMP, CALL:
-		if err = need(4); err == nil {
-			inst.Imm = int64(int32(binary.LittleEndian.Uint32(buf[i:])))
-			i += 4
+	case FormImm16:
+		if n = 2; len(b) >= n {
+			inst.Imm = int64(le.Uint16(b))
 		}
-	case PROFCNT:
-		// Zero-extended: Imm is a profile-arena slot index, never negative.
-		if err = need(4); err == nil {
-			inst.Imm = int64(binary.LittleEndian.Uint32(buf[i:]))
-			i += 4
+	case FormImm8:
+		if n = 1; len(b) >= n {
+			inst.Imm = int64(b[0])
 		}
-	case HELPER:
-		if err = need(2); err == nil {
-			inst.Imm = int64(binary.LittleEndian.Uint16(buf[i:]))
-			i += 2
+	case FormRdImm16:
+		if n = 3; len(b) >= n {
+			inst.Rd, inst.Imm, regs = uint16(b[0]), int64(le.Uint16(b[1:])), b[0]
 		}
-	case TRAP:
-		if err = need(1); err == nil {
-			inst.Imm = int64(buf[i])
-			i++
-		}
-	case INport:
-		if err = need(3); err == nil {
-			inst.Rd = uint16(buf[i])
-			inst.Imm = int64(binary.LittleEndian.Uint16(buf[i+1:]))
-			i += 3
-		}
-	case OUTport:
-		if err = need(3); err == nil {
-			inst.Rs = uint16(buf[i])
-			inst.Imm = int64(binary.LittleEndian.Uint16(buf[i+1:]))
-			i += 3
+	case FormRsImm16:
+		if n = 3; len(b) >= n {
+			inst.Rs, inst.Imm, regs = uint16(b[0]), int64(le.Uint16(b[1:])), b[0]
 		}
 	}
-	if err != nil {
-		return 0, err
+	if len(b) < n {
+		return 0, errTruncated
+	}
+	if regs >= 16 {
+		return 0, fmt.Errorf("vx64: invalid register in %v at %#x", op, off)
+	}
+	i := off + 1 + n
+	if mem {
+		var err error
+		if inst.M, i, err = decodeMem(buf, i); err != nil {
+			return 0, err
+		}
 	}
 	return i - off, nil
 }

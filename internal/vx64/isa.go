@@ -49,8 +49,8 @@ const (
 )
 
 // Op is a VX64 opcode. The encoding is one opcode byte followed by
-// operand bytes whose layout is determined entirely by the opcode
-// (see encode.go).
+// operand bytes whose layout is determined entirely by the opcode's form,
+// one of the facts of its row in the opcode table (table.go).
 type Op uint8
 
 // Opcode space. The groupings follow x86-64 structure: two-operand ALU ops
@@ -261,83 +261,12 @@ type Inst struct {
 	restCost uint16
 }
 
-var opNames = [opCount]string{
-	"nop", "mov", "movi8", "movi32", "movi64",
-	"load8", "load16", "load32", "load64", "loads8", "loads16", "loads32",
-	"store8", "store16", "store32", "store64", "lea",
-	"add", "addi", "sub", "subi", "and", "andi", "or", "ori", "xor", "xori",
-	"shl", "shli", "shr", "shri", "sar", "sari",
-	"mul", "umulh", "smulh", "udiv", "sdiv", "urem", "srem", "neg", "not",
-	"cmp", "cmpi", "test", "testi", "set", "cmov", "rdnzcv",
-	"jcc", "jmp", "jmpr", "call", "callr", "ret",
-	"helper", "trap", "syscall", "sysret", "hlt", "in", "out",
-	"wrcr3", "rdcr3", "invlpg", "tlbflushall",
-	"fld", "fst", "fmovxr", "fmovrx", "fmovxx",
-	"fadd", "fsub", "fmul", "fdiv", "fsqrt", "fmin", "fmax", "fneg", "fabs",
-	"fcmp", "cvtsi2sd", "cvtui2sd", "cvtsd2si", "cvtsd2ui",
-	"irqchk", "profcnt",
-}
-
 // String returns the opcode mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o < opCount {
+		return opTable[o].Name
 	}
 	return fmt.Sprintf("op%d", uint8(o))
-}
-
-// String renders the instruction for debug listings.
-func (i Inst) String() string {
-	switch i.Op {
-	case NOP, RET, SYSCALL, SYSRET, HLT, TLBFLUSHALL:
-		return i.Op.String()
-	case MOVI8, MOVI32, MOVI64:
-		return fmt.Sprintf("%s r%d, $%d", i.Op, i.Rd, i.Imm)
-	case MOVrr, MULrr, UMULH, SMULH, UDIVrr, SDIVrr, UREMrr, SREMrr,
-		ADDrr, SUBrr, ANDrr, ORrr, XORrr, SHLrr, SHRrr, SARrr, CMPrr, TESTrr:
-		return fmt.Sprintf("%s r%d, r%d", i.Op, i.Rd, i.Rs)
-	case ADDri, SUBri, ANDri, ORri, XORri, SHLri, SHRri, SARri, CMPri, TESTri:
-		return fmt.Sprintf("%s r%d, $%d", i.Op, i.Rd, i.Imm)
-	case NEGr, NOTr, JMPR, CALLR, WRCR3, RDCR3, INVLPG, RDNZCV:
-		return fmt.Sprintf("%s r%d", i.Op, i.Rd)
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32, LEA:
-		return fmt.Sprintf("%s r%d, %s", i.Op, i.Rd, i.M)
-	case STORE8, STORE16, STORE32, STORE64, IRQCHK:
-		return fmt.Sprintf("%s %s, r%d", i.Op, i.M, i.Rs)
-	case SETcc:
-		return fmt.Sprintf("set%s r%d", i.Cond, i.Rd)
-	case CMOVcc:
-		return fmt.Sprintf("cmov%s r%d, r%d", i.Cond, i.Rd, i.Rs)
-	case JCC:
-		return fmt.Sprintf("j%s %+d", i.Cond, i.Imm)
-	case JMP, CALL:
-		return fmt.Sprintf("%s %+d", i.Op, i.Imm)
-	case HELPER:
-		return fmt.Sprintf("helper #%d", i.Imm)
-	case PROFCNT:
-		return fmt.Sprintf("profcnt #%d", i.Imm)
-	case TRAP:
-		return fmt.Sprintf("trap #%d", i.Imm)
-	case INport:
-		return fmt.Sprintf("in r%d, $%d", i.Rd, i.Imm)
-	case OUTport:
-		return fmt.Sprintf("out $%d, r%d", i.Imm, i.Rs)
-	case FLD:
-		return fmt.Sprintf("fld x%d, %s", i.Rd, i.M)
-	case FST:
-		return fmt.Sprintf("fst %s, x%d", i.M, i.Rs)
-	case FMOVxr, CVTSI2SD, CVTUI2SD:
-		return fmt.Sprintf("%s x%d, r%d", i.Op, i.Rd, i.Rs)
-	case FMOVrx, CVTSD2SI, CVTSD2UI:
-		return fmt.Sprintf("%s r%d, x%d", i.Op, i.Rd, i.Rs)
-	case FMOVxx, FSQRT, FNEG, FABS:
-		return fmt.Sprintf("%s x%d, x%d", i.Op, i.Rd, i.Rs)
-	case FADD, FSUB, FMUL, FDIV, FMIN, FMAX:
-		return fmt.Sprintf("%s x%d, x%d, x%d", i.Op, i.Rd, i.Rs, i.Rs2)
-	case FCMP:
-		return fmt.Sprintf("fcmp x%d, x%d", i.Rd, i.Rs)
-	}
-	return i.Op.String()
 }
 
 // Flags is the VX64 flags register.

@@ -27,8 +27,10 @@ package vx64
 //     both off Stats around the trace hook. A run holds at most one
 //     PROFCNT: a second one ends the run before it.
 //   - Stepping at the budget boundary. When the budget may expire inside
-//     the run, runSuperblock steps one instruction instead: stepping is the
-//     reference the fast path reproduces.
+//     the run, runSuperblock steps the run's instructions in place instead,
+//     checking the budget before each: stepping is the reference the fast
+//     path reproduces, and only the suffix the budget stops in is built
+//     when Run next enters it.
 //
 // Architectural behaviour — register file, memory, Stats, profile cells,
 // trap kinds and trap points — is bit-identical to calling Step in a loop;
@@ -103,28 +105,15 @@ func sbHash(off uint64) uint64 {
 	return (off * 0x9E3779B97F4A7C15) >> (64 - sbTableBits)
 }
 
-// endsSuperblock reports whether the instruction terminates a straight-line
-// run: control flow, helper calls (helpers may redirect the CPU or
-// invalidate code), VM exits and translation-state changes.
-func endsSuperblock(op Op) bool {
-	switch op {
-	case JCC, JMP, JMPR, CALL, CALLR, RET,
-		HELPER, TRAP, SYSCALL, SYSRET, HLT, INport, OUTport,
-		WRCR3, INVLPG, TLBFLUSHALL:
-		return true
-	}
-	return false
-}
-
 // opWorstCost returns the most deci-cycles one execution of op can charge
 // before completing (or faulting out of the run, which ends it anyway).
 func opWorstCost(op Op) uint64 {
 	w := opCost[op]
-	switch op {
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32,
-		STORE8, STORE16, STORE32, STORE64, FLD, FST, IRQCHK, CALL, CALLR, RET:
+	r := &opTable[op]
+	if r.Dir != NoAccess {
 		w += CostTLBMiss // one translation per access
-	case JCC:
+	}
+	if r.Form == FormCondRel32 {
 		w += CostBrTaken - CostBrFall
 	}
 	return w
@@ -135,9 +124,9 @@ func opWorstCost(op Op) uint64 {
 // when execution must return to the embedder, with the trap in c.trap;
 // false hands control back to the Run loop — either the run completed (RIP
 // is at its successor) or, with the budget within the run's worst case of
-// its limit, one instruction was stepped (Run re-checks the budget and
-// reports TrapBudget once it expires), exactly as the stepped loop would.
-// No Trap is copied on any exit.
+// its limit, the run was stepped until it ended or the budget expired (Run
+// then reports TrapBudget), exactly as the stepped loop would. No Trap is
+// copied on any exit.
 func (c *CPU) runSuperblock(off uint64, limit uint64) bool {
 	sb := &c.sbTab[sbHash(off)]
 	if uint64(sb.off) != off || sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
@@ -148,9 +137,14 @@ func (c *CPU) runSuperblock(off uint64, limit uint64) bool {
 		}
 	}
 	if c.Stats.Cycles+uint64(sb.worst) >= limit {
-		// The budget may expire inside the run: step one instruction, and
-		// let Run check the budget before the next.
-		return !c.step()
+		// The budget may expire inside the run: step its instructions in
+		// place, checking the budget before each as Run does.
+		for n := sb.n; n > 0 && c.Stats.Cycles < limit; n-- {
+			if !c.step() {
+				return true
+			}
+		}
+		return false
 	}
 	// The budget cannot expire before the run's last instruction starts:
 	// retire the run once and execute it with no per-op checks at all.
@@ -199,7 +193,7 @@ func (c *CPU) buildSuperblock(sb *sbSlot, off uint64) bool {
 		}
 		i++
 		pa += uint64(n)
-		if endsSuperblock(inst.Op) {
+		if opTable[inst.Op].Ends {
 			break
 		}
 	}

@@ -288,6 +288,38 @@ func TestSuperblockBudgetBoundary(t *testing.T) {
 	}
 }
 
+// TestSuperblockBudgetExpiryBuilds runs sbTestProgram to completion in
+// 50-deci-cycle budget slices, which expire inside its runs hundreds of
+// times, and counts the ops decoded into the arena. At the boundary a run
+// is stepped in place, so an expiry adds at most the one suffix Run later
+// enters, and the program's few distinct suffixes are built once each:
+// the count stays near the one-slice figure (47 against 70). Stepping one
+// op per Run entry instead built a new suffix for every op stepped (413).
+func TestSuperblockBudgetExpiryBuilds(t *testing.T) {
+	decoded := func(slice uint64) (ops, expiries int) {
+		c := newTestCPU()
+		c.RIP = sbTestProgram(c)
+		runToCompletion(t, c, func(c *CPU, budget uint64) Trap {
+			tr := runCopied(c, budget)
+			if tr.Kind == TrapBudget {
+				expiries++
+			}
+			return tr
+		}, slice, resumeSoft)
+		return c.sbNext, expiries
+	}
+	whole, _ := decoded(1 << 30)
+	ops, expiries := decoded(50)
+	if expiries < 500 {
+		t.Fatalf("only %d budget expiries: the program no longer exercises the boundary", expiries)
+	}
+	t.Logf("%d budget expiries decoded %d ops; one slice decoded %d", expiries, ops, whole)
+	if ops > whole*2 {
+		t.Errorf("%d budget expiries decoded %d ops into the arena, want at most %d (twice the %d of one slice)",
+			expiries, ops, whole*2, whole)
+	}
+}
+
 // TestSuperblockInvalidateMidBlock patches an instruction in the middle of
 // an already-executed superblock; InvalidateCode must drop the predecoded
 // run so the next execution sees the new bytes.

@@ -39,33 +39,76 @@ func run(t *testing.T, c *CPU, va uint64) Trap {
 	return tr
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	cases := []Inst{
-		{Op: NOP},
-		{Op: MOVrr, Rd: 3, Rs: 7},
-		{Op: MOVI8, Rd: 1, Imm: -5},
-		{Op: MOVI32, Rd: 2, Imm: -100000},
-		{Op: MOVI64, Rd: 15, Imm: -1},
-		{Op: LOAD64, Rd: 4, M: Mem{Base: RRF, Disp: 0x120, Index: NoReg, Scale: 1}},
-		{Op: LOAD8, Rd: 4, M: Mem{Base: R1, Disp: -3, Index: R2, Scale: 8}},
-		{Op: STORE32, Rs: 9, M: Mem{Base: R0, Disp: 0, Index: NoReg, Scale: 1}},
-		{Op: LEA, Rd: 5, M: Mem{Base: R2, Disp: 12345, Index: R3, Scale: 4}},
-		{Op: ADDri, Rd: 6, Imm: 42},
-		{Op: SHLri, Rd: 6, Imm: 13},
-		{Op: SETcc, Cond: CondGT, Rd: 8},
-		{Op: JCC, Cond: CondNE, Imm: -64},
-		{Op: JMP, Imm: 1 << 20},
-		{Op: CALL, Imm: 256},
-		{Op: HELPER, Imm: 513},
-		{Op: TRAP, Imm: 3},
-		{Op: FADD, Rd: 1, Rs: 2, Rs2: 3},
-		{Op: FSQRT, Rd: 0, Rs: 15},
-		{Op: FLD, Rd: 7, M: Mem{Base: RRF, Disp: 0x100, Index: NoReg, Scale: 1}},
-		{Op: CVTSI2SD, Rd: 2, Rs: 11},
-		{Op: INport, Rd: 1, Imm: 0x3F8},
-		{Op: OUTport, Rs: 2, Imm: 0x3F8},
+// formImms lists each immediate-carrying form's extreme immediates, as
+// decode reproduces them: sign-extended unless the form's immediate is
+// unsigned, and SHLri's count modulo 64.
+var formImms = map[Form][]int64{
+	FormRImm8:     {math.MinInt8, -1, math.MaxInt8},
+	FormRShift:    {0, 63},
+	FormRImm32:    {math.MinInt32, -1, math.MaxInt32},
+	FormRImm64:    {math.MinInt64, -1, math.MaxInt64},
+	FormCondRel32: {math.MinInt32, math.MaxInt32},
+	FormRel32:     {math.MinInt32, math.MaxInt32},
+	FormUImm32:    {0, math.MaxUint32},
+	FormImm16:     {0, math.MaxUint16},
+	FormImm8:      {0, math.MaxUint8},
+	FormRdImm16:   {0, math.MaxUint16},
+	FormRsImm16:   {0, math.MaxUint16},
+}
+
+// roundTripMems are memory operands with no, an 8-bit and a 32-bit
+// displacement, with and without an index.
+var roundTripMems = []Mem{
+	{Base: R1, Index: NoReg, Scale: 1},
+	{Base: RPC, Index: NoReg, Scale: 1, Disp: -128},
+	{Base: RRF, Index: NoReg, Scale: 1, Disp: 0x120},
+	{Base: R2, Index: RPC, Scale: 8, Disp: 127},
+	{Base: R0, Index: R3, Scale: 2, Disp: math.MinInt32},
+	{Base: RSTA, Index: R0, Scale: 1, Disp: math.MaxInt32},
+}
+
+// tableInsts returns, for every opcode, instructions that set each register
+// field its row names to distinct values (0 and 15 among them), every
+// extreme immediate of its form, both extreme conditions when it takes one,
+// and every round-trip memory operand when it has one.
+func tableInsts() []Inst {
+	var out []Inst
+	for op := Op(0); op < opCount; op++ {
+		r := op.Info()
+		imms := formImms[r.Form]
+		if imms == nil {
+			imms = []int64{0}
+		}
+		mems := roundTripMems
+		if !r.Mem {
+			mems = []Mem{{}}
+		}
+		for _, regs := range [][3]uint16{{15, 0, 7}, {3, 14, 1}} {
+			for k, imm := range imms {
+				for _, m := range mems {
+					in := Inst{Op: op, Imm: imm, M: m, Cond: Cond(k%2) * (condCount - 1)}
+					if r.Form != FormCondR && r.Form != FormCondRR && r.Form != FormCondRel32 {
+						in.Cond = 0
+					}
+					for f, p := range []*uint16{&in.Rd, &in.Rs, &in.Rs2} {
+						if o := [3]Operand{r.Rd, r.Rs, r.Rs2}[f]; o != 0 {
+							*p = regs[f]
+						}
+					}
+					out = append(out, in)
+				}
+			}
+		}
 	}
-	for _, in := range cases {
+	return out
+}
+
+// TestEncodeDecodeRoundTrip decodes every table instruction back to itself
+// from exactly its encoded length.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	seen := map[Op]bool{}
+	for _, in := range tableInsts() {
+		seen[in.Op] = true
 		buf := Encode(nil, &in)
 		got, n, err := Decode(buf, 0)
 		if err != nil {
@@ -78,23 +121,139 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if got != in {
 			t.Errorf("round trip mismatch:\n  in:  %+v\n  out: %+v", in, got)
 		}
+		if _, _, err := Decode(buf[:len(buf)-1], 0); len(buf) > 1 && err == nil {
+			t.Errorf("%v: decoded with its last byte cut off", in)
+		}
+		_ = in.String()
+	}
+	if len(seen) != int(opCount) {
+		t.Errorf("round trip covers %d opcodes, want %d", len(seen), opCount)
+	}
+}
+
+// TestMemOp checks the emitters' load/store choice for every width byte:
+// widths 1, 2 and 4 get the GPR op of that width (the load sign-extending
+// when asked), and every other width the unsigned 8-byte op.
+func TestMemOp(t *testing.T) {
+	for w := 0; w < 256; w++ {
+		for _, signed := range []bool{false, true} {
+			for _, d := range []Dir{Load, Store} {
+				op := MemOp(d, uint8(w), signed)
+				r := op.Info()
+				want := OpInfo{Mem: true, Dir: d, Width: 8}
+				if w == 1 || w == 2 || w == 4 {
+					want.Width, want.Signed = uint8(w), signed && d == Load
+				}
+				if !r.Mem || r.Dir != want.Dir || r.Width != want.Width || r.Signed != want.Signed ||
+					r.Rd.FP() || r.Rs.FP() || d == Load && !r.Rd.Def() {
+					t.Errorf("MemOp(%d, %d, %v) = %v, want the GPR op of %+v", d, w, signed, op, want)
+				}
+			}
+		}
 	}
 }
 
 // Scaleized normalizes fields the encoding does not preserve exactly for
 // instructions without those operands (scale defaults, NoReg index).
 func (i *Inst) Scaleized() {
-	switch i.Op {
-	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32,
-		STORE8, STORE16, STORE32, STORE64, LEA, FLD, FST:
-		if i.M.Index == NoReg {
-			i.M.Scale = 1
-		}
-		if i.M.Scale == 0 {
-			i.M.Scale = 1
-		}
-	default:
+	if !i.Op.Info().Mem {
 		i.M = Mem{}
+		return
+	}
+	if i.M.Index == NoReg || i.M.Scale == 0 {
+		i.M.Scale = 1
+	}
+}
+
+// TestDecodeRejectsRegisterBytes corrupts each register field of every
+// opcode's encoding, found as the byte that changes with the field, to a
+// register byte of 16 or more: Decode refuses it, and the CPU raises a bus
+// error on it whether it steps or runs superblocks, rather than indexing
+// its 16-entry register files with it.
+func TestDecodeRejectsRegisterBytes(t *testing.T) {
+	c := newTestCPU()
+	for op := Op(0); op < opCount; op++ {
+		r := op.Info()
+		in := Inst{Op: op, M: Mem{Base: R1, Index: NoReg, Scale: 1}}
+		for f, o := range [3]Operand{r.Rd, r.Rs, r.Rs2} {
+			if o == 0 {
+				continue
+			}
+			a, b := in, in
+			*[]*uint16{&a.Rd, &a.Rs, &a.Rs2}[f] = 1
+			*[]*uint16{&b.Rd, &b.Rs, &b.Rs2}[f] = 2
+			ea, eb := Encode(nil, &a), Encode(nil, &b)
+			pos := -1
+			for k := range ea {
+				if ea[k] != eb[k] {
+					pos = k
+				}
+			}
+			if pos < 0 {
+				t.Fatalf("%v: field %d is not encoded", op, f)
+			}
+			for _, bad := range []byte{16, 20, 255} {
+				code := append([]byte(nil), ea...)
+				code[pos] = bad
+				if _, _, err := Decode(code, 0); err == nil {
+					t.Errorf("%v: register byte %d at %d decoded", op, bad, pos)
+				}
+				for _, exec := range []func(*CPU) Trap{
+					func(c *CPU) Trap { return c.Step() },
+					func(c *CPU) Trap { return *c.Run(1_000_000) },
+				} {
+					copy(c.Phys[0x100:], code)
+					c.InvalidateCode(0x100, uint64(len(code)))
+					c.RIP = directBase + 0x100
+					if tr := exec(c); tr.Kind != TrapBusError || tr.RIP != directBase+0x100 {
+						t.Errorf("%v with register byte %d: trap %v, want a bus error at the instruction", op, bad, tr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProfCntOutsideArena runs a PROFCNT whose slot is past the profile
+// arena: it traps TrapInvalidOp at the instruction, as an unregistered
+// HELPER does, when stepped and inside a superblock alike.
+func TestProfCntOutsideArena(t *testing.T) {
+	for _, slot := range []int64{2, 1 << 20, math.MaxUint32} {
+		setup := func() *CPU {
+			c := newTestCPU()
+			c.Prof = make([]ProfCell, 2)
+			asm(c.Phys, 0,
+				Inst{Op: PROFCNT, Imm: 1},
+				Inst{Op: MOVI8, Rd: 0, Imm: 1},
+				Inst{Op: HLT},
+			)
+			asm(c.Phys, 0x100,
+				Inst{Op: MOVI8, Rd: 0, Imm: 1},
+				Inst{Op: PROFCNT, Imm: slot},
+				Inst{Op: MOVI8, Rd: 1, Imm: 2},
+				Inst{Op: HLT},
+			)
+			return c
+		}
+		a, b := setup(), setup()
+		a.RIP, b.RIP = directBase+0x100, directBase+0x100
+		trA, trB := *a.Run(1_000_000), runStepped(b, 1_000_000)
+		want := Trap{Kind: TrapInvalidOp, RIP: directBase + 0x103, NextRIP: directBase + 0x108}
+		if trA != want || trB != want {
+			t.Fatalf("slot %d: run %v, stepped %v, want %v", slot, trA, trB, want)
+		}
+		if a.R != b.R || a.Stats != b.Stats || a.R[0] != 1 || a.R[1] != 0 {
+			t.Errorf("slot %d: run r0=%d r1=%d stats %+v; stepped r0=%d r1=%d stats %+v",
+				slot, a.R[0], a.R[1], a.Stats, b.R[0], b.R[1], b.Stats)
+		}
+		if a.Prof[0] != (ProfCell{}) || a.Prof[1] != (ProfCell{}) {
+			t.Errorf("slot %d: profile cells %+v, want none bumped", slot, a.Prof)
+		}
+		// A slot inside the arena still counts.
+		a.RIP = directBase
+		if tr := *a.Run(1_000_000); tr.Kind != TrapHlt || a.Prof[1].Runs != 1 {
+			t.Errorf("in-arena PROFCNT: %v, cell %+v", tr, a.Prof[1])
+		}
 	}
 }
 
