@@ -605,14 +605,14 @@ func (e *Engine) emulateMMIO(trap *vx64.Trap, gpa uint64) error {
 	in := trap.Inst
 	row := in.Op.Info()
 	switch {
-	case row.Mem && row.Dir == vx64.Load && row.Rd.Def():
+	case row.Form.Mem() && row.Dir == vx64.Load && row.Rd.Def():
 		v := row.Extend(e.Device(gpa, row.Width, false, 0, e.cpu.R[vx64.RPC]))
 		if row.Rd.FP() {
 			e.cpu.X[in.Rd] = v
 		} else {
 			e.cpu.R[in.Rd] = v
 		}
-	case row.Mem && row.Dir == vx64.Store:
+	case row.Form.Mem() && row.Dir == vx64.Store:
 		v := e.cpu.R[in.Rs]
 		if row.Rs.FP() {
 			v = e.cpu.X[in.Rs]

@@ -304,7 +304,7 @@ func (a *allocator) allocate(lir []LInst) ([]LInst, AllocStats, error) {
 // are GPR uses.
 func appendOperands(out []opnd, li *LInst) []opnd {
 	i := &li.I
-	row := i.Op.Info()
+	row := *i.Op.Info()
 	if row.Rd != 0 {
 		out = append(out, opnd{&i.Rd, row.Rd})
 	}
@@ -314,7 +314,7 @@ func appendOperands(out []opnd, li *LInst) []opnd {
 	if row.Rs2 != 0 {
 		out = append(out, opnd{&i.Rs2, row.Rs2})
 	}
-	if row.Mem {
+	if row.Form.Mem() {
 		if i.MBaseV != 0 {
 			out = append(out, opnd{&i.MBaseV, vx64.OpUse})
 		}

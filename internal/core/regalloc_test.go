@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 // every opcode the decoder accepts: the operand list names exactly the
 // register fields Encode writes, in the order Rd, Rs, Rs2, then the memory
 // operand's base and index vregs as GPR uses when Encode writes a memory
-// operand, and each field's class is the one the instruction's listing
-// shows.
+// operand. Each register field's role and class are its opcode row's,
+// which vx64's TestOpTableMatchesExecution holds to execution.
 func TestOperandsMatchEncoding(t *testing.T) {
 	ops := 0
 	for b := 0; b < 256; b++ {
@@ -41,29 +40,14 @@ func TestOperandsMatchEncoding(t *testing.T) {
 		}
 
 		li := LInst{I: base}
-		li.I.Rd, li.I.Rs, li.I.Rs2 = 5, 6, 7
 		li.I.MBaseV, li.I.MIndexV = 8, 9
-		listing := li.I.String()
 		var got []string
 		for _, o := range appendOperands(nil, &li) {
 			name := map[*uint16]string{&li.I.Rd: "Rd", &li.I.Rs: "Rs", &li.I.Rs2: "Rs2",
 				&li.I.MBaseV: "MBaseV", &li.I.MIndexV: "MIndexV"}[o.field]
 			got = append(got, name)
-			if o.Operand == 0 {
-				t.Errorf("%v: operand %s neither read nor written", op, name)
-			}
-			if name == "MBaseV" || name == "MIndexV" {
-				if o.Operand != vx64.OpUse {
-					t.Errorf("%v: memory operand %s is %#x, want a GPR use", op, name, o.Operand)
-				}
-				continue
-			}
-			prefix := "r"
-			if o.FP() {
-				prefix = "x"
-			}
-			if reg := fmt.Sprintf("%s%d", prefix, *o.field); !strings.Contains(listing, reg) {
-				t.Errorf("%v: operand %s has class %q, but the listing %q does not show %s", op, name, prefix, listing, reg)
+			if (name == "MBaseV" || name == "MIndexV") && o.Operand != vx64.OpUse {
+				t.Errorf("%v: memory operand %s is %#x, want a GPR use", op, name, o.Operand)
 			}
 		}
 		if strings.Join(got, ",") != strings.Join(want, ",") {

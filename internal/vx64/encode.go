@@ -26,83 +26,7 @@ const (
 	disp32   = 2
 )
 
-// decodeMem decodes a memory operand starting at buf[i]; it returns the
-// operand and the index just past it.
-func decodeMem(buf []byte, i int) (Mem, int, error) {
-	if i >= len(buf) {
-		return Mem{}, i, errTruncated
-	}
-	b0 := buf[i]
-	i++
-	m := Mem{Base: Reg(b0 & 0xF), Index: NoReg, Scale: 1}
-	if b0&(1<<6) != 0 {
-		if i >= len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		b1 := buf[i]
-		i++
-		m.Index = Reg(b1 & 0xF)
-		m.Scale = 1 << ((b1 >> 4) & 3)
-	}
-	switch (b0 >> 4) & 3 {
-	case disp8:
-		if i >= len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		m.Disp = int32(int8(buf[i]))
-		i++
-	case disp32:
-		if i+4 > len(buf) {
-			return Mem{}, i, errTruncated
-		}
-		m.Disp = int32(binary.LittleEndian.Uint32(buf[i:]))
-		i += 4
-	}
-	return m, i, nil
-}
-
 var errTruncated = errors.New("vx64: truncated instruction")
-
-func appendMem(buf []byte, m Mem) []byte {
-	var kind byte
-	switch {
-	case m.Disp == 0:
-		kind = dispNone
-	case m.Disp >= -128 && m.Disp <= 127:
-		kind = disp8
-	default:
-		kind = disp32
-	}
-	b0 := byte(m.Base&0xF) | kind<<4
-	hasIndex := m.Index != NoReg
-	if hasIndex {
-		b0 |= 1 << 6
-	}
-	buf = append(buf, b0)
-	if hasIndex {
-		var sl byte
-		switch m.Scale {
-		case 0, 1:
-			sl = 0
-		case 2:
-			sl = 1
-		case 4:
-			sl = 2
-		case 8:
-			sl = 3
-		default:
-			panic(fmt.Sprintf("vx64: bad scale %d", m.Scale))
-		}
-		buf = append(buf, byte(m.Index&0xF)|sl<<4)
-	}
-	switch kind {
-	case disp8:
-		buf = append(buf, byte(int8(m.Disp)))
-	case disp32:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Disp))
-	}
-	return buf
-}
 
 // Encode appends the encoding of inst to buf and returns the extended
 // buffer. It panics on virtual-register leftovers (Rd/Rs >= 16 for register
@@ -156,6 +80,47 @@ func Encode(buf []byte, inst *Inst) []byte {
 		buf = le.AppendUint16(append(buf, ck(inst.Rd)), uint16(inst.Imm))
 	case FormRsImm16:
 		buf = le.AppendUint16(append(buf, ck(inst.Rs)), uint16(inst.Imm))
+	}
+	return buf
+}
+
+func appendMem(buf []byte, m Mem) []byte {
+	var kind byte
+	switch {
+	case m.Disp == 0:
+		kind = dispNone
+	case m.Disp >= -128 && m.Disp <= 127:
+		kind = disp8
+	default:
+		kind = disp32
+	}
+	b0 := byte(m.Base&0xF) | kind<<4
+	hasIndex := m.Index != NoReg
+	if hasIndex {
+		b0 |= 1 << 6
+	}
+	buf = append(buf, b0)
+	if hasIndex {
+		var sl byte
+		switch m.Scale {
+		case 0, 1:
+			sl = 0
+		case 2:
+			sl = 1
+		case 4:
+			sl = 2
+		case 8:
+			sl = 3
+		default:
+			panic(fmt.Sprintf("vx64: bad scale %d", m.Scale))
+		}
+		buf = append(buf, byte(m.Index&0xF)|sl<<4)
+	}
+	switch kind {
+	case disp8:
+		buf = append(buf, byte(int8(m.Disp)))
+	case disp32:
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Disp))
 	}
 	return buf
 }
@@ -280,4 +245,39 @@ func decode(inst *Inst, buf []byte, off int) (int, error) {
 		}
 	}
 	return i - off, nil
+}
+
+// decodeMem decodes a memory operand starting at buf[i]; it returns the
+// operand and the index just past it.
+func decodeMem(buf []byte, i int) (Mem, int, error) {
+	if i >= len(buf) {
+		return Mem{}, i, errTruncated
+	}
+	b0 := buf[i]
+	i++
+	m := Mem{Base: Reg(b0 & 0xF), Index: NoReg, Scale: 1}
+	if b0&(1<<6) != 0 {
+		if i >= len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		b1 := buf[i]
+		i++
+		m.Index = Reg(b1 & 0xF)
+		m.Scale = 1 << ((b1 >> 4) & 3)
+	}
+	switch (b0 >> 4) & 3 {
+	case disp8:
+		if i >= len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		m.Disp = int32(int8(buf[i]))
+		i++
+	case disp32:
+		if i+4 > len(buf) {
+			return Mem{}, i, errTruncated
+		}
+		m.Disp = int32(binary.LittleEndian.Uint32(buf[i:]))
+		i += 4
+	}
+	return m, i, nil
 }

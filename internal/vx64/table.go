@@ -38,6 +38,10 @@ const (
 // measured from the end of the instruction.
 func (f Form) Rel32() bool { return f == FormCondRel32 || f == FormRel32 }
 
+// Mem reports whether the form ends in a memory operand
+// [M.Base + M.Index*M.Scale + M.Disp] (MBaseV/MIndexV in IR form).
+func (f Form) Mem() bool { return f == FormRdMem || f == FormRsMem }
+
 // Operand is how an instruction uses one register field (Rd, Rs or Rs2):
 // read, written or both, and in which register class. A field neither
 // read nor written is not encoded.
@@ -78,12 +82,10 @@ type OpInfo struct {
 	Form        Form
 	Rd, Rs, Rs2 Operand
 
-	// Mem reports a memory operand [M.Base + M.Index*M.Scale + M.Disp]
-	// (MBaseV/MIndexV in IR form). Dir and Width describe the access the
-	// instruction makes, through that operand or the stack: LEA has the
-	// operand without an access, CALL, CALLR and RET access the stack
-	// without it. Signed loads sign-extend from Width bytes.
-	Mem    bool
+	// Dir and Width describe the access the instruction makes, through
+	// its memory operand (Form.Mem) or the stack: LEA has the operand
+	// without an access, CALL, CALLR and RET access the stack without it.
+	// Signed loads sign-extend from Width bytes.
 	Dir    Dir
 	Width  uint8
 	Signed bool
@@ -113,18 +115,18 @@ var opTable = [opCount]OpInfo{
 	MOVI32: {Name: "movi32", Form: FormRImm32, Rd: gDef},
 	MOVI64: {Name: "movi64", Form: FormRImm64, Rd: gDef},
 
-	LOAD8:   {Name: "load8", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 1},
-	LOAD16:  {Name: "load16", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 2},
-	LOAD32:  {Name: "load32", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 4},
-	LOAD64:  {Name: "load64", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 8},
-	LOADS8:  {Name: "loads8", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 1, Signed: true},
-	LOADS16: {Name: "loads16", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 2, Signed: true},
-	LOADS32: {Name: "loads32", Form: FormRdMem, Rd: gDef, Mem: true, Dir: Load, Width: 4, Signed: true},
-	STORE8:  {Name: "store8", Form: FormRsMem, Rs: gUse, Mem: true, Dir: Store, Width: 1},
-	STORE16: {Name: "store16", Form: FormRsMem, Rs: gUse, Mem: true, Dir: Store, Width: 2},
-	STORE32: {Name: "store32", Form: FormRsMem, Rs: gUse, Mem: true, Dir: Store, Width: 4},
-	STORE64: {Name: "store64", Form: FormRsMem, Rs: gUse, Mem: true, Dir: Store, Width: 8},
-	LEA:     {Name: "lea", Form: FormRdMem, Rd: gDef, Mem: true},
+	LOAD8:   {Name: "load8", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 1},
+	LOAD16:  {Name: "load16", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 2},
+	LOAD32:  {Name: "load32", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 4},
+	LOAD64:  {Name: "load64", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 8},
+	LOADS8:  {Name: "loads8", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 1, Signed: true},
+	LOADS16: {Name: "loads16", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 2, Signed: true},
+	LOADS32: {Name: "loads32", Form: FormRdMem, Rd: gDef, Dir: Load, Width: 4, Signed: true},
+	STORE8:  {Name: "store8", Form: FormRsMem, Rs: gUse, Dir: Store, Width: 1},
+	STORE16: {Name: "store16", Form: FormRsMem, Rs: gUse, Dir: Store, Width: 2},
+	STORE32: {Name: "store32", Form: FormRsMem, Rs: gUse, Dir: Store, Width: 4},
+	STORE64: {Name: "store64", Form: FormRsMem, Rs: gUse, Dir: Store, Width: 8},
+	LEA:     {Name: "lea", Form: FormRdMem, Rd: gDef},
 
 	ADDrr:  {Name: "add", Form: FormRR, Rd: gUseDef, Rs: gUse},
 	ADDri:  {Name: "addi", Form: FormRImm32, Rd: gUseDef},
@@ -179,8 +181,8 @@ var opTable = [opCount]OpInfo{
 	INVLPG:      {Name: "invlpg", Form: FormR, Rd: gUse, Ends: true},
 	TLBFLUSHALL: {Name: "tlbflushall", Ends: true},
 
-	FLD:      {Name: "fld", Form: FormRdMem, Rd: xDef, Mem: true, Dir: Load, Width: 8},
-	FST:      {Name: "fst", Form: FormRsMem, Rs: xUse, Mem: true, Dir: Store, Width: 8},
+	FLD:      {Name: "fld", Form: FormRdMem, Rd: xDef, Dir: Load, Width: 8},
+	FST:      {Name: "fst", Form: FormRsMem, Rs: xUse, Dir: Store, Width: 8},
 	FMOVxr:   {Name: "fmovxr", Form: FormRR, Rd: xDef, Rs: gUse},
 	FMOVrx:   {Name: "fmovrx", Form: FormRR, Rd: gDef, Rs: xUse},
 	FMOVxx:   {Name: "fmovxx", Form: FormRR, Rd: xDef, Rs: xUse},
@@ -199,7 +201,7 @@ var opTable = [opCount]OpInfo{
 	CVTSD2SI: {Name: "cvtsd2si", Form: FormRR, Rd: gDef, Rs: xUse},
 	CVTSD2UI: {Name: "cvtsd2ui", Form: FormRR, Rd: gDef, Rs: xUse},
 
-	IRQCHK:  {Name: "irqchk", Form: FormRsMem, Rs: gUse, Mem: true, Dir: Load, Width: 8},
+	IRQCHK:  {Name: "irqchk", Form: FormRsMem, Rs: gUse, Dir: Load, Width: 8},
 	PROFCNT: {Name: "profcnt", Form: FormUImm32},
 }
 
@@ -232,19 +234,29 @@ func MemOp(d Dir, width uint8, signed bool) Op {
 
 // gprMemOps indexes the table's GPR loads and stores by direction, width
 // and signedness, for MemOp.
-var gprMemOps = func() (t [3][9][2]Op) {
-	for op := range opTable {
-		r := &opTable[op]
-		if r.Mem && (r.Dir == Load && r.Rd.Def() && !r.Rd.FP() || r.Dir == Store && !r.Rs.FP()) {
-			s := 0
-			if r.Signed {
-				s = 1
-			}
-			t[r.Dir][r.Width][s] = Op(op)
+var gprMemOps = memOpIndex(&opTable)
+
+// memOpIndex indexes tab's GPR loads and stores for MemOp. It panics when
+// two rows claim one cell, so a new row (a fused load, say) cannot silently
+// take over the emitters' choice. An empty cell holds NOP (opcode 0), which
+// is neither a load nor a store.
+func memOpIndex(tab *[opCount]OpInfo) (t [3][9][2]Op) {
+	for op := range tab {
+		r := &tab[op]
+		if !r.Form.Mem() || !(r.Dir == Load && r.Rd.Def() && !r.Rd.FP() || r.Dir == Store && !r.Rs.FP()) {
+			continue
 		}
+		s := 0
+		if r.Signed {
+			s = 1
+		}
+		if prev := t[r.Dir][r.Width][s]; prev != NOP {
+			panic(fmt.Sprintf("vx64: %v and %v both answer MemOp for %d-byte accesses", prev, Op(op), r.Width))
+		}
+		t[r.Dir][r.Width][s] = Op(op)
 	}
 	return t
-}()
+}
 
 // reg names register n of the operand's class.
 func (o Operand) reg(n uint16) string {

@@ -57,12 +57,13 @@ var formImms = map[Form][]int64{
 }
 
 // roundTripMems are memory operands with no, an 8-bit and a 32-bit
-// displacement, with and without an index.
+// displacement, without an index and with one at every scale.
 var roundTripMems = []Mem{
 	{Base: R1, Index: NoReg, Scale: 1},
 	{Base: RPC, Index: NoReg, Scale: 1, Disp: -128},
 	{Base: RRF, Index: NoReg, Scale: 1, Disp: 0x120},
 	{Base: R2, Index: RPC, Scale: 8, Disp: 127},
+	{Base: R2, Index: R3, Scale: 4, Disp: 12345},
 	{Base: R0, Index: R3, Scale: 2, Disp: math.MinInt32},
 	{Base: RSTA, Index: R0, Scale: 1, Disp: math.MaxInt32},
 }
@@ -80,7 +81,7 @@ func tableInsts() []Inst {
 			imms = []int64{0}
 		}
 		mems := roundTripMems
-		if !r.Mem {
+		if !r.Form.Mem() {
 			mems = []Mem{{}}
 		}
 		for _, regs := range [][3]uint16{{15, 0, 7}, {3, 14, 1}} {
@@ -140,11 +141,11 @@ func TestMemOp(t *testing.T) {
 			for _, d := range []Dir{Load, Store} {
 				op := MemOp(d, uint8(w), signed)
 				r := op.Info()
-				want := OpInfo{Mem: true, Dir: d, Width: 8}
+				want := OpInfo{Dir: d, Width: 8}
 				if w == 1 || w == 2 || w == 4 {
 					want.Width, want.Signed = uint8(w), signed && d == Load
 				}
-				if !r.Mem || r.Dir != want.Dir || r.Width != want.Width || r.Signed != want.Signed ||
+				if !r.Form.Mem() || r.Dir != want.Dir || r.Width != want.Width || r.Signed != want.Signed ||
 					r.Rd.FP() || r.Rs.FP() || d == Load && !r.Rd.Def() {
 					t.Errorf("MemOp(%d, %d, %v) = %v, want the GPR op of %+v", d, w, signed, op, want)
 				}
@@ -153,10 +154,161 @@ func TestMemOp(t *testing.T) {
 	}
 }
 
+// TestMemOpIndexRejectsSharedCell gives a copy of the table a second 8-byte
+// GPR load, as a fused load-and-add row would be: indexing it panics rather
+// than letting the later row replace LOAD64 as MemOp's answer.
+func TestMemOpIndexRejectsSharedCell(t *testing.T) {
+	tab := opTable
+	tab[PROFCNT] = OpInfo{Name: "loadadd", Form: FormRdMem, Rd: gUseDef, Dir: Load, Width: 8}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second 8-byte GPR load was indexed without a panic")
+		}
+	}()
+	memOpIndex(&tab)
+}
+
+// opData is the physical offset of the data the operand test's memory
+// operand [R8+16] reads and writes.
+const opData = 0x8000
+
+// operandOutcome is everything one step can change that
+// TestOpTableMatchesExecution compares.
+type operandOutcome struct {
+	R, X     [16]uint64
+	F        Flags
+	RIP, CR3 uint64
+	Trap     Trap
+	Stats    Stats
+	Data     [32]byte
+	TLB      [tlbSize]tlbEntry
+	Prof     [2]ProfCell
+}
+
+// stepOperands steps the instruction encoded in code once, from registers
+// r and x and flags f, on a CPU whose TLB holds pages 0–511, whose CR3 is
+// 0x7000 and whose data page holds a fixed pattern.
+func stepOperands(code []byte, r, x [16]uint64, f Flags) operandOutcome {
+	c := NewCPU(make(PhysMem, 64<<10))
+	c.DirectBase = directBase
+	c.R, c.X, c.F, c.CR3 = r, x, f, 0x7000
+	c.Prof = make([]ProfCell, 2)
+	for i := range c.tlb {
+		c.tlb[i] = tlbEntry{vaPage: uint64(i), paPage: uint64(i), write: true}
+	}
+	for i := 0; i < 32; i++ {
+		c.Phys[opData+i] = byte(0xA5 ^ i*29)
+	}
+	copy(c.Phys[0x100:], code)
+	c.RIP = directBase + 0x100
+	tr := c.Step()
+	o := operandOutcome{R: c.R, X: c.X, F: c.F, RIP: c.RIP, CR3: c.CR3, Trap: tr, Stats: c.Stats, TLB: c.tlb}
+	copy(o.Data[:], c.Phys[opData:])
+	copy(o.Prof[:], c.Prof)
+	return o
+}
+
+// observeOperand reports how one step of code treats register n of one
+// file (the FP file when fp), from execution alone: starting from r and x,
+// it steps once with each of vals in that register, under clear flags and
+// under set flags. The register is written when its value after some step
+// differs from its value before. It is read when the rest of the outcome
+// depends on its value, when the written value does, or when it is written
+// under one set of flags and left alone under the other, as a conditional
+// move's destination is: then the old value is the result.
+func observeOperand(code []byte, r, x [16]uint64, n int, fp bool, vals []uint64) Operand {
+	var o Operand
+	written, kept := false, false
+	for _, f := range []Flags{{}, {Z: true, S: true, C: true, O: true, U: true}} {
+		var rest []operandOutcome
+		var after []uint64
+		pass := true
+		for _, v := range vals {
+			rr, xx := r, x
+			reg := &rr[n]
+			if fp {
+				reg = &xx[n]
+			}
+			*reg = v
+			out := stepOperands(code, rr, xx, f)
+			got := &out.R[n]
+			if fp {
+				got = &out.X[n]
+			}
+			pass = pass && *got == v
+			after = append(after, *got)
+			*got = 0
+			rest = append(rest, out)
+		}
+		if pass {
+			kept = true
+		} else {
+			written = true
+		}
+		for i := range vals {
+			if rest[i] != rest[0] || !pass && after[i] != after[0] {
+				o |= OpUse
+			}
+		}
+	}
+	if written {
+		o |= OpDef
+		if kept {
+			o |= OpUse
+		}
+	}
+	return o
+}
+
+// TestOpTableMatchesExecution checks each row's register operands against
+// what execution does rather than against the row: for every opcode, with
+// Rd, Rs and Rs2 naming registers 3, 4 and 5, one step shows which of the
+// GPR and FP files each field writes and reads (observeOperand), and that
+// must be the row's role, in the row's class only. The register allocator
+// takes its operands' roles and classes from the row, so this holds it to
+// execution too. Port I/O exits with the instruction for the embedder to
+// emulate, so the CPU itself neither reads nor writes IN's or OUT's
+// register, and the test holds it to that.
+func TestOpTableMatchesExecution(t *testing.T) {
+	var r, x [16]uint64
+	for i := range r {
+		r[i] = uint64(i+1)<<12 | uint64(i*0x11+5) // distinct pages below 2 MiB, for INVLPG
+		x[i] = math.Float64bits(float64(i) + 1.5)
+	}
+	r[R8], r[RSP] = directBase+opData, directBase+0xF000
+	role := map[Operand]string{0: "none", OpUse: "use", OpDef: "def", OpUse | OpDef: "use-def"}
+	for op := Op(0); op < opCount; op++ {
+		row := op.Info()
+		in := Inst{Op: op, Rd: 3, Rs: 4, Rs2: 5, Cond: CondEQ, Imm: 1,
+			M: Mem{Base: R8, Index: NoReg, Scale: 1, Disp: 16}}
+		code := Encode(nil, &in)
+		want := [3]Operand{row.Rd, row.Rs, row.Rs2}
+		if op == INport || op == OUTport {
+			want = [3]Operand{}
+		}
+		for f, name := range []string{"Rd", "Rs", "Rs2"} {
+			n, m, k := 3+f, 3+(f+1)%3, 3+(f+2)%3 // this field's register, then the other two fields'
+			gpr := observeOperand(code, r, x, n, false,
+				[]uint64{r[n], ^uint64(0), 1 << 63, r[m], r[k], r[n] + 1<<12})
+			fpr := observeOperand(code, r, x, n, true,
+				[]uint64{x[n], x[m], x[k], math.Float64bits(-1e300), math.Float64bits(1e300),
+					math.Float64bits(-2.5), math.Float64bits(math.NaN())})
+			wantG, wantX := want[f], Operand(0)
+			if want[f].FP() {
+				wantG, wantX = 0, want[f]&^OpFP
+			}
+			if gpr != wantG || fpr != wantX {
+				t.Errorf("%v %s: execution shows GPR %s, FP %s; the row says GPR %s, FP %s",
+					op, name, role[gpr], role[fpr], role[wantG], role[wantX])
+			}
+		}
+	}
+}
+
 // Scaleized normalizes fields the encoding does not preserve exactly for
 // instructions without those operands (scale defaults, NoReg index).
 func (i *Inst) Scaleized() {
-	if !i.Op.Info().Mem {
+	if !i.Op.Info().Form.Mem() {
 		i.M = Mem{}
 		return
 	}
